@@ -46,6 +46,7 @@ from .potential import (
     PotentialResult,
     QuadratureSpec,
     integrand,
+    potential_grid,
     potential_inertial,
     potential_numeric,
     potential_oracle,

@@ -5,42 +5,80 @@ The potential is the oscillatory dispersion integral
     V(R) = -(2 hbar c / pi R^2) Im int_0^inf dk k^4 <n(ck)>_a e^{2ikR}
                                       u_factor(kR) alpha^2(k)
 
-evaluated three ways:
+evaluated two independent ways:
 
-* ``potential_inertial``  - the a = 0 integral rotated onto the imaginary
-  axis, where it is a smooth exponentially damped quadrature.
-* ``potential_numeric``   - the accelerated case.  The occupation factor is
-  split as 1/2 + (1/2) a^2/(c^2 omega^2) + (1 + a^2/(c^2 omega^2)) * Bose.
-  The first piece is the inertial integral; the second rotates onto the
-  imaginary axis with a finite-part (Hadamard) regularization of its double
-  pole at the origin; the third contributes the pole ladder of the Bose
-  factor at k_n = n a / c^2 plus a closed-form origin term from the k^-1
-  Laurent coefficient of the integrand.  When the pole ladder is too dense
-  (a R / c^2 small) the third piece is instead evaluated as the exactly
-  equivalent Bose-weighted real-axis integral of the imaginary part, which
-  stays cheap for arbitrarily small a R.
+* ``potential_grid``      - the contour evaluator, on the product grid of a
+  list of separations and a list of accelerations.  The occupation factor
+  is split as 1/2 + (1/2) a^2/(c^2 omega^2) + (1 + a^2/(c^2 omega^2)) * Bose.
+  The first piece is the inertial integral rotated onto the imaginary axis,
+  where it is a smooth exponentially damped quadrature; the second rotates
+  onto the imaginary axis with a finite-part (Hadamard) regularization of
+  its double pole at the origin; the third contributes the pole ladder of
+  the Bose factor at k_n = n a / c^2 plus a closed-form origin term from the
+  k^-1 Laurent coefficient of the integrand.  When the pole ladder is too
+  dense (a R / c^2 small) the third piece is instead evaluated as the
+  exactly equivalent Bose-weighted real-axis integral of the imaginary
+  part, which stays cheap for arbitrarily small a R.  ``potential_numeric``
+  (one point) and ``potential_inertial`` (a = 0) are 1 x 1 grids.
 * ``potential_oracle``    - an independent check: the raw integrand is
   integrated over a deformed first-quadrant path (real segment plus a
   tilted ray, exact by Cauchy's theorem), with the convergence factor
   e^{-eta k} and a polynomial extrapolation eta -> 0.  It shares no series,
   residue or finite-part algebra with the contour evaluator.
 
-All evaluators are pure functions, deterministic for a fixed
-QuadratureSpec, and safe for concurrent use.
+Quadrature of the contour evaluator.  The three integrals are numpy array
+expressions on fixed composite Gauss-Legendre rules with GL_ORDER nodes per
+panel:
+
+* the two imaginary-axis pieces use IMAG_PANELS equal panels in ln x over
+  x = uR in [X_LO, X_CUT].  The stretch [0, X_LO] is added analytically, as
+  3 alpha0^2 X_LO for the inertial piece and -W2 X_LO for the
+  origin-subtracted one (W2 = alpha0^2 + 3 alpha_curv/R^2, minus the
+  integrand at x = 0), and so is the -3 alpha0^2/X_CUT tail of the
+  origin-subtracted piece beyond X_CUT, where the exponential factor is
+  below e^{-80}; the leading terms these end pieces neglect (X_LO^3 times
+  the x^2 and x^4 Taylor coefficients) enter the error estimate, which
+  grows past the target only for R below about 1e-9 c/omega0.  Both pieces
+  share one set of polarizability samples and
+  depend on R only, so a grid computes them once per separation.
+* the Bose real-axis piece uses the panels BOSE_EDGES, cut at T.
+
+Each rule is nested: its value with the panels as given is compared with
+its value with every panel halved; the finer value is returned and the
+difference is its error estimate.  A row (one separation, or one (R, a)
+pair of the Bose piece) whose estimate exceeds max(1e-13, min(1e-8,
+rel_tol * 1e-2)) of its value is compared again one halving finer, up to
+MAX_REFINE times.  A point whose estimate then still exceeds max(abs_tol,
+10 rel_tol |value|) raises NumericalFailure with the partial value and its
+error estimate.  No scalar adaptive quadrature remains in this evaluator.
+
+Every contour value is a function of (R, a, atom, QuadratureSpec) alone: the
+arithmetic of one row never involves another, so a grid returns bit for bit
+what point-by-point calls return.  All evaluators are pure functions,
+deterministic for a fixed QuadratureSpec, and safe for concurrent use.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad as _scipy_quad
 
 from .atoms import AtomSpec, alpha_real, oscillator_weights
-from .errors import DomainError, NumericalFailure, OracleUnreliableError, RegimeError
+from .errors import (
+    DomainError,
+    NumericalFailure,
+    OracleUnreliableError,
+    RegimeError,
+    UnruhCPError,
+)
 from .kinematics import Regime, classify_regime, validity_check
 from .occupation import DEFAULT_POLE_CAP, mode_occupation
 from .retardation import (
+    osc_imag_array,
     osc_imag_part,
     osc_real_part,
     quartic_weight,
@@ -52,8 +90,16 @@ from .units import UnitSystem, units_for
 # replaced by the Bose-weighted real-axis integral
 SWITCH_A = 0.125      # a / (omega0 c)
 SWITCH_AR = 0.5       # a R / c^2
-X_CUT = 40.0          # imaginary-axis quadratures switch to the tail at x = uR = 40
-X_SMALL = 1e-6        # series branch of the subtracted origin integrand
+# fixed nested rules of the contour evaluator (module docstring)
+GL_ORDER = 8          # Gauss-Legendre nodes per panel
+X_LO = 1e-12          # the imaginary-axis rule covers x = uR in [X_LO, X_CUT]
+X_CUT = 40.0
+IMAG_PANELS = 32      # panels in ln x of the coarser imaginary-axis rule
+BOSE_EDGES = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 40.0)  # t panels, cut at T
+MAX_REFINE = 4        # further panel halvings for rows that miss the target
+P_SERIES = 0.25       # below this x, (Q(x) e^{-2x} - 3)/x^2 is summed as a series
+POLE_BLOCK_MIN = 32   # pole-sum block sizes (terms)
+POLE_BLOCK_MAX = 16384
 ORACLE_MAX_A = 0.1    # enforced oracle domain a / (omega0 c)
 ORACLE_K0 = 0.5       # reduced wavenumber where the oracle path leaves the real axis
 ORACLE_TILT = math.pi / 4
@@ -64,12 +110,10 @@ class QuadratureSpec:
     """Tolerances and truncation policy for the potential evaluators.
 
     rel_tol / abs_tol     target relative and absolute (reduced-unit) errors
-    max_subdivisions      adaptive quadrature subdivision limit
+    max_subdivisions      adaptive quadrature subdivision limit (oracle)
     matsubara_rel_cutoff  stop the pole sum when a term falls below this
                           fraction of the partial sum
     matsubara_hard_cap    unconditional pole-count cap
-    origin_cutoff         scale factor for the series branch of the
-                          origin-subtracted integrand
     damping_schedule      decreasing e^{-eta k} factors (units c/omega0)
                           used by the oracle's eta -> 0 extrapolation
     """
@@ -79,7 +123,6 @@ class QuadratureSpec:
     max_subdivisions: int = 200
     matsubara_rel_cutoff: float = 1e-12
     matsubara_hard_cap: int = DEFAULT_POLE_CAP
-    origin_cutoff: float = 1e-3
     damping_schedule: tuple[float, ...] = (1e-2, 3e-3, 1e-3)
 
     def __post_init__(self):
@@ -87,7 +130,7 @@ class QuadratureSpec:
             raise DomainError("tolerances must be positive")
         if self.max_subdivisions < 10:
             raise DomainError("max_subdivisions must be >= 10")
-        if not (self.matsubara_rel_cutoff > 0 and self.origin_cutoff > 0):
+        if not self.matsubara_rel_cutoff > 0:
             raise DomainError("cutoffs must be positive")
         if self.matsubara_hard_cap < 10:
             raise DomainError("matsubara_hard_cap must be >= 10")
@@ -133,6 +176,7 @@ class _ReducedAtom:
     weights: tuple[float, ...]   # oscillator strengths alpha_r in (c/omega0)^3
     alpha0: float                # static polarizability
     alpha_curv: float            # k^2 coefficient of alpha^2(k) about k = 0
+    alpha_quart: float           # k^4 coefficient of alpha^2(k) about k = 0
     gamma: float                 # linewidth in omega0
 
 
@@ -141,9 +185,11 @@ def _reduce_atom(atom: AtomSpec, units: UnitSystem) -> _ReducedAtom:
     weights = tuple(units.reduce_alpha(w)
                     for w in oscillator_weights(atom, hbar=units.hbar_atomic))
     alpha0 = sum(weights)
-    curv = 2.0 * alpha0 * sum(w / o**2 for w, o in zip(weights, omegas))
+    s2 = sum(w / o**2 for w, o in zip(weights, omegas))
+    s4 = sum(w / o**4 for w, o in zip(weights, omegas))
     return _ReducedAtom(omegas=omegas, weights=weights, alpha0=alpha0,
-                        alpha_curv=curv, gamma=units.reduce_frequency(atom.damping))
+                        alpha_curv=2.0 * alpha0 * s2, alpha_quart=s2 * s2 + 2.0 * alpha0 * s4,
+                        gamma=units.reduce_frequency(atom.damping))
 
 
 def _resolve_units(atom: AtomSpec, units) -> UnitSystem:
@@ -154,15 +200,30 @@ def _resolve_units(atom: AtomSpec, units) -> UnitSystem:
     return units
 
 
-def _alpha2_iu(u, ra: _ReducedAtom):
-    s = 0.0
+def _alpha_iu(u, ra: _ReducedAtom):
+    """alpha(iu) and beta = (alpha0 - alpha(iu))/u^2 = sum_r w_r/(o_r^2 + u^2).
+
+    beta carries the deficit alpha0 - alpha(iu) without the cancellation of
+    the direct difference at small u.
+    """
+    u2 = u * u
+    alpha = beta = 0.0
     for w, o in zip(ra.weights, ra.omegas):
-        s += w * o * o / (o * o + u * u)
-    return s * s
+        d = 1.0 / (o * o + u2)
+        alpha = alpha + w * o * o * d
+        beta = beta + w * d
+    return alpha, beta
 
 
-def _alpha2_real0(k: float, ra: _ReducedAtom) -> float:
-    # gamma = 0 polarizability squared on the real axis (k below every resonance)
+def _alpha2_iu(u, ra: _ReducedAtom):
+    # alpha(iu)^2, scalar or array u
+    alpha, _ = _alpha_iu(u, ra)
+    return alpha * alpha
+
+
+def _alpha2_real0(k, ra: _ReducedAtom):
+    # gamma = 0 polarizability squared on the real axis (k below every
+    # resonance), scalar or array k
     s = 0.0
     for w, o in zip(ra.weights, ra.omegas):
         s += w * o * o / (o * o - k * k)
@@ -170,7 +231,7 @@ def _alpha2_real0(k: float, ra: _ReducedAtom) -> float:
 
 
 def _quad(f, a, b, quad: QuadratureSpec, points=None):
-    eps = max(1e-13, min(1e-8, quad.rel_tol * 1e-2))
+    eps = _target(quad)
     val, err, info, *rest = _scipy_quad(
         f, a, b,
         epsabs=1e-300, epsrel=eps,
@@ -186,42 +247,139 @@ def _quad(f, a, b, quad: QuadratureSpec, points=None):
     return val, err
 
 
+def _target(quad: QuadratureSpec) -> float:
+    """Relative accuracy every quadrature aims for."""
+    return max(1e-13, min(1e-8, quad.rel_tol * 1e-2))
+
+
+# --------------------------------------------------------------------------
+# fixed nested rules of the contour evaluator
+# --------------------------------------------------------------------------
+def _exp_quartic_series(n: int = 30) -> list[float]:
+    """Taylor coefficients of Q(x) e^{-2x}, Q the imaginary-axis quartic."""
+    q = (3.0, 6.0, 5.0, 2.0, 1.0)
+    return [sum(c * (-2.0) ** (m - j) / math.factorial(m - j)
+                for j, c in enumerate(q) if j <= m) for m in range(n)]
+
+
+_QE_SERIES = _exp_quartic_series()   # 3, 0, -1, 0, 1, ...
+
+
+def _frozen(*arrays):
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=None)
+def _imag_axis_rule(panels: int, order: int):
+    """(x, w, Q e^{-2x}, p) on the imaginary-axis rule: `panels` equal panels in
+    ln x over [X_LO, X_CUT], `order` Gauss-Legendre nodes each.  w includes the
+    Jacobian x of the ln-x substitution and p(x) = (Q(x) e^{-2x} - 3)/x^2,
+    summed as its series below P_SERIES."""
+    t, w = leggauss(order)
+    lo = math.log(X_LO)
+    h = (math.log(X_CUT) - lo) / panels
+    x = np.exp((lo + h * np.arange(panels)[:, None] + 0.5 * h * (t + 1.0)).ravel())
+    wx = np.tile(0.5 * h * w, panels) * x
+    qe = quartic_weight(x) * np.exp(-2.0 * x)
+    xs = np.minimum(x, P_SERIES)
+    series = np.zeros_like(x)
+    for c in reversed(_QE_SERIES[2:]):
+        series = series * xs + c
+    p = np.where(x < P_SERIES, series, (qe - 3.0) / (x * x))
+    return _frozen(x, wx, qe, p)
+
+
+@lru_cache(maxsize=None)
+def _bose_rule(parts: int, order: int):
+    """Node offsets in [0, 1] and weights of the rule on a unit panel cut into
+    `parts` equal parts of `order` Gauss-Legendre nodes each."""
+    t, w = leggauss(order)
+    offsets = ((np.arange(parts)[:, None] + 0.5 * (t + 1.0)) / parts).ravel()
+    return _frozen(offsets, np.tile(0.5 * w / parts, parts))
+
+
+def _nested(evaluate, n: int, quad: QuadratureSpec, floor=0.0):
+    """Values, error estimates and acceptance of n rows of a nested rule.
+
+    evaluate(rows, level) returns an array (pieces, len(rows)) from the rule
+    with its panels halved `level` times.  Level 1 is compared with level 0;
+    rows whose difference misses the target are compared again one level
+    finer, up to MAX_REFINE more times.  The error of a row is its last
+    difference plus `floor`, the error the rule cannot reduce.  A row is
+    accepted when every piece's error is within max(abs_tol, 10 rel_tol
+    |value|).  Each row's result depends on that row alone.
+    """
+    target = _target(quad)
+    rows = np.arange(n)
+    coarse = evaluate(rows, 0)
+    value = np.empty_like(coarse)
+    error = np.empty_like(coarse)
+    for level in range(1, MAX_REFINE + 2):
+        fine = evaluate(rows, level)
+        diff = np.abs(fine - coarse)
+        value[:, rows] = fine
+        error[:, rows] = diff
+        miss = (diff > target * np.abs(fine)).any(axis=0)
+        if not miss.any():
+            break
+        rows, coarse = rows[miss], fine[:, miss]
+    error += floor
+    tol = np.maximum(quad.abs_tol, 10.0 * quad.rel_tol * np.abs(value))
+    return value, error, (error <= tol).all(axis=0)
+
+
 # --------------------------------------------------------------------------
 # contour-evaluator building blocks (reduced units)
 # --------------------------------------------------------------------------
-def _inertial_integral(Rt: float, ra: _ReducedAtom, quad: QuadratureSpec):
-    """int_0^inf W(u) du with W(u) = u^4 P(uR) e^{-2uR} alpha^2(iu), via x = uR."""
+def _inertial_integral(Rt: np.ndarray, ra: _ReducedAtom, level: int):
+    """int_0^inf g(x) dx per separation, g(x) = Q(x) e^{-2x} alpha^2(ix/R), x = uR,
+    on the level's imaginary-axis rule.
 
-    def g(x):
-        return quartic_weight(x) * math.exp(-2.0 * x) * _alpha2_iu(x / Rt, ra)
+    Returns the integrals and the polarizability samples (alpha, beta) of
+    _alpha_iu, which _origin_subtracted_integral reuses.
+    """
+    x, wx, qe, _ = _imag_axis_rule(IMAG_PANELS << level, GL_ORDER)
+    alpha, beta = _alpha_iu(x / Rt[:, None], ra)
+    integral = (qe * alpha * alpha * wx).sum(axis=1) + 3.0 * ra.alpha0**2 * X_LO
+    return integral, alpha, beta
 
-    pts = sorted({o * Rt for o in ra.omegas if 0.0 < o * Rt < X_CUT} | {0.1, 1.0})
-    val, err = _quad(g, 0.0, X_CUT, quad, points=pts)
-    v2, e2 = _quad(g, X_CUT, np.inf, quad)
-    return (val + v2) / Rt**5, (err + e2) / Rt**5
 
-
-def _origin_subtracted_integral(Rt: float, ra: _ReducedAtom, quad: QuadratureSpec):
-    """Finite part int_0^inf [W(u) - W(0)]/u^2 du (W as above, W(0) = 3 alpha0^2/R^4).
+def _origin_subtracted_integral(Rt: np.ndarray, ra: _ReducedAtom, level: int,
+                                alpha: np.ndarray, beta: np.ndarray):
+    """Finite part int_0^inf [g(x) - g(0)]/x^2 dx per separation (g as above,
+    g(0) = 3 alpha0^2), on the level's imaginary-axis rule.
 
     W'(0) vanishes identically (the 6/x^3 term of the weight cancels the
     linear term of e^{-2x}), so subtracting the pure double pole leaves a
-    convergent integral and the finite part carries no logarithm.
+    convergent integral and the finite part carries no logarithm.  The
+    integrand is evaluated as p(x) alpha^2 - 3 beta (alpha + alpha0)/R^2,
+    free of the cancellation of g(x) - 3 alpha0^2 at small x.
     """
-    a0sq3 = 3.0 * ra.alpha0**2
-    w2R2 = ra.alpha0**2 + 3.0 * ra.alpha_curv / Rt**2  # -g(0) in the x variable
-    x_small = X_SMALL * min(1.0, quad.origin_cutoff / 1e-3)
+    _, wx, _, p = _imag_axis_rule(IMAG_PANELS << level, GL_ORDER)
+    a0 = ra.alpha0
+    integrand = p * alpha * alpha - 3.0 * beta * (alpha + a0) / (Rt * Rt)[:, None]
+    w2 = a0 * a0 + 3.0 * ra.alpha_curv / (Rt * Rt)
+    return (integrand * wx).sum(axis=1) - w2 * X_LO - 3.0 * a0 * a0 / X_CUT
 
-    def g(x):
-        if x < x_small:
-            return -w2R2
-        return (quartic_weight(x) * math.exp(-2.0 * x) * _alpha2_iu(x / Rt, ra)
-                - a0sq3) / (x * x)
 
-    pts = sorted({o * Rt for o in ra.omegas if 0.0 < o * Rt < X_CUT} | {0.1, 1.0})
-    val, err = _quad(g, 0.0, X_CUT, quad, points=pts)
-    v2, e2 = _quad(g, X_CUT, np.inf, quad)
-    return (val + v2) / Rt**3, (err + e2) / Rt**3
+def _imag_axis_pieces(Rt: np.ndarray, ra: _ReducedAtom, quad: QuadratureSpec):
+    """(inertial, origin-subtracted) x-integrals per separation: value and error
+    arrays of shape (2, len(Rt)) and the accepted mask."""
+
+    def evaluate(rows, level):
+        r = Rt[rows]
+        inertial, alpha, beta = _inertial_integral(r, ra, level)
+        return np.stack([inertial, _origin_subtracted_integral(r, ra, level, alpha, beta)])
+
+    # leading neglected terms of the [0, X_LO] corrections: the x^2 and x^4
+    # Taylor coefficients of g, times X_LO^3/3
+    a0sq, r2 = ra.alpha0**2, Rt * Rt
+    g2 = a0sq + 3.0 * ra.alpha_curv / r2
+    g4 = a0sq + ra.alpha_curv / r2 + 3.0 * ra.alpha_quart / (r2 * r2)
+    floor = np.stack([g2, np.abs(g4)]) * X_LO**3 / 3.0
+    return _nested(evaluate, len(Rt), quad, floor)
 
 
 def _origin_coefficient(Rt: float, at: float, ra: _ReducedAtom) -> float:
@@ -239,7 +397,12 @@ def _origin_coefficient(Rt: float, at: float, ra: _ReducedAtom) -> float:
 
 def _pole_sum(Rt: float, at: float, ra: _ReducedAtom, quad: QuadratureSpec):
     """sum_{n>=2} (1 - 1/n^2) W(n a) over the Bose poles (n = 1 is killed
-    by the zero of 1 + a^2/k^2 at k = i a)."""
+    by the zero of 1 + a^2/k^2 at k = i a).
+
+    The terms fall about as exp(-2 a R n), so the first block holds the
+    terms needed at that rate to reach the relative cutoff; later blocks
+    double, up to POLE_BLOCK_MAX terms each.
+    """
     warnings: list[str] = []
     if at * Rt < 1e-3:
         warnings.append(
@@ -247,25 +410,24 @@ def _pole_sum(Rt: float, at: float, ra: _ReducedAtom, quad: QuadratureSpec):
             "the low-acceleration closed forms are better cross-checks here")
     total = 0.0
     tail = 0.0
-    block = 16384
-    n0 = 2
     ratio = math.exp(-2.0 * at * Rt)
+    need = math.log(1.0 / quad.matsubara_rel_cutoff) / max(2.0 * at * Rt, 1e-300)
+    block = int(min(POLE_BLOCK_MAX, max(POLE_BLOCK_MIN, math.ceil(need))))
+    n0 = 2
     while n0 <= quad.matsubara_hard_cap:
         n = np.arange(n0, min(n0 + block, quad.matsubara_hard_cap + 1), dtype=float)
         u = n * at
         x = u * Rt
         poly = u**4 + 2.0 * u**3 / Rt + 5.0 * u**2 / Rt**2 + 6.0 * u / Rt**3 + 3.0 / Rt**4
         with np.errstate(under="ignore"):
-            alpha = np.zeros_like(u)
-            for w, o in zip(ra.weights, ra.omegas):
-                alpha += w * o * o / (o * o + u * u)
-            terms = (1.0 - 1.0 / n**2) * poly * np.exp(-2.0 * x) * alpha**2
+            terms = (1.0 - 1.0 / n**2) * poly * np.exp(-2.0 * x) * _alpha2_iu(u, ra)
         total += float(terms.sum())
         last = float(terms[-1])
         if last < quad.matsubara_rel_cutoff * max(abs(total), 1e-300):
             tail = last * ratio / max(1.0 - ratio, 1e-300)
             break
         n0 += block
+        block = min(2 * block, POLE_BLOCK_MAX)
     else:
         tail = float(terms[-1]) * ratio / max(1.0 - ratio, 1e-300)
         warnings.append(
@@ -274,28 +436,35 @@ def _pole_sum(Rt: float, at: float, ra: _ReducedAtom, quad: QuadratureSpec):
     return total, tail, warnings
 
 
-def _bose_real_axis_integral(Rt: float, at: float, ra: _ReducedAtom,
+def _bose_real_axis_integral(Rt: np.ndarray, at: np.ndarray, ra: _ReducedAtom,
                              quad: QuadratureSpec):
-    """Bose piece as -(2a/pi R^2) int_0^T ImW(a t)(1 + 1/t^2)/(e^{2 pi t}-1) dt.
+    """Bose piece as -(2a/pi R^2) int_0^T ImW(a t)(1 + 1/t^2)/(e^{2 pi t}-1) dt,
+    per (R, a) pair of the arrays Rt, at: value and error arrays and the
+    accepted mask.
 
     Exactly equivalent to the pole sum plus its origin term minus the two
     imaginary-axis integrals (Abel-Plana), but costs O(1) independent of
     a R.  Requires a < omega_min so the Bose weight dies before the first
     polarizability resonance.
     """
-    T = min(40.0, 0.85 / at)
+    T = np.minimum(BOSE_EDGES[-1], 0.85 / at)
+    edges = np.minimum(np.array(BOSE_EDGES), T[:, None])
+    lo = edges[:, :-1, None]
+    width = np.diff(edges, axis=1)[:, :, None]
 
-    def f(t):
-        if t <= 0.0:
-            return 0.0
-        k = at * t
-        imw = k**4 * _alpha2_real0(k, ra) * osc_imag_part(k * Rt)
-        return imw * (1.0 + 1.0 / (t * t)) / math.expm1(2.0 * math.pi * t)
+    def evaluate(rows, level):
+        offsets, weights = _bose_rule(1 << level, GL_ORDER)
+        t = (lo[rows] + width[rows] * offsets).reshape(len(rows), -1)
+        w = (width[rows] * weights).reshape(len(rows), -1)
+        k = at[rows, None] * t
+        k2 = k * k
+        f = (k2 * k2 * _alpha2_real0(k, ra) * osc_imag_array(k * Rt[rows, None])
+             * (1.0 + 1.0 / (t * t)) / np.expm1(2.0 * math.pi * t))
+        return (f * w).sum(axis=1)[None, :]
 
-    pts = [p for p in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0) if p < T]
-    val, err = _quad(f, 0.0, T, quad, points=pts or None)
+    value, error, ok = _nested(evaluate, len(at), quad)
     scale = 2.0 * at / (math.pi * Rt * Rt)
-    return -scale * val, scale * err
+    return -scale * value[0], scale * error[0], ok
 
 
 # --------------------------------------------------------------------------
@@ -316,25 +485,108 @@ def integrand(k: float, R: float, a: float, atom: AtomSpec,
         * u_factor(k * R) * alpha * alpha
 
 
+def potential_grid(R, a, atom: AtomSpec, quad: QuadratureSpec = DEFAULT_QUAD,
+                   units: UnitSystem | str | None = None
+                   ) -> list[list[PotentialResult | UnruhCPError]]:
+    """Contour evaluation on the product grid of separations R and accelerations a.
+
+    Returns one list per acceleration, in the order of a, each holding one
+    entry per separation, in the order of R: the PotentialResult, or the
+    RegimeError (spontaneously excited regime; use potential_high_acc) or
+    NumericalFailure that point raises.  A separation <= 0 or a negative
+    acceleration raises DomainError for the whole call.  Every entry equals
+    what potential_numeric returns (or raises) for its point alone.
+    """
+    u = _resolve_units(atom, units)
+    Rs = [float(r) for r in R]
+    As = [float(x) for x in a]
+    for r in Rs:
+        if not r > 0.0:
+            raise DomainError(f"separation must be > 0, got {r}")
+    for x in As:
+        if x < 0.0:
+            raise DomainError(f"acceleration must be >= 0, got {x}")
+    ra = _reduce_atom(atom, u)
+    rts = [u.reduce_length(r) for r in Rs]
+    ats = [u.reduce_acceleration(x) for x in As]
+    imag, e_imag, imag_ok = (arr.tolist() for arr in _imag_axis_pieces(np.array(rts), ra, quad))
+
+    # the Bose real-axis piece, batched over every (R, a) pair that takes it
+    reports = [validity_check(x, atom, c=u.c) if x > 0.0 else None for x in As]
+    bose = [(j, i) for j, at in enumerate(ats) if reports[j] and not reports[j].excited
+            for i, rt in enumerate(rts) if at <= SWITCH_A and at * rt <= SWITCH_AR]
+    b_val, b_err, b_ok = (arr.tolist() for arr in _bose_real_axis_integral(
+        np.array([rts[i] for _, i in bose]), np.array([ats[j] for j, _ in bose]), ra, quad)
+    ) if bose else ((), (), ())
+    bose_of = {pair: (v, e, ok) for pair, v, e, ok in zip(bose, b_val, b_err, b_ok)}
+
+    grid = []
+    for j, (a_j, at) in enumerate(zip(As, ats)):
+        report = reports[j]
+        row = []
+        for i, (R_i, rt) in enumerate(zip(Rs, rts)):
+            if report is not None and report.excited:
+                row.append(RegimeError(
+                    f"a/(omega0 c) = {1.0 / report.ratio:.3g} lies in the spontaneously "
+                    "excited regime; use potential_high_acc"))
+                continue
+            norm = math.pi * rt * rt
+            vac = -(imag[0][i] / rt**5) / norm
+            e_vac = (e_imag[0][i] / rt**5) / norm
+            ok = imag_ok[i]
+            warnings: list[str] = []
+            if report is None:
+                nonth = e_nonth = res = e_res = 0.0
+                vt = vac
+            else:
+                if report.status == "marginal":
+                    warnings.append(
+                        f"marginal validity window: omega0 c / a = {report.ratio:.3g}")
+                nonth = at * at / norm * (imag[1][i] / rt**3)
+                e_nonth = at * at / norm * (e_imag[1][i] / rt**3)
+                if (j, i) in bose_of:
+                    res, e_res, b_ok = bose_of[j, i]
+                    ok = ok and b_ok
+                    vt = vac + nonth + res
+                else:
+                    s, tail, sum_warnings = _pole_sum(rt, at, ra, quad)
+                    warnings.extend(sum_warnings)
+                    bracket = (math.pi / 2.0) * _origin_coefficient(rt, at, ra) + (at / 2.0) * s
+                    vt = -2.0 / norm * bracket
+                    e_res = 2.0 / norm * (at / 2.0) * tail
+                    res = vt - vac - nonth
+            value = u.restore_energy(vt)
+            error = u.restore_energy(e_vac + e_nonth + e_res)
+            if not ok:
+                row.append(NumericalFailure(
+                    f"contour quadrature missed its tolerance at R={R_i!r}, a={a_j!r}: "
+                    f"error estimate {error:.3e} after {MAX_REFINE} refinements",
+                    partial=value, error_estimate=error))
+                continue
+            row.append(PotentialResult(
+                value=value,
+                error_estimate=error,
+                parts={"vacuum": u.restore_energy(vac),
+                       "nonthermal_a2": u.restore_energy(nonth),
+                       "residue_sum": u.restore_energy(res)},
+                regime=classify_regime(R_i, a_j, atom, c=u.c),
+                warnings=tuple(warnings),
+            ))
+        grid.append(row)
+    return grid
+
+
+def _point(grid) -> PotentialResult:
+    result = grid[0][0]
+    if isinstance(result, UnruhCPError):
+        raise result
+    return result
+
+
 def potential_inertial(R: float, atom: AtomSpec, quad: QuadratureSpec = DEFAULT_QUAD,
                        units: UnitSystem | str | None = None) -> PotentialResult:
     """Ground-state dispersion potential of the inertial pair (a = 0)."""
-    u = _resolve_units(atom, units)
-    if not R > 0.0:
-        raise DomainError(f"separation must be > 0, got {R}")
-    ra = _reduce_atom(atom, u)
-    Rt = u.reduce_length(R)
-    integ, err = _inertial_integral(Rt, ra, quad)
-    vt = -integ / (math.pi * Rt * Rt)
-    et = err / (math.pi * Rt * Rt)
-    value = u.restore_energy(vt)
-    return PotentialResult(
-        value=value,
-        error_estimate=u.restore_energy(et),
-        parts={"vacuum": value, "nonthermal_a2": 0.0, "residue_sum": 0.0},
-        regime=classify_regime(R, 0.0, atom, c=u.c),
-        warnings=(),
-    )
+    return _point(potential_grid([R], [0.0], atom, quad, units))
 
 
 def potential_numeric(R: float, a: float, atom: AtomSpec,
@@ -346,58 +598,7 @@ def potential_numeric(R: float, a: float, atom: AtomSpec,
     Raises RegimeError when the validity check reports the spontaneously
     excited regime (use potential_high_acc there).
     """
-    u = _resolve_units(atom, units)
-    if not R > 0.0:
-        raise DomainError(f"separation must be > 0, got {R}")
-    if a < 0.0:
-        raise DomainError(f"acceleration must be >= 0, got {a}")
-    if a == 0.0:
-        return potential_inertial(R, atom, quad, units=u)
-    report = validity_check(a, atom, c=u.c)
-    if report.excited:
-        raise RegimeError(
-            f"a/(omega0 c) = {1.0 / report.ratio:.3g} lies in the spontaneously "
-            "excited regime; use potential_high_acc")
-
-    ra = _reduce_atom(atom, u)
-    Rt = u.reduce_length(R)
-    at = u.reduce_acceleration(a)
-    regime = classify_regime(R, a, atom, c=u.c)
-    warnings: list[str] = []
-    if report.status == "marginal":
-        warnings.append(
-            f"marginal validity window: omega0 c / a = {report.ratio:.3g}")
-
-    v1, e1 = _inertial_integral(Rt, ra, quad)
-    vac = -v1 / (math.pi * Rt * Rt)
-    e_vac = e1 / (math.pi * Rt * Rt)
-    m, em = _origin_subtracted_integral(Rt, ra, quad)
-    nonth = at * at / (math.pi * Rt * Rt) * m
-    e_nonth = at * at / (math.pi * Rt * Rt) * em
-
-    if at <= SWITCH_A and at * Rt <= SWITCH_AR:
-        res, e_res = _bose_real_axis_integral(Rt, at, ra, quad)
-        vt = vac + nonth + res
-    else:
-        s, tail, sum_warnings = _pole_sum(Rt, at, ra, quad)
-        warnings.extend(sum_warnings)
-        bracket = (math.pi / 2.0) * _origin_coefficient(Rt, at, ra) + (at / 2.0) * s
-        vt = -2.0 / (math.pi * Rt * Rt) * bracket
-        e_res = 2.0 / (math.pi * Rt * Rt) * (at / 2.0) * tail
-        res = vt - vac - nonth
-
-    value = u.restore_energy(vt)
-    return PotentialResult(
-        value=value,
-        error_estimate=u.restore_energy(e_vac + e_nonth + e_res),
-        parts={
-            "vacuum": u.restore_energy(vac),
-            "nonthermal_a2": u.restore_energy(nonth),
-            "residue_sum": u.restore_energy(res),
-        },
-        regime=regime,
-        warnings=tuple(warnings),
-    )
+    return _point(potential_grid([R], [a], atom, quad, units))
 
 
 # --------------------------------------------------------------------------
@@ -548,6 +749,7 @@ __all__ = [
     "PotentialResult",
     "DEFAULT_QUAD",
     "integrand",
+    "potential_grid",
     "potential_inertial",
     "potential_numeric",
     "potential_oracle",

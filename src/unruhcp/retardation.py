@@ -17,12 +17,15 @@ coefficients both follow from it.  The sign-free coefficient pattern
 breaks the oscillatory cancellation at the origin and the far-zone law.
 
 osc_imag_part / osc_real_part evaluate Im / Re of e^{2ix} u_factor(x)
-without catastrophic cancellation (series branch below |x| = 1/2).
+without catastrophic cancellation (series branch below |x| = 1/2);
+osc_imag_array is osc_imag_part over a numpy array.
 """
 from __future__ import annotations
 
 import math
 from math import factorial
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -50,6 +53,11 @@ _EXP_NUMER = _exp_numer_coeffs()
 # x^{-4}..x^{0} are real, so Im[e^{2ix} u(x)] = O(x) and Re = O(x^-4).
 _SIGMA = [c.imag for c in _EXP_NUMER]
 _RHO = [c.real for c in _EXP_NUMER]
+# Im[e^{2ix} u(x)] is odd in x, x * sum_j _SIGMA[5 + 2j] x^{2j}; the array
+# version keeps the terms that still count in double precision at the switch
+_SIGMA_EVEN_ARRAY = np.array([c for j, c in enumerate(_SIGMA[5::2])
+                              if abs(c) * SERIES_SWITCH ** (2 * j) >= 2.0**-60 * _SIGMA[5]])
+_EVEN_POWERS = np.arange(len(_SIGMA_EVEN_ARRAY))
 
 
 def u_factor(x) -> complex:
@@ -95,6 +103,21 @@ def osc_imag_part(x: float) -> float:
     return s * x  # sum_{m >= 5} Im(c_m) x^{m-4}
 
 
+def osc_imag_array(x: np.ndarray) -> np.ndarray:
+    """osc_imag_part elementwise over an array of x > 0, with the same two branches.
+
+    Each element is a function of that element alone, so the result does not
+    depend on the array it sits in.
+    """
+    small = np.minimum(x, SERIES_SWITCH)
+    series = small * ((small * small)[..., None] ** _EVEN_POWERS * _SIGMA_EVEN_ARRAY).sum(axis=-1)
+    big = np.maximum(x, SERIES_SWITCH)
+    inv2 = 1.0 / (big * big)
+    closed = (np.sin(2.0 * big) * (1.0 - 5.0 * inv2 + 3.0 * inv2 * inv2)
+              + np.cos(2.0 * big) * (2.0 - 6.0 * inv2) / big)
+    return np.where(x > SERIES_SWITCH, closed, series)
+
+
 def osc_real_part(x: float) -> float:
     """Re[e^{2ix} u_factor(x)] for real x > 0 (3/x^4 + 1/x^2 + 1 + O(x^2) as x->0)."""
     if x > SERIES_SWITCH:
@@ -122,6 +145,7 @@ __all__ = [
     "imag_axis_weight",
     "quartic_weight",
     "osc_imag_part",
+    "osc_imag_array",
     "osc_real_part",
     "osc_complex",
     "leading_imag_slope",
@@ -135,6 +159,8 @@ def _check_series():
         c = _EXP_NUMER[m]
         if abs(c - want) > 1e-12:
             raise AssertionError(f"series coefficient {m} off: {c} != {want}")
+    if any(abs(c) > 1e-12 for c in _SIGMA[6::2]):
+        raise AssertionError("Im[e^{2ix} u(x)] must be odd in x")
 
 
 _check_series()

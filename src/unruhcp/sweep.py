@@ -1,8 +1,9 @@
 """Batch evaluation over (R, a) grids, power-law fits and the comparison report.
 
 Rows are produced in lexicographic (a, R) order whatever the concurrency
-level, numbers are serialized with shortest round-trip precision, and a
-fixed configuration yields byte-identical CSV and report output.
+level or batching, numbers are serialized with shortest round-trip
+precision, and a fixed configuration yields byte-identical CSV and report
+output.
 """
 from __future__ import annotations
 
@@ -28,7 +29,9 @@ from .kinematics import classify_regime, validity_check
 from .occupation import mode_occupation, occupation_highacc
 from .potential import (
     DEFAULT_QUAD,
+    PotentialResult,
     QuadratureSpec,
+    potential_grid,
     potential_inertial,
     potential_numeric,
     potential_oracle,
@@ -104,7 +107,10 @@ class SweepConfig:
             raise InputError("sweep config needs an 'atom' entry") from exc
         atom = load_atom(atom_source)
         quad_doc = doc.get("quad")
-        quad = QuadratureSpec(**quad_doc) if quad_doc else DEFAULT_QUAD
+        try:
+            quad = QuadratureSpec(**quad_doc) if quad_doc else DEFAULT_QUAD
+        except TypeError as exc:
+            raise InputError(f"bad quadrature spec {quad_doc!r}: {exc}") from exc
         return cls(
             atom=atom,
             R_grid=GridSpec.from_obj(doc.get("R_grid", {"value": 1.0})),
@@ -156,11 +162,10 @@ class SweepRow:
 # --------------------------------------------------------------------------
 # sweep execution
 # --------------------------------------------------------------------------
-def _asymptotic_value(R: float, a: float, config: SweepConfig):
+def _asymptotic_value(R: float, a: float, regime, config: SweepConfig, units: UnitSystem):
     """Closed-form value for the regime at (R, a), or (None, warning)."""
-    atom, units = config.atom, config.units
-    regime = classify_regime(R, a, atom, c=config.unit_system().c)
-    if a > 0.0 and validity_check(a, atom, c=config.unit_system().c).excited:
+    atom = config.atom
+    if a > 0.0 and validity_check(a, atom, c=units.c).excited:
         return asymptotics.potential_high_acc(R, a, atom, units=units), None
     if a == 0.0 or regime.aR_class == "small":
         if regime.zone == "near":
@@ -173,27 +178,28 @@ def _asymptotic_value(R: float, a: float, config: SweepConfig):
     return None, "no closed form applies for crossover aR/c^2"
 
 
-def _eval_point(args):
-    R, a, config = args
+def _eval_point(R: float, a: float, contour, config: SweepConfig, units: UnitSystem):
+    """The row of one grid point from its contour outcome (a PotentialResult,
+    the error it raised, or None when not requested), the oracle and the
+    closed forms."""
     warnings: list[str] = []
     vals: dict[str, float | None] = {"contour": None, "oracle": None, "asymptotic": None}
     parts = {"vacuum": None, "nonthermal_a2": None, "residue_sum": None}
-    regime = classify_regime(R, a, config.atom, c=config.unit_system().c)
-
-    if "contour" in config.methods:
-        try:
-            res = potential_numeric(R, a, config.atom, config.quad, units=config.units)
-            vals["contour"] = res.value
-            parts = dict(res.parts)
-            warnings.extend(res.warnings)
-        except RegimeError as exc:
-            warnings.append(f"contour: regime error: {exc}")
-        except NumericalFailure as exc:
-            warnings.append(f"contour: numerical failure: {exc}")
+    if isinstance(contour, PotentialResult):
+        regime = contour.regime
+        vals["contour"] = contour.value
+        parts = dict(contour.parts)
+        warnings.extend(contour.warnings)
+    else:
+        regime = classify_regime(R, a, config.atom, c=units.c)
+        if isinstance(contour, RegimeError):
+            warnings.append(f"contour: regime error: {contour}")
+        elif isinstance(contour, NumericalFailure):
+            warnings.append(f"contour: numerical failure: {contour}")
 
     if "oracle" in config.methods:
         try:
-            res = potential_oracle(R, a, config.atom, config.quad, units=config.units)
+            res = potential_oracle(R, a, config.atom, config.quad, units=units)
             vals["oracle"] = res.value
         except (DomainError, NumericalFailure) as exc:
             warnings.append(f"oracle: {exc}")
@@ -203,7 +209,7 @@ def _eval_point(args):
             import warnings as _w
             with _w.catch_warnings(record=True) as caught:
                 _w.simplefilter("always")
-                val, note = _asymptotic_value(R, a, config)
+                val, note = _asymptotic_value(R, a, regime, config, units)
             vals["asymptotic"] = val
             if note:
                 warnings.append(f"asymptotic: {note}")
@@ -227,19 +233,36 @@ def _eval_point(args):
     )
 
 
+def _eval_batch(Rs: list[float], config: SweepConfig, units: UnitSystem) -> list[list[SweepRow]]:
+    """Rows of the separations Rs at every acceleration, one list per acceleration."""
+    As = config.a_grid.points()
+    if "contour" in config.methods:
+        contour = potential_grid(Rs, As, config.atom, config.quad, units=units)
+    else:
+        contour = [[None] * len(Rs) for _ in As]
+    return [[_eval_point(R, a, c, config, units) for R, c in zip(Rs, row)]
+            for a, row in zip(As, contour)]
+
+
 def run_sweep(config: SweepConfig, max_workers: int = 1) -> list[SweepRow]:
     """Evaluate every grid point; row order is lexicographic (a, R).
 
-    Grid points run concurrently for max_workers > 1; results are buffered
-    back into deterministic order, so output is independent of concurrency.
-    Per-point failures become row warnings and never abort the sweep.
+    The contour evaluator takes the grid in batches of separations, each at
+    every acceleration.  For max_workers > 1 the separations are split into
+    that many batches, evaluated concurrently; every value depends on its own
+    point only, so the output is independent of the split.  Per-point
+    failures become row warnings and never abort the sweep.
     """
-    points = [(R, a, config) for a in config.a_grid.points()
-              for R in config.R_grid.points()]
-    if max_workers <= 1:
-        return [_eval_point(p) for p in points]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(_eval_point, points))
+    units = config.unit_system()
+    Rs = config.R_grid.points()
+    n = max(1, min(max_workers, len(Rs)))
+    batches = [Rs[k * len(Rs) // n:(k + 1) * len(Rs) // n] for k in range(n)]
+    if n == 1:
+        done = [_eval_batch(Rs, config, units)]
+    else:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=n) as pool:
+            done = list(pool.map(lambda batch: _eval_batch(batch, config, units), batches))
+    return [row for j in range(len(done[0])) for rows in done for row in rows[j]]
 
 
 def rows_to_csv(rows: list[SweepRow]) -> str:

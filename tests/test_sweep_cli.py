@@ -48,6 +48,9 @@ def test_sweep_config_validation():
         _config(methods=("contour", "sorcery"))
     with pytest.raises(InputError):
         SweepConfig.from_dict({})
+    with pytest.raises(InputError):   # not a QuadratureSpec field
+        SweepConfig.from_dict({"atom": {"two_level": {"omega0": 1.0, "alpha0": 1.0}},
+                               "quad": {"origin_cutoff": 1e-3}})
     cfg = SweepConfig.from_dict({
         "atom": {"two_level": {"omega0": 1.0, "alpha0": 1.0}},
         "R_grid": {"min": 1.0, "max": 2.0, "count": 2},
