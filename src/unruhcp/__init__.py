@@ -34,7 +34,6 @@ from .errors import (
     UnruhCPError,
 )
 from .kinematics import (
-    KinematicConfig,
     Regime,
     ValidityReport,
     classify_regime,

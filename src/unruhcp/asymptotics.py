@@ -28,10 +28,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atoms import AtomSpec, alpha_static, oscillator_weights
-from .errors import DomainError, InconsistentRegimeError
+from .atoms import AtomSpec, alpha_static, oscillator_sum
+from .errors import DomainError, InconsistentRegimeError, check_domain
 from .kinematics import Regime, classify_regime  # noqa: F401  (re-export)
-from .potential import DEFAULT_QUAD, QuadratureSpec, potential_inertial, potential_numeric
+from .potential import (
+    DEFAULT_QUAD,
+    QuadratureSpec,
+    _reduce_atom,
+    potential_inertial,
+    potential_numeric,
+)
 from .units import UnitSystem, units_for
 
 EXPONENT_TOL = 0.05
@@ -39,14 +45,6 @@ EXPONENT_TOL = 0.05
 # numerically measured far-zone a^2 coefficient in units of
 # hbar a^2 alpha0^2 / (c^3 R^5); the printed closed form carries 1/(4 pi)
 FAR_A2_COEFF_MEASURED = 11.0 / (4.0 * math.pi)
-
-
-def _resolve_units(atom: AtomSpec, units) -> UnitSystem:
-    if units is None:
-        return units_for(atom, "natural")
-    if isinstance(units, str):
-        return units_for(atom, units)
-    return units
 
 
 def near_zone_inertial(atom: AtomSpec, hbar: float = 1.0) -> float:
@@ -65,15 +63,13 @@ def near_zone_inertial(atom: AtomSpec, hbar: float = 1.0) -> float:
 def near_zone_value(R: float, atom: AtomSpec,
                     units: UnitSystem | str | None = None) -> float:
     """-C6 / R^6 evaluated in the caller's units via the reduced system."""
-    u = _resolve_units(atom, units)
-    if not R > 0.0:
-        raise DomainError(f"separation must be > 0, got {R}")
+    u = units_for(atom, units)
+    check_domain("separation", R)
     Rt = u.reduce_length(R)
-    omegas = [u.reduce_frequency(t.omega) for t in atom.transitions]
-    weights = [u.reduce_alpha(w) for w in oscillator_weights(atom, hbar=u.hbar_atomic)]
+    ra = _reduce_atom(atom, u)
     c6 = 0.0
-    for wr, o_r in zip(weights, omegas):
-        for ws, o_s in zip(weights, omegas):
+    for wr, o_r in zip(ra.weights, ra.omegas):
+        for ws, o_s in zip(ra.weights, ra.omegas):
             c6 += (1.5 * o_r * wr) * (1.5 * o_s * ws) / (o_r + o_s)
     c6 *= 2.0 / 3.0
     return u.restore_energy(-c6 / Rt**6)
@@ -82,11 +78,9 @@ def near_zone_value(R: float, atom: AtomSpec,
 def far_low_acc_parts(R: float, a: float, atom: AtomSpec,
                       units: UnitSystem | str | None = None) -> tuple[float, float]:
     """(inertial R^-7 term, acceleration R^-5 term) of the printed far-zone law."""
-    u = _resolve_units(atom, units)
-    if not R > 0.0:
-        raise DomainError(f"separation must be > 0, got {R}")
-    if a < 0.0:
-        raise DomainError(f"acceleration must be >= 0, got {a}")
+    u = units_for(atom, units)
+    check_domain("separation", R)
+    check_domain("acceleration", a, strict=False)
     alpha0 = u.reduce_alpha(alpha_static(atom, hbar=u.hbar_atomic))
     Rt = u.reduce_length(R)
     at = u.reduce_acceleration(a)
@@ -105,11 +99,9 @@ def far_low_acc(R: float, a: float, atom: AtomSpec,
 def high_aR(R: float, a: float, atom: AtomSpec,
             units: UnitSystem | str | None = None) -> float:
     """Printed large-aR law, linear in a and falling as R^-6."""
-    u = _resolve_units(atom, units)
-    if not R > 0.0:
-        raise DomainError(f"separation must be > 0, got {R}")
-    if a < 0.0:
-        raise DomainError(f"acceleration must be >= 0, got {a}")
+    u = units_for(atom, units)
+    check_domain("separation", R)
+    check_domain("acceleration", a, strict=False)
     if a == 0.0:
         _warnings.warn("large-aR law requested at a = 0; regime inapplicable",
                        RuntimeWarning, stacklevel=2)
@@ -123,22 +115,15 @@ def high_aR(R: float, a: float, atom: AtomSpec,
 
 def _alpha_b_at_resonance(atom_b: AtomSpec, k_a: float, u: UnitSystem):
     """alpha_B(k_A), gamma = 0, with a proximity warning near B's resonances."""
-    omegas = [u.reduce_frequency(t.omega) for t in atom_b.transitions]
-    weights = [u.reduce_alpha(w) for w in oscillator_weights(atom_b, hbar=u.hbar_atomic)]
-    gamma = u.reduce_frequency(atom_b.damping)
-    gap = min(abs(o - k_a) for o in omegas)
-    if gap <= max(gamma, 1e-12):
+    rb = _reduce_atom(atom_b, u)
+    z2 = k_a * k_a
+    gap = min(abs(o - k_a) for o in rb.omegas)
+    if gap <= max(rb.gamma, 1e-12):
         _warnings.warn(
             f"alpha_B evaluated within {gap:.3e} of a resonance; "
             "using the damped value", RuntimeWarning, stacklevel=3)
-        s = 0j
-        for w, o in zip(weights, omegas):
-            s += w * o * o / (o * o - k_a * k_a - 1j * gamma * k_a)
-        return s.real
-    s = 0.0
-    for w, o in zip(weights, omegas):
-        s += w * o * o / (o * o - k_a * k_a)
-    return s
+        return oscillator_sum(z2 + 1j * rb.gamma * k_a, rb.weights, rb.omegas).real
+    return oscillator_sum(z2, rb.weights, rb.omegas)
 
 
 def potential_high_acc(R: float, a: float, atom_a: AtomSpec,
@@ -151,34 +136,31 @@ def potential_high_acc(R: float, a: float, atom_a: AtomSpec,
     R^-6 in the near zone and R^-2 in the far zone.
     """
     atom_b = atom_a if atom_b is None else atom_b
-    u = _resolve_units(atom_a, units)
-    if not R > 0.0:
-        raise DomainError(f"separation must be > 0, got {R}")
-    if not a > 0.0:
-        raise DomainError(f"acceleration must be > 0, got {a}")
+    u = units_for(atom_a, units)
+    check_domain("separation", R)
+    check_domain("acceleration", a)
     Rt = u.reduce_length(R)
     at = u.reduce_acceleration(a)
     k_a = 1.0  # dominant transition of atom A anchors the reduced units
     mu_sq = 1.5 * u.reduce_alpha(
         2.0 * atom_a.mu_sq_dominant / (3.0 * u.hbar_atomic * atom_a.omega0))
     alpha_b = _alpha_b_at_resonance(atom_b, k_a, u)
-    x2 = (k_a * Rt) ** 2
-    bracket = 1.0 + 1.0 / x2 + 3.0 / (x2 * x2)
-    return u.restore_energy(
-        -(2.0 / 3.0) * mu_sq * alpha_b * at**3 * k_a / (math.pi * Rt**2) * bracket)
+    return u.restore_energy(-(2.0 / 3.0) * mu_sq * alpha_b * at**3 * k_a
+                            / (math.pi * Rt**2) * high_acc_bracket(k_a * Rt))
 
 
 def high_acc_bracket(x: float) -> float:
     """Retardation bracket 1 + 1/x^2 + 3/x^4 of the high-acceleration law (>= 1)."""
     if x == 0.0:
         raise DomainError("bracket is singular at x = 0")
-    return 1.0 + 1.0 / x**2 + 3.0 / x**4
+    x2 = x**2
+    return 1.0 + 1.0 / x2 + 3.0 / (x2 * x2)
 
 
 def closed_form_slope(law: str, R: float, a: float, atom: AtomSpec,
                       units: UnitSystem | str | None = None) -> float:
     """Exact d ln|V| / d ln R of a closed-form law at (R, a)."""
-    u = _resolve_units(atom, units)
+    u = units_for(atom, units)
     Rt = u.reduce_length(R)
     if law == "far-low":
         t7, t5 = far_low_acc_parts(R, a, atom, units)
@@ -189,8 +171,7 @@ def closed_form_slope(law: str, R: float, a: float, atom: AtomSpec,
         return -6.0
     if law == "high-acc":
         x2 = Rt * Rt  # k_A = 1 in reduced units
-        bracket = 1.0 + 1.0 / x2 + 3.0 / (x2 * x2)
-        return -2.0 + (-2.0 / x2 - 12.0 / (x2 * x2)) / bracket
+        return -2.0 + (-2.0 / x2 - 12.0 / (x2 * x2)) / high_acc_bracket(Rt)
     raise DomainError(f"unknown law {law!r}")
 
 
@@ -215,7 +196,7 @@ def fit_a2_near_coefficient(atom: AtomSpec, quad: QuadratureSpec = DEFAULT_QUAD,
     |dV| = K a^2 R^-6.  The fitted exponents must match (2, -6) within
     0.05 or InconsistentRegimeError is raised.
     """
-    u = _resolve_units(atom, units)
+    u = units_for(atom, units)
     a_scale = u.restore_acceleration(1.0)
     R_scale = u.restore_length(1.0)
     a_grid = np.logspace(-5, -3, n_a) * a_scale

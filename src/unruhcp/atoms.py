@@ -11,6 +11,11 @@ standard oscillator sum
 The damping gamma regularizes the resonance poles and is used only by
 real-axis evaluation; imaginary-axis quantities and closed forms take
 gamma = 0.
+
+Both sums are oscillator_sum at z2 = (c k)^2 + i gamma c k or z2 = -(c u)^2
+(or their reduced-unit forms), the one oscillator sum of the package.  The
+only other copy is the contour evaluator's hot loop, potential._alpha_iu,
+which fuses alpha(iu) with a second sum over the same denominators.
 """
 from __future__ import annotations
 
@@ -85,7 +90,18 @@ def oscillator_weights(atom: AtomSpec, hbar: float = 1.0) -> list[float]:
 
 def alpha_static(atom: AtomSpec, hbar: float = 1.0) -> float:
     """Static polarizability alpha(0) = (2/3 hbar) sum_r mu_r^2 / omega_r."""
-    return sum(2.0 * t.mu_sq / (3.0 * hbar * t.omega) for t in atom.transitions)
+    return sum(oscillator_weights(atom, hbar))
+
+
+def oscillator_sum(z2, weights, omegas):
+    """sum_r w_r o_r^2 / (o_r^2 - z2) for a float, complex or array z2.
+
+    z2 = (c k)^2 + i gamma c k gives alpha(k), z2 = -(c xi)^2 gives alpha(i xi).
+    """
+    s = 0.0
+    for w, o in zip(weights, omegas):
+        s += w * o * o / (o * o - z2)
+    return s
 
 
 def alpha_imag(xi: float, atom: AtomSpec, c: float = 1.0, hbar: float = 1.0) -> float:
@@ -96,11 +112,8 @@ def alpha_imag(xi: float, atom: AtomSpec, c: float = 1.0, hbar: float = 1.0) -> 
     """
     if xi < 0.0:
         raise DomainError(f"imaginary-axis wavenumber must be >= 0, got {xi}")
-    s = 0.0
-    for t in atom.transitions:
-        w2 = t.omega * t.omega
-        s += (2.0 * t.mu_sq / (3.0 * hbar * t.omega)) * w2 / (w2 + (c * xi) ** 2)
-    return s
+    return oscillator_sum(-(c * xi) ** 2, oscillator_weights(atom, hbar),
+                          [t.omega for t in atom.transitions])
 
 
 def alpha_real(k: float, atom: AtomSpec, c: float = 1.0, hbar: float = 1.0,
@@ -113,22 +126,8 @@ def alpha_real(k: float, atom: AtomSpec, c: float = 1.0, hbar: float = 1.0,
     if k < 0.0:
         raise DomainError(f"wavenumber must be >= 0, got {k}")
     gamma = atom.damping if damping is None else damping
-    s = 0j
-    for t in atom.transitions:
-        w2 = t.omega * t.omega
-        s += (2.0 * t.mu_sq / (3.0 * hbar * t.omega)) * w2 / (w2 - (c * k) ** 2 - 1j * gamma * c * k)
-    return s
-
-
-def alpha_curvature(atom: AtomSpec, hbar: float = 1.0) -> float:
-    """Coefficient of k^2 in alpha^2(k) about k = 0 (gamma = 0, c = 1).
-
-    alpha^2(k) = alpha(0)^2 + alpha_curvature * k^2 + O(k^4); feeds the
-    origin expansion of the contour evaluator.
-    """
-    a0 = alpha_static(atom, hbar)
-    s2 = sum(2.0 * t.mu_sq / (3.0 * hbar * t.omega ** 3) for t in atom.transitions)
-    return 2.0 * a0 * s2
+    z2 = (c * k) ** 2 + 1j * gamma * c * k
+    return oscillator_sum(z2, oscillator_weights(atom, hbar), [t.omega for t in atom.transitions])
 
 
 def load_atom(source) -> AtomSpec:

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and the one domain check."""
+import math
 
 
 class UnruhCPError(Exception):
@@ -11,6 +12,13 @@ class InputError(UnruhCPError, ValueError):
 
 class DomainError(UnruhCPError, ValueError):
     """Argument outside the mathematical domain of an operation."""
+
+
+def check_domain(name: str, value: float, strict: bool = True) -> None:
+    """Raise DomainError unless value is finite and > 0 (>= 0 when not strict)."""
+    if not (math.isfinite(value) and (value > 0.0 if strict else value >= 0.0)):
+        bound = "> 0" if strict else ">= 0"
+        raise DomainError(f"{name} must be finite and {bound}, got {value}")
 
 
 class RegimeError(UnruhCPError):

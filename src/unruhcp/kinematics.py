@@ -1,4 +1,4 @@
-"""Kinematic configuration, the evaluation-validity window and regime tags.
+"""The evaluation-validity window and regime tags.
 
 All classifications realize "much less / much greater" conditions with the
 thresholds 0.1 and 10 and an explicit crossover band in between, so no
@@ -13,20 +13,6 @@ from .atoms import AtomSpec
 from .errors import InputError
 
 LOW, HIGH = 0.1, 10.0
-
-
-@dataclass(frozen=True)
-class KinematicConfig:
-    """Common proper acceleration a and fixed separation R (orthogonal to a)."""
-
-    a: float
-    R: float
-
-    def __post_init__(self):
-        if self.a < 0.0:
-            raise InputError(f"acceleration must be >= 0, got {self.a}")
-        if not self.R > 0.0:
-            raise InputError(f"separation must be > 0, got {self.R}")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,9 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import DomainError, InputError
+import numpy as np
+
+from .errors import InputError, check_domain
 
 EXP_OVERFLOW = 700.0  # beyond this the Bose factor underflows double precision
 DEFAULT_POLE_CAP = 100_000  # shared with the potential evaluator's pole sum
@@ -42,19 +44,23 @@ class OccupationValue:
         }
 
 
-def _bose(t: float) -> float:
-    """1 / (e^t - 1) with the overflow branch for large arguments."""
-    if t > EXP_OVERFLOW:
+def _bose(t):
+    """1 / (e^t - 1) for real or complex t, 0 where Re t > EXP_OVERFLOW.
+
+    math.expm1 keeps real t accurate down to t -> 0; complex t (the oracle's
+    tilted ray) takes np.exp(t) - 1.
+    """
+    if t.real > EXP_OVERFLOW:
         return 0.0
+    if isinstance(t, complex):
+        return 1.0 / (np.exp(t) - 1.0)
     return 1.0 / math.expm1(t)
 
 
 def mode_occupation(omega: float, a: float, c: float = 1.0) -> OccupationValue:
     """Exact mode occupation; 1/2 at a = 0 and continuous in both arguments."""
-    if not omega > 0.0:
-        raise DomainError(f"mode frequency must be > 0, got {omega}")
-    if a < 0.0:
-        raise DomainError(f"acceleration must be >= 0, got {a}")
+    check_domain("mode frequency", omega)
+    check_domain("acceleration", a, strict=False)
     if a == 0.0:
         return OccupationValue(value=0.5, thermal_part=0.0, nonthermal_part=0.0)
     x2 = (a / (c * omega)) ** 2
@@ -66,10 +72,8 @@ def mode_occupation(omega: float, a: float, c: float = 1.0) -> OccupationValue:
 
 def occupation_highacc(omega: float, a: float, c: float = 1.0) -> float:
     """Leading resonant occupation a^3 / (2 pi c^3 omega^3), valid for a >> c*omega."""
-    if not omega > 0.0:
-        raise DomainError(f"mode frequency must be > 0, got {omega}")
-    if a < 0.0:
-        raise DomainError(f"acceleration must be >= 0, got {a}")
+    check_domain("mode frequency", omega)
+    check_domain("acceleration", a, strict=False)
     if a == 0.0:
         warnings.warn("high-acceleration occupation requested at a = 0; "
                       "the approximation is invalid there", RuntimeWarning, stacklevel=2)
@@ -85,8 +89,7 @@ def bose_poles(a: float, n_max: int = DEFAULT_POLE_CAP, c: float = 1.0) -> list[
     parameter a R / c^2.  At a = 0 the pole ladder degenerates and the list
     is empty.
     """
-    if a < 0.0:
-        raise DomainError(f"acceleration must be >= 0, got {a}")
+    check_domain("acceleration", a, strict=False)
     if n_max < 1:
         raise InputError(f"n_max must be >= 1, got {n_max}")
     if a == 0.0:

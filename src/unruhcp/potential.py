@@ -40,7 +40,10 @@ panel:
   the x^2 and x^4 Taylor coefficients) enter the error estimate, which
   grows past the target only for R below about 1e-9 c/omega0.  Both pieces
   share one set of polarizability samples and
-  depend on R only, so a grid computes them once per separation.
+  depend on R only, so a grid computes them once per separation.  The
+  samples come from _alpha_iu, the one oscillator sum kept outside
+  atoms.oscillator_sum: it fuses alpha(iu) with the deficit sum beta that
+  the origin-subtracted piece needs, so both share one division per line.
 * the Bose real-axis piece uses the panels BOSE_EDGES, cut at T.
 
 Each rule is nested: its value with the panels as given is compared with
@@ -67,16 +70,17 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad as _scipy_quad
 
-from .atoms import AtomSpec, alpha_real, oscillator_weights
+from .atoms import AtomSpec, alpha_real, oscillator_sum, oscillator_weights
 from .errors import (
     DomainError,
     NumericalFailure,
     OracleUnreliableError,
     RegimeError,
     UnruhCPError,
+    check_domain,
 )
 from .kinematics import Regime, classify_regime, validity_check
-from .occupation import DEFAULT_POLE_CAP, mode_occupation
+from .occupation import DEFAULT_POLE_CAP, _bose, mode_occupation
 from .retardation import (
     osc_imag_array,
     osc_imag_part,
@@ -192,19 +196,12 @@ def _reduce_atom(atom: AtomSpec, units: UnitSystem) -> _ReducedAtom:
                         gamma=units.reduce_frequency(atom.damping))
 
 
-def _resolve_units(atom: AtomSpec, units) -> UnitSystem:
-    if units is None:
-        return units_for(atom, "natural")
-    if isinstance(units, str):
-        return units_for(atom, units)
-    return units
-
-
 def _alpha_iu(u, ra: _ReducedAtom):
     """alpha(iu) and beta = (alpha0 - alpha(iu))/u^2 = sum_r w_r/(o_r^2 + u^2).
 
     beta carries the deficit alpha0 - alpha(iu) without the cancellation of
-    the direct difference at small u.
+    the direct difference at small u.  Both sums share one division per line
+    (module docstring).
     """
     u2 = u * u
     alpha = beta = 0.0
@@ -224,9 +221,7 @@ def _alpha2_iu(u, ra: _ReducedAtom):
 def _alpha2_real0(k, ra: _ReducedAtom):
     # gamma = 0 polarizability squared on the real axis (k below every
     # resonance), scalar or array k
-    s = 0.0
-    for w, o in zip(ra.weights, ra.omegas):
-        s += w * o * o / (o * o - k * k)
+    s = oscillator_sum(k * k, ra.weights, ra.omegas)
     return s * s
 
 
@@ -473,11 +468,9 @@ def _bose_real_axis_integral(Rt: np.ndarray, at: np.ndarray, ra: _ReducedAtom,
 def integrand(k: float, R: float, a: float, atom: AtomSpec,
               units: UnitSystem | str | None = None) -> complex:
     """Raw integrand k^4 <n(ck)>_a e^{2ikR} u_factor(kR) alpha^2(k)."""
-    u = _resolve_units(atom, units)
-    if not k > 0.0:
-        raise DomainError(f"wavenumber must be > 0, got {k}")
-    if not R > 0.0:
-        raise DomainError(f"separation must be > 0, got {R}")
+    u = units_for(atom, units)
+    check_domain("wavenumber", k)
+    check_domain("separation", R)
     c = u.c
     occ = mode_occupation(c * k, a, c=c).value
     alpha = alpha_real(k, atom, c=c, hbar=u.hbar_atomic)
@@ -493,19 +486,18 @@ def potential_grid(R, a, atom: AtomSpec, quad: QuadratureSpec = DEFAULT_QUAD,
     Returns one list per acceleration, in the order of a, each holding one
     entry per separation, in the order of R: the PotentialResult, or the
     RegimeError (spontaneously excited regime; use potential_high_acc) or
-    NumericalFailure that point raises.  A separation <= 0 or a negative
-    acceleration raises DomainError for the whole call.  Every entry equals
-    what potential_numeric returns (or raises) for its point alone.
+    NumericalFailure that point raises.  A separation that is not finite and
+    > 0, or an acceleration that is not finite and >= 0, raises DomainError
+    for the whole call.  Every entry equals what potential_numeric returns
+    (or raises) for its point alone.
     """
-    u = _resolve_units(atom, units)
+    u = units_for(atom, units)
     Rs = [float(r) for r in R]
     As = [float(x) for x in a]
     for r in Rs:
-        if not r > 0.0:
-            raise DomainError(f"separation must be > 0, got {r}")
+        check_domain("separation", r)
     for x in As:
-        if x < 0.0:
-            raise DomainError(f"acceleration must be >= 0, got {x}")
+        check_domain("acceleration", x, strict=False)
     ra = _reduce_atom(atom, u)
     rts = [u.reduce_length(r) for r in Rs]
     ats = [u.reduce_acceleration(x) for x in As]
@@ -604,31 +596,24 @@ def potential_numeric(R: float, a: float, atom: AtomSpec,
 # --------------------------------------------------------------------------
 # oracle: damped integral on a deformed first-quadrant path
 # --------------------------------------------------------------------------
-def _occupation_pieces_complex(k, at):
-    """(vacuum, nonthermal, bose) occupation factors at complex wavenumber."""
+def _occupation_piece(k, at: float, piece: str):
+    """Occupation piece "vacuum", "nonthermal_a2" or "bose" at real or complex k."""
+    if piece == "vacuum":
+        return 0.5
     x2 = (at / k) ** 2
-    t = 2.0 * math.pi * k / at
-    bose = 1.0 / (np.exp(t) - 1.0) if t.real < 700.0 else 0.0
-    return 0.5, 0.5 * x2, (1.0 + x2) * bose
+    if piece == "nonthermal_a2":
+        return 0.5 * x2
+    return (1.0 + x2) * _bose(2.0 * math.pi * k / at)
 
 
 def _oracle_piece(Rt: float, at: float, ra: _ReducedAtom, quad: QuadratureSpec,
                   eta: float, piece: str):
     """One occupation piece of the damped integral over the deformed path."""
 
-    def occ_real(k):
-        if piece == "vacuum":
-            return 0.5
-        if piece == "nonthermal_a2":
-            return 0.5 * (at / k) ** 2
-        t = 2.0 * math.pi * k / at
-        bose = 1.0 / math.expm1(t) if t < 700.0 else 0.0
-        return (1.0 + (at / k) ** 2) * bose
-
     def f_seg(k):
         if k <= 0.0:
             return 0.0
-        return (occ_real(k) * k**4 * _alpha2_real0(k, ra)
+        return (_occupation_piece(k, at, piece) * k**4 * _alpha2_real0(k, ra)
                 * osc_imag_part(k * Rt) * math.exp(-eta * k))
 
     pts = None
@@ -641,16 +626,10 @@ def _oracle_piece(Rt: float, at: float, ra: _ReducedAtom, quad: QuadratureSpec,
 
     def f_ray(t):
         k = ORACLE_K0 + t * eith
-        alpha = 0.0j
-        for w, o in zip(ra.weights, ra.omegas):
-            alpha += w * o * o / (o * o - k * k)
+        alpha = oscillator_sum(k * k, ra.weights, ra.omegas)
         x = k * Rt
         ufac = ((((x + 2j) * x - 5.0) * x - 6j) * x + 3.0) / x**4
-        if piece == "vacuum":
-            occ = 0.5
-        else:
-            vac, nonth, bose = _occupation_pieces_complex(k, at)
-            occ = nonth if piece == "nonthermal_a2" else bose
+        occ = _occupation_piece(k, at, piece)
         val = k**4 * occ * np.exp(2j * k * Rt) * ufac * alpha * alpha \
             * np.exp(-eta * k)
         return (eith * val).imag
@@ -689,11 +668,9 @@ def potential_oracle(R: float, a: float, atom: AtomSpec,
     fails with OracleUnreliableError when the spread exceeds ten times the
     requested relative tolerance.
     """
-    u = _resolve_units(atom, units)
-    if not R > 0.0:
-        raise DomainError(f"separation must be > 0, got {R}")
-    if a < 0.0:
-        raise DomainError(f"acceleration must be >= 0, got {a}")
+    u = units_for(atom, units)
+    check_domain("separation", R)
+    check_domain("acceleration", a, strict=False)
     ra = _reduce_atom(atom, u)
     Rt = u.reduce_length(R)
     at = u.reduce_acceleration(a)

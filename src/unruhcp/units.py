@@ -89,6 +89,11 @@ class UnitSystem:
 NATURAL = UnitSystem()
 
 
-def units_for(atom, mode: str) -> UnitSystem:
-    """Unit system anchored on an atom's lowest transition frequency."""
-    return UnitSystem(mode=mode, omega0=atom.omega0)
+def units_for(atom, units: UnitSystem | str | None = None) -> UnitSystem:
+    """Unit system anchored on an atom's lowest transition frequency.
+
+    units is a mode name ("natural" when None) or a UnitSystem, returned as is.
+    """
+    if isinstance(units, UnitSystem):
+        return units
+    return UnitSystem(mode="natural" if units is None else units, omega0=atom.omega0)

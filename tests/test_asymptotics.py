@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from unruhcp import (
     AtomSpec,
+    DomainError,
     Transition,
+    alpha_real,
     far_low_acc,
     far_low_acc_parts,
     fit_a2_near_coefficient,
@@ -98,6 +100,32 @@ def test_potential_high_acc_frozen(highacc_atoms):
 def test_potential_high_acc_resonance_warning(atom):
     with pytest.warns(RuntimeWarning):
         potential_high_acc(1.0, 50.0, atom, atom)  # identical atoms: self-resonant
+
+
+def test_potential_high_acc_damped_value(atom):
+    # atom B's line lies within its linewidth of k_A = 1, so alpha_B(k_A)
+    # takes the damped value Re alpha_B(1)
+    atom_b = AtomSpec(transitions=(Transition(omega=1.0 + 5e-7, mu_sq=1.5),), damping=1e-6)
+    R, a = 2.0, 50.0
+    alpha_b = alpha_real(1.0, atom_b).real
+    assert alpha_b != 0.0
+    expect = -(2.0 / 3.0) * 1.5 * alpha_b * a**3 / (math.pi * R**2) * (1 + 1 / R**2 + 3 / R**4)
+    with pytest.warns(RuntimeWarning):
+        assert potential_high_acc(R, a, atom, atom_b) == pytest.approx(expect, rel=1e-12)
+
+
+def test_closed_form_domain_errors(atom):
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            near_zone_value(bad, atom)
+        for law in (far_low_acc, high_aR, potential_high_acc):
+            with pytest.raises(DomainError):
+                law(bad, 50.0, atom)
+            if bad != 0.0:
+                with pytest.raises(DomainError):
+                    law(1.0, bad, atom)
+    with pytest.raises(DomainError):
+        potential_high_acc(1.0, 0.0, atom)
 
 
 @given(st.floats(min_value=1e-2, max_value=1e3))

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from unruhcp import (
     load_atom,
     two_level,
 )
+from unruhcp.atoms import oscillator_sum, oscillator_weights
 
 
 def test_alpha_static_identity_normalization():
@@ -65,6 +67,26 @@ def test_alpha_real_off_resonance_value(atom):
 def test_alpha_real_rejects_negative(atom):
     with pytest.raises(DomainError):
         alpha_real(-1.0, atom)
+
+
+def test_oscillator_sum_matches_per_line_formula(atom3):
+    weights = oscillator_weights(atom3)
+    omegas = [t.omega for t in atom3.transitions]
+    real = [0.3, 2.5, 30.0]             # real k^2, between and beyond the lines
+    imaginary = [-1e-4, -4.0, -900.0]   # z2 = -u^2 on the imaginary axis
+    damped = [1.2 + 1e-3j, 16.0 + 0.5j, 0.5 + 1e-6j]
+    for z2 in real + imaginary + damped:
+        expect = sum(w * o**2 / (o**2 - z2) for w, o in zip(weights, omegas))
+        assert oscillator_sum(z2, weights, omegas) == pytest.approx(expect, rel=1e-14)
+    # real arrays repeat the scalar arithmetic exactly; numpy's complex
+    # division is a different algorithm from Python's, so damped arrays
+    # agree to rounding
+    for z2s, rel in [(real + imaginary, 0.0), (damped, 1e-15)]:
+        arr = oscillator_sum(np.array(z2s), weights, omegas)
+        for z2, got in zip(z2s, arr):
+            assert got == pytest.approx(oscillator_sum(z2, weights, omegas), rel=rel, abs=0.0)
+    assert alpha_imag(2.0, atom3) == pytest.approx(
+        oscillator_sum(-4.0, weights, omegas), rel=1e-15)
 
 
 def test_alpha_real_sign_flip_across_resonance(atom):

@@ -20,6 +20,7 @@ from unruhcp import (
     rows_to_csv,
     run_sweep,
     two_level,
+    units_for,
 )
 
 
@@ -110,7 +111,7 @@ def test_missed_tolerance_raises_with_partial(monkeypatch):
 @pytest.mark.parametrize("R, a", [(3.0, 0.2), (20.0, 0.4), (1.0, 2.0)])
 def test_pole_sum_blocks_match_a_full_sum(R, a):
     atom = AtomSpec(transitions=(Transition(omega=1.0, mu_sq=1.0), Transition(omega=2.0, mu_sq=0.5)))
-    u = potmod._resolve_units(atom, None)
+    u = units_for(atom)
     ra = potmod._reduce_atom(atom, u)
     total, tail, warnings = potmod._pole_sum(R, a, ra, potmod.DEFAULT_QUAD)
     n = np.arange(2, 5000, dtype=float)

@@ -36,6 +36,15 @@ def test_domain_errors():
         mode_occupation(1.0, -1.0)
     with pytest.raises(DomainError):
         occupation_highacc(-1.0, 1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            mode_occupation(bad, 1.0)
+        with pytest.raises(DomainError):
+            mode_occupation(1.0, bad)
+        with pytest.raises(DomainError):
+            occupation_highacc(bad, 1.0)
+        with pytest.raises(DomainError):
+            occupation_highacc(1.0, bad)
 
 
 def test_decomposition_exact():
@@ -112,6 +121,9 @@ def test_bose_poles():
         bose_poles(1.0, 0)
     with pytest.raises(DomainError):
         bose_poles(-1.0, 3)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            bose_poles(bad, 3)
 
 
 def test_bose_pole_spacing_is_regime_parameter():

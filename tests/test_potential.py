@@ -77,8 +77,12 @@ def test_inertial_parts(atom):
 
 
 def test_inertial_rejects_bad_R(atom):
-    with pytest.raises(DomainError):
-        potential_inertial(0.0, atom)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            potential_inertial(bad, atom)
+    for R, a in [(1.0, math.nan), (1.0, math.inf), (math.inf, 0.01)]:
+        with pytest.raises(DomainError):
+            potential_numeric(R, a, atom)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +220,10 @@ def test_integrand_domain_errors(atom):
         integrand(0.0, 1.0, 0.0, atom)
     with pytest.raises(DomainError):
         integrand(1.0, -1.0, 0.0, atom)
+    for bad in (math.nan, math.inf):
+        for k, R, a in [(bad, 1.0, 0.0), (1.0, bad, 0.0), (1.0, 1.0, bad)]:
+            with pytest.raises(DomainError):
+                integrand(k, R, a, atom)
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +245,9 @@ def test_oracle_accelerated_agreement(atom):
 def test_oracle_domain_enforced(atom):
     with pytest.raises(DomainError):
         potential_oracle(1.0, 0.2, atom)
+    for R, a in [(math.nan, 0.01), (math.inf, 0.01), (1.0, math.nan), (1.0, math.inf)]:
+        with pytest.raises(DomainError):
+            potential_oracle(R, a, atom)
 
 
 def test_oracle_schedule_halving_stable(atom):

@@ -15,6 +15,7 @@ from unruhcp import (
     run_sweep,
     two_level,
 )
+from unruhcp import cli
 from unruhcp.sweep import read_rows_csv
 
 
@@ -219,6 +220,15 @@ def test_cli_eval_exit_codes(atom_file, tmp_path):
                 "--atom", atom_file).returncode == 2  # regime error
     assert _cli("eval", "--R", "1.0", "--accel", "0.0",
                 "--atom", str(tmp_path / "nope.json")).returncode == 1
+
+
+def test_cli_rejects_non_finite_arguments(atom_file, capsys):
+    # in process: a nan acceleration once passed as a = 0, an infinite
+    # separation returned -0.0 and an infinite acceleration crashed occupation
+    assert cli.main(["eval", "--R", "1", "--accel", "nan", "--atom", atom_file]) == 1
+    assert cli.main(["eval", "--R", "inf", "--accel", "0.01", "--atom", atom_file]) == 1
+    assert cli.main(["occupation", "--omega", "1", "--accel", "inf"]) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_eval_both(atom_file):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from unruhcp import (
     InputError,
-    KinematicConfig,
     UnitSystem,
     classify_regime,
     units_for,
@@ -46,14 +45,6 @@ def test_unit_system_validation():
         UnitSystem(omega0=0.0)
 
 
-def test_kinematic_config_validation():
-    KinematicConfig(a=0.0, R=1.0)
-    with pytest.raises(InputError):
-        KinematicConfig(a=-1.0, R=1.0)
-    with pytest.raises(InputError):
-        KinematicConfig(a=1.0, R=0.0)
-
-
 def test_validity_inertial(atom):
     rep = validity_check(0.0, atom)
     assert rep.status == "valid"
@@ -90,6 +81,10 @@ def test_regime_consistency_with_ratios(atom):
 def test_units_for(atom):
     u = units_for(atom, "natural")
     assert u.omega0 == atom.omega0 == 1.0
+    assert units_for(atom) == units_for(atom, None) == u
+    assert units_for(atom, "si") == UnitSystem(mode="si", omega0=atom.omega0)
+    given_units = UnitSystem(mode="si", omega0=2.45e15)
+    assert units_for(atom, given_units) is given_units
 
 
 def test_si_and_natural_describe_same_physics(atom):
