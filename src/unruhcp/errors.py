@@ -14,11 +14,12 @@ class DomainError(UnruhCPError, ValueError):
     """Argument outside the mathematical domain of an operation."""
 
 
-def check_domain(name: str, value: float, strict: bool = True) -> None:
-    """Raise DomainError unless value is finite and > 0 (>= 0 when not strict)."""
+def check_domain(name: str, value: float, strict: bool = True,
+                 error: type = DomainError) -> None:
+    """Raise error unless value is finite and > 0 (>= 0 when not strict)."""
     if not (math.isfinite(value) and (value > 0.0 if strict else value >= 0.0)):
         bound = "> 0" if strict else ">= 0"
-        raise DomainError(f"{name} must be finite and {bound}, got {value}")
+        raise error(f"{name} must be finite and {bound}, got {value}")
 
 
 class RegimeError(UnruhCPError):

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 from .atoms import AtomSpec
-from .errors import InputError
+from .errors import InputError, check_domain
 
 LOW, HIGH = 0.1, 10.0
 
@@ -36,8 +36,7 @@ def validity_check(a: float, atom: AtomSpec, c: float = 1.0) -> ValidityReport:
     omega0*c/a below 0.1 spontaneous excitation dominates and the
     high-acceleration evaluator must be used instead.
     """
-    if a < 0.0:
-        raise InputError(f"acceleration must be >= 0, got {a}")
+    check_domain("acceleration", a, strict=False, error=InputError)
     omega0 = atom.omega0
     if a == 0.0:
         return ValidityReport(ratio=math.inf, window=(1.0 / omega0, math.inf), status="valid")
@@ -90,10 +89,8 @@ class Regime:
 
 def classify_regime(R: float, a: float, atom: AtomSpec, c: float = 1.0) -> Regime:
     """Classify (R, a) against the atom's lowest transition frequency."""
-    if not R > 0.0:
-        raise InputError(f"separation must be > 0, got {R}")
-    if a < 0.0:
-        raise InputError(f"acceleration must be >= 0, got {a}")
+    check_domain("separation", R, error=InputError)
+    check_domain("acceleration", a, strict=False, error=InputError)
     omega0 = atom.omega0
     r_zone = R * omega0 / c
     r_acc = a / (omega0 * c)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, check_domain
+from .errors import DomainError, InputError, check_domain
 
 EXP_OVERFLOW = 700.0  # beyond this the Bose factor underflows double precision
 DEFAULT_POLE_CAP = 100_000  # shared with the potential evaluator's pole sum
@@ -63,11 +63,17 @@ def mode_occupation(omega: float, a: float, c: float = 1.0) -> OccupationValue:
     check_domain("acceleration", a, strict=False)
     if a == 0.0:
         return OccupationValue(value=0.5, thermal_part=0.0, nonthermal_part=0.0)
-    x2 = (a / (c * omega)) ** 2
-    bose = _bose(2.0 * math.pi * c * omega / a)
-    nonthermal = 0.5 * x2 * (1.0 + 2.0 * bose)
-    return OccupationValue(value=0.5 + bose + nonthermal,
-                           thermal_part=bose, nonthermal_part=nonthermal)
+    try:
+        x2 = (a / (c * omega)) ** 2
+        bose = _bose(2.0 * math.pi * c * omega / a)
+        nonthermal = 0.5 * x2 * (1.0 + 2.0 * bose)
+        value = 0.5 + bose + nonthermal
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"occupation at omega = {omega}, a = {a} "
+                          "is not a finite double")
+    return OccupationValue(value=value, thermal_part=bose, nonthermal_part=nonthermal)
 
 
 def occupation_highacc(omega: float, a: float, c: float = 1.0) -> float:

@@ -678,30 +678,27 @@ def potential_oracle(R: float, a: float, atom: AtomSpec,
         raise DomainError(
             f"oracle supports a/(omega0 c) <= {ORACLE_MAX_A}; got {at:.3g}")
 
-    pieces = ("vacuum", "nonthermal_a2", "residue_sum")
-    piece_names = {"vacuum": "vacuum", "nonthermal_a2": "nonthermal_a2",
-                   "residue_sum": "bose"}
     etas = quad.damping_schedule
-    per_piece: dict[str, float] = {}
     quad_err = 0.0
     totals = []
-    piece_values = {p: [] for p in pieces}
+    # per-eta values of the two extrapolated parts; the Bose piece enters the
+    # totals only
+    kept = {"vacuum": [], "nonthermal_a2": []}
     for eta in etas:
         tot = 0.0
-        for p in pieces:
+        for p in ("vacuum", "nonthermal_a2", "bose"):
             if at == 0.0 and p != "vacuum":
-                piece_values[p].append(0.0)
                 continue
-            val, err = _oracle_piece(Rt, at, ra, quad, eta, piece_names[p])
-            piece_values[p].append(val)
+            val, err = _oracle_piece(Rt, at, ra, quad, eta, p)
+            if p in kept:
+                kept[p].append(val)
             quad_err = max(quad_err, err)
             tot += val
         totals.append(tot)
 
     vt, spread = _extrapolate_eta(etas, totals)
-    for p in pieces:
-        per_piece[p], _ = _extrapolate_eta(etas, piece_values[p]) \
-            if any(piece_values[p]) else (0.0, 0.0)
+    per_piece = {p: _extrapolate_eta(etas, v)[0] if any(v) else 0.0
+                 for p, v in kept.items()}
     # keep the decomposition summing exactly to the extrapolated value
     per_piece["residue_sum"] = vt - per_piece["vacuum"] - per_piece["nonthermal_a2"]
 

@@ -58,16 +58,20 @@ class GridSpec:
     @classmethod
     def from_obj(cls, obj) -> "GridSpec":
         if isinstance(obj, dict) and "value" in obj:
-            return cls(value=float(obj["value"]))
-        if isinstance(obj, (int, float)):
-            return cls(value=float(obj))
-        try:
-            g = cls(min=float(obj["min"]), max=float(obj["max"]),
-                    count=int(obj["count"]))
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"bad grid spec {obj!r}: {exc}") from exc
-        if g.count < 2 or not 0.0 < g.min < g.max:
-            raise InputError(f"grid needs 0 < min < max and count >= 2, got {obj!r}")
+            g = cls(value=float(obj["value"]))
+        elif isinstance(obj, (int, float)):
+            g = cls(value=float(obj))
+        else:
+            try:
+                g = cls(min=float(obj["min"]), max=float(obj["max"]),
+                        count=int(obj["count"]))
+            except (KeyError, TypeError) as exc:
+                raise InputError(f"bad grid spec {obj!r}: {exc}") from exc
+            if g.count < 2 or not 0.0 < g.min < g.max:
+                raise InputError(f"grid needs 0 < min < max and count >= 2, got {obj!r}")
+        ends = (g.min, g.max) if g.value is None else (g.value,)
+        if not all(math.isfinite(x) for x in ends):
+            raise InputError(f"grid values must be finite, got {obj!r}")
         return g
 
     def points(self) -> list[float]:

@@ -2,6 +2,14 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 
+Each criterion is measured once, by its section of
+``compare_report(default_config())``: the report is built once per module
+and every test holds that section's numbers to the criterion's tolerance and
+checks that the section's own pass flag agrees.  A section function is
+called directly only for an input the default report lacks (the
+three-transition atom of criterion 2); checks the report does not make
+(criterion 9's unit round-trips) stay here.
+
 Two checks are marked xfail(strict=True): the far-zone acceleration
 coefficient and the large-aR law.  Direct evaluation of the integral
 (confirmed against independent 40-digit arithmetic) measures a coefficient
@@ -11,35 +19,11 @@ points by factors 195-3110.  The assertions are implemented faithfully at
 their stated tolerances and fail; the comparison report carries the same
 numbers as flagged discrepancies.
 """
-import math
-
-import numpy as np
 import pytest
 
-from unruhcp import (
-    AtomSpec,
-    Transition,
-    UnitSystem,
-    alpha_static,
-    fit_a2_near_coefficient,
-    high_aR,
-    mode_occupation,
-    near_zone_inertial,
-    occupation_highacc,
-    potential_high_acc,
-    potential_inertial,
-    potential_numeric,
-    potential_oracle,
-    two_level,
-)
-from unruhcp.sweep import GridSpec, SweepConfig, fit_slope, rows_to_csv, run_sweep
-
-ATOM = two_level(1.0, 1.0)
-ATOM3 = AtomSpec(transitions=(
-    Transition(omega=1.0, mu_sq=1.0),
-    Transition(omega=2.0, mu_sq=0.5),
-    Transition(omega=5.0, mu_sq=2.0),
-))
+from unruhcp import UnitSystem, alpha_static
+from unruhcp.potential import DEFAULT_QUAD
+from unruhcp.sweep import _section_inertial_near, compare_report, default_config
 
 
 def _line(num, name, ok, detail=""):
@@ -47,54 +31,46 @@ def _line(num, name, ok, detail=""):
     print(f"[criterion {num}] {name}: {status}  {detail}")
 
 
+@pytest.fixture(scope="module")
+def report():
+    return compare_report(default_config())
+
+
 # ---------------------------------------------------------------------------
-def test_criterion_1_inertial_far_zone():
-    grid = [50.0, 100.0, 200.0]
-    vals = [potential_inertial(R, ATOM).value * R**7 for R in grid]
-    # remove the O(1/R^2) finite-separation correction from the two largest R
-    limit = (vals[-1] * grid[-1] ** 2 - vals[-2] * grid[-2] ** 2) / \
-        (grid[-1] ** 2 - grid[-2] ** 2)
-    literature = -23.0 / (4.0 * math.pi)
-    printed = -23.0 / 4.0
+def test_criterion_1_inertial_far_zone(report):
+    sec = report["inertial_far"]
+    # limit of R^7 V, Richardson-extrapolated in 1/R^2 from the two largest R
+    limit = sec["limit_estimate"]
+    literature = sec["literature_with_4pi"]
     ok = abs(limit / literature - 1.0) <= 0.005
     _line(1, "inertial far zone", ok,
           f"limit={limit:.6f}, literature(-23/4pi)={literature:.6f} "
-          f"[printed form without pi: {printed:.3f}]")
+          f"[printed form without pi: {sec['printed_without_4pi']:.3f}]")
+    assert sec["pass"] == ok
     assert ok
 
 
-def test_criterion_2_inertial_near_zone():
-    v = potential_inertial(0.01, ATOM).value * 0.01**6
-    ok_two = abs(v / -0.75 - 1.0) <= 0.005
-    c6 = near_zone_inertial(ATOM3)
-    v3 = potential_inertial(0.005, ATOM3).value * 0.005**6
-    ok_three = abs(v3 / -c6 - 1.0) <= 0.005
+def test_criterion_2_inertial_near_zone(report, atom3):
+    sec = report["inertial_near"]
+    ok_two = sec["C6"] == 0.75 and abs(sec["ratio_to_C6_law"][0] - 1.0) <= 0.005
+    sec3 = _section_inertial_near(atom3, DEFAULT_QUAD, "natural")
+    ratio3 = sec3["ratio_to_C6_law"][-1]  # R = 0.005
+    ok_three = abs(ratio3 - 1.0) <= 0.005
     _line(2, "inertial near zone", ok_two and ok_three,
-          f"two-level R^6 V={v:.6f} (want -0.75); "
-          f"three-transition ratio={v3 / -c6:.6f}")
+          f"two-level R^6 V={-sec['C6'] * sec['ratio_to_C6_law'][0]:.6f} (want -0.75); "
+          f"three-transition ratio={ratio3:.6f}")
+    assert sec["pass"] == ok_two and sec3["pass"] == ok_three
     assert ok_two and ok_three
 
 
 # ---------------------------------------------------------------------------
-def _far_zone_differential():
-    a = 1e-3
-    Rs = np.logspace(math.log10(50.0), math.log10(500.0), 8)
-    rows = []
-    for R in Rs:
-        dv = potential_numeric(float(R), a, ATOM).value - \
-            potential_inertial(float(R), ATOM).value
-        rows.append({"R": float(R), "dV": dv})
-    fit = fit_slope(rows, "R", "dV")
-    k_meas = float(np.exp(np.mean(np.log(
-        [-r["dV"] * r["R"] ** 5 / a**2 for r in rows]))))
-    return fit.slope, k_meas
-
-
-def test_criterion_3_far_zone_slope():
-    slope, k_meas = _far_zone_differential()
+def test_criterion_3_far_zone_slope(report):
+    sec = report["far_zone_a2"]
+    slope = sec["slope"]
     ok = abs(slope + 5.0) <= 0.1
     _line(3, "far-zone correction slope", ok,
-          f"slope={slope:.4f} (want -5.0 +- 0.1), K_measured={k_meas:.6f}")
+          f"slope={slope:.4f} (want -5.0 +- 0.1), K_measured={sec['K_measured']:.6f}")
+    assert sec["slope_pass"] == ok
     assert ok
 
 
@@ -102,24 +78,27 @@ def test_criterion_3_far_zone_slope():
     "measured far-zone a^2 coefficient is 11/(4 pi) = 0.8754 in units of "
     "hbar a^2 alpha0^2/(c^3 R^5), 11.005x the printed 1/(4 pi) and 3.50x the "
     "pi-free 1/4 variant; verified against independent 40-digit evaluation"))
-def test_criterion_3_far_zone_coefficient():
-    slope, k_meas = _far_zone_differential()
-    candidates = {"with_4pi": 1.0 / (4.0 * math.pi), "without_pi": 0.25}
-    ratios = {k: k_meas / v for k, v in candidates.items()}
+def test_criterion_3_far_zone_coefficient(report):
+    sec = report["far_zone_a2"]
+    ratios = {"with_4pi": sec["ratio_to_printed_with_4pi"],
+              "without_pi": sec["ratio_to_printed_without_pi"]}
     selected = min(ratios, key=lambda k: abs(ratios[k] - 1.0))
     ok = abs(ratios[selected] - 1.0) <= 0.05
     _line(3, "far-zone correction coefficient", ok,
-          f"K_measured={k_meas:.6f}; ratio to printed(4pi)="
+          f"K_measured={sec['K_measured']:.6f}; ratio to printed(4pi)="
           f"{ratios['with_4pi']:.3f}, to pi-free variant={ratios['without_pi']:.3f}")
+    assert sec["coefficient_pass"] == ok
     assert ok
 
 
-def test_criterion_4_near_zone_a2_fit():
-    fit = fit_a2_near_coefficient(ATOM)
-    ok = (abs(fit.exponent_a - 2.0) <= 0.05 and abs(fit.exponent_R + 6.0) <= 0.05
-          and fit.K > 0.0)
+def test_criterion_4_near_zone_a2_fit(report):
+    sec = report["near_zone_a2"]
+    assert "error" not in sec, sec.get("error")
+    ok = (abs(sec["exponent_a"] - 2.0) <= 0.05 and abs(sec["exponent_R"] + 6.0) <= 0.05
+          and sec["K"] > 0.0)
     _line(4, "near-zone a^2 fit", ok,
-          f"exp_a={fit.exponent_a:.4f}, exp_R={fit.exponent_R:.4f}, K={fit.K:.4f}")
+          f"exp_a={sec['exponent_a']:.4f}, exp_R={sec['exponent_R']:.4f}, K={sec['K']:.4f}")
+    assert sec["pass"] == ok
     assert ok
 
 
@@ -128,86 +107,52 @@ def test_criterion_4_near_zone_a2_fit():
     "a/R^6 law; at a=0.01, aR/c^2 = 50/100/200 the full evaluation exceeds "
     "the closed form by 195x/778x/3109x; verified against independent "
     "40-digit evaluation"))
-def test_criterion_5_high_aR_agreement():
-    a = 0.01
-    ratios = []
-    for aR in (50.0, 100.0, 200.0):
-        R = aR / a
-        v = potential_numeric(R, a, ATOM).value
-        ratios.append(v / high_aR(R, a, ATOM))
+def test_criterion_5_high_aR_agreement(report):
+    sec = report["high_aR"]
+    ratios = [p["ratio_to_closed_form"] for p in sec["points"]]
     ok = all(abs(r - 1.0) <= 0.05 for r in ratios)
     _line(5, "large-aR law agreement", ok,
           "ratios=" + ", ".join(f"{r:.1f}" for r in ratios))
+    assert sec["pass"] == ok
     assert ok
 
 
-def test_criterion_6_high_acceleration_law():
-    atom_a = AtomSpec(transitions=(Transition(omega=1.0, mu_sq=1.0),))
-    atom_b = AtomSpec(transitions=(Transition(omega=math.sqrt(2.0),
-                                              mu_sq=0.75 * math.sqrt(2.0)),))
-    cases = [
-        (1.0, 1.0, -10.0 / (3.0 * math.pi)),
-        (10.0, 1.0, -(2.0 / (3.0 * math.pi)) * 1e-2 * (1.0 + 1e-2 + 3e-4)),
-        (1.0, 3.0, 27.0 * (-10.0 / (3.0 * math.pi))),
-    ]
-    errs = [abs(potential_high_acc(R, a, atom_a, atom_b) / want - 1.0)
-            for R, a, want in cases]
-    rows = [{"R": R, "V": potential_high_acc(float(R), 1.0, atom_a, atom_b)}
-            for R in np.logspace(1, 2, 6)]
-    slope = fit_slope(rows, "R", "V").slope
+def test_criterion_6_high_acceleration_law(report):
+    sec = report["high_acc"]
+    errs, slope = sec["example_rel_errors"], sec["slope_far"]
     ok = max(errs) <= 1e-12 and abs(slope + 2.0) <= 0.05
     _line(6, "high-acceleration law", ok,
           f"max closed-form rel err={max(errs):.2e}, far slope={slope:.4f}")
+    assert sec["pass"] == ok
     assert ok
 
 
-def test_criterion_7_occupation_suite():
-    rng = np.random.default_rng(20240811)
-    omegas = np.exp(rng.uniform(math.log(1e-2), math.log(1e2), 10_000))
-    accs = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 10_000))
-    floor_ok = all(mode_occupation(float(w), float(a)).value > 0.5
-                   for w, a in zip(omegas, accs))
-    floor_ok = floor_ok and mode_occupation(1.0, 0.0).value == 0.5
-
-    mono_ok = True
-    for w in (0.05, 1.0, 20.0):
-        vals = [mode_occupation(w, a).value for a in (0.01, 0.1, 1.0, 10.0, 100.0)]
-        mono_ok = mono_ok and all(x < y for x, y in zip(vals, vals[1:]))
-    for a in (0.05, 1.0, 20.0):
-        vals = [mode_occupation(w, a).value for w in (0.01, 0.1, 1.0, 10.0, 100.0)]
-        mono_ok = mono_ok and all(x > y for x, y in zip(vals, vals[1:]))
-
-    bound_ok = all(
-        abs(occupation_highacc(1.0, y) / mode_occupation(1.0, y).value - 1.0)
-        <= 5.0 / y**2 for y in (10.0, 30.0, 100.0, 1000.0))
-
-    ident_ok = True
-    for w, a in zip(omegas[:200], accs[:200]):
-        occ = mode_occupation(float(w), float(a))
-        planck = 0.5 + occ.thermal_part
-        ident_ok = ident_ok and \
-            abs(occ.value / planck / (1.0 + (a / w) ** 2) - 1.0) <= 1e-12
-
-    ok = floor_ok and mono_ok and bound_ok and ident_ok
+def test_criterion_7_occupation_suite(report):
+    # monotonicity in a and omega and the a = 0 value are property tests in
+    # tests/test_occupation.py
+    sec = report["occupation"]
+    floor_ok = sec["floor_pass"]
+    # highacc_scaled_errors are |approx/exact - 1| * y^2, y = a/(c omega)
+    bound_ok = all(s <= 5.0 for s in sec["highacc_scaled_errors"])
+    ident_ok = sec["thermality_identity_pass"]
+    ok = floor_ok and bound_ok and ident_ok
     _line(7, "occupation suite", ok,
-          f"floor={floor_ok}, monotone={mono_ok}, bound={bound_ok}, "
-          f"identity={ident_ok}")
+          f"floor={floor_ok}, bound={bound_ok}, identity={ident_ok}")
+    assert sec["highacc_bound_pass"] == bound_ok
+    assert sec["pass"] == ok
     assert ok
 
 
-def test_criterion_8_dual_method_equivalence():
-    worst = 0.0
-    for a in np.logspace(-3, -1, 5):
-        for R in np.logspace(-1, 2, 5):
-            v = potential_numeric(float(R), float(a), ATOM).value
-            w = potential_oracle(float(R), float(a), ATOM).value
-            worst = max(worst, abs(w - v) / abs(v))
-    ok = worst <= 1e-4
+def test_criterion_8_dual_method_equivalence(report):
+    sec = report["dual_method"]
+    worst = sec["max_rel_diff"]
+    ok = worst <= 1e-4 and not sec["oracle_failures"]
     _line(8, "dual-method equivalence", ok, f"max rel diff={worst:.2e} on 5x5 grid")
+    assert sec["pass"] == ok
     assert ok
 
 
-def test_criterion_9_units_and_determinism():
+def test_criterion_9_units_and_determinism(report, atom):
     u = UnitSystem(mode="si", omega0=2.45e15)
     vals = {"a": 9.81, "R": 1e-6, "omega": 3.1e15, "alpha": 2.5e-24, "energy": 4e-21}
     pairs = {
@@ -222,16 +167,11 @@ def test_criterion_9_units_and_determinism():
     # alpha(0) round trip through the natural system as well
     nat = UnitSystem()
     units_ok = units_ok and nat.restore_alpha(nat.reduce_alpha(
-        alpha_static(ATOM))) == alpha_static(ATOM)
+        alpha_static(atom))) == alpha_static(atom)
 
-    cfg = SweepConfig(atom=ATOM,
-                      R_grid=GridSpec(min=0.5, max=50.0, count=4),
-                      a_grid=GridSpec(min=1e-3, max=1e-2, count=3),
-                      methods=("contour",))
-    text1 = rows_to_csv(run_sweep(cfg, max_workers=1))
-    text2 = rows_to_csv(run_sweep(cfg, max_workers=1))
-    text_n = rows_to_csv(run_sweep(cfg, max_workers=4))
-    determinism_ok = text1 == text2 == text_n
+    sec = report["determinism"]
+    determinism_ok = sec["repeat_identical"] and sec["concurrency_identical"]
+    assert sec["pass"] == determinism_ok
 
     ok = units_ok and determinism_ok
     _line(9, "unit round-trips and determinism", ok,

@@ -45,6 +45,10 @@ def test_domain_errors():
             occupation_highacc(bad, 1.0)
         with pytest.raises(DomainError):
             occupation_highacc(1.0, bad)
+    # finite inputs whose occupation is not a finite double
+    for omega, a in [(1e-200, 1e200), (1.0, 1e300), (1e-300, 1.0), (1e-160, 1e160)]:
+        with pytest.raises(DomainError):
+            mode_occupation(omega, a)
 
 
 def test_decomposition_exact():

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -38,6 +40,9 @@ def test_grid_spec_validation():
         GridSpec.from_obj({"min": 1.0, "max": 2.0, "count": 1})
     with pytest.raises(InputError):
         GridSpec.from_obj({"max": 2.0})
+    for bad in ({"value": math.nan}, {"min": 1.0, "max": math.inf, "count": 3}):
+        with pytest.raises(InputError):
+            GridSpec.from_obj(bad)
     g = GridSpec.from_obj({"value": 0.0})
     assert g.points() == [0.0]
     g = GridSpec.from_obj({"min": 1.0, "max": 100.0, "count": 3})
@@ -52,6 +57,10 @@ def test_sweep_config_validation():
     with pytest.raises(InputError):   # not a QuadratureSpec field
         SweepConfig.from_dict({"atom": {"two_level": {"omega0": 1.0, "alpha0": 1.0}},
                                "quad": {"origin_cutoff": 1e-3}})
+    with pytest.raises(InputError):   # no contour run to catch the nan
+        SweepConfig.from_dict({"atom": {"two_level": {"omega0": 1.0, "alpha0": 1.0}},
+                               "a_grid": {"value": math.nan},
+                               "methods": ["asymptotic"]})
     cfg = SweepConfig.from_dict({
         "atom": {"two_level": {"omega0": 1.0, "alpha0": 1.0}},
         "R_grid": {"min": 1.0, "max": 2.0, "count": 2},
@@ -175,9 +184,18 @@ def test_report_byte_identical():
 # CLI
 # ---------------------------------------------------------------------------
 def _cli(*args):
-    proc = subprocess.run([sys.executable, "-m", "unruhcp.cli", *args],
+    """Run cli.main in process; the result has a subprocess's fields."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(args))
+    return subprocess.CompletedProcess(["unruhcp", *args], code,
+                                       out.getvalue(), err.getvalue())
+
+
+def _cli_process(*args):
+    """Run ``python -m unruhcp.cli`` in a fresh interpreter."""
+    return subprocess.run([sys.executable, "-m", "unruhcp.cli", *args],
                           capture_output=True, text=True)
-    return proc
 
 
 @pytest.fixture()
@@ -222,12 +240,19 @@ def test_cli_eval_exit_codes(atom_file, tmp_path):
                 "--atom", str(tmp_path / "nope.json")).returncode == 1
 
 
-def test_cli_rejects_non_finite_arguments(atom_file, capsys):
+def test_cli_rejects_non_finite_arguments(atom_file, tmp_path, capsys):
     # in process: a nan acceleration once passed as a = 0, an infinite
     # separation returned -0.0 and an infinite acceleration crashed occupation
     assert cli.main(["eval", "--R", "1", "--accel", "nan", "--atom", atom_file]) == 1
     assert cli.main(["eval", "--R", "inf", "--accel", "0.01", "--atom", atom_file]) == 1
     assert cli.main(["occupation", "--omega", "1", "--accel", "inf"]) == 1
+    # an occupation beyond a double once printed Infinity, which is not JSON
+    assert cli.main(["occupation", "--omega", "1e-160", "--accel", "1e160"]) == 1
+    # an asymptotic-only sweep once ran a nan acceleration through
+    cfg = tmp_path / "nan.json"
+    cfg.write_text(json.dumps({"atom": atom_file, "a_grid": {"value": math.nan},
+                               "methods": ["asymptotic"]}))
+    assert cli.main(["sweep", "--config", str(cfg)]) == 1
     assert capsys.readouterr().out == ""
 
 
@@ -316,8 +341,9 @@ def test_cli_eval_si_units(tmp_path):
 
 
 def test_cli_report_default_flags_discrepancies(tmp_path):
+    # the one real process: covers the exit code through sys.exit(main())
     out = tmp_path / "report.json"
-    proc = _cli("report", "--config", "default", "--out", str(out))
+    proc = _cli_process("report", "--config", "default", "--out", str(out))
     assert proc.returncode == 4  # honest acceptance failure on flagged checks
     doc = json.loads(out.read_text())
     assert "far_zone_a2.coefficient" in doc["flagged_discrepancies"]

@@ -70,6 +70,15 @@ def test_classify_regime_examples(atom):
     assert r.zone == "crossover"
 
 
+def test_regime_rejects_non_finite(atom):
+    for R, a in [(1.0, math.nan), (math.inf, 0.01), (1.0, math.inf)]:
+        with pytest.raises(InputError):
+            classify_regime(R, a, atom)
+    for a in (math.nan, math.inf):
+        with pytest.raises(InputError):
+            validity_check(a, atom)
+
+
 def test_regime_consistency_with_ratios(atom):
     r = classify_regime(25.0, 0.05, atom)
     assert r.R_omega0_over_c == pytest.approx(25.0)
