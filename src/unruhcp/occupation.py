@@ -45,15 +45,17 @@ class OccupationValue:
 
 
 def _bose(t):
-    """1 / (e^t - 1) for real or complex t, 0 where Re t > EXP_OVERFLOW.
+    """1 / (e^t - 1) for a float t or a real or complex array t, 0 where
+    Re t > EXP_OVERFLOW.
 
-    math.expm1 keeps real t accurate down to t -> 0; complex t (the oracle's
-    tilted ray) takes np.exp(t) - 1.
+    expm1 keeps t accurate down to t -> 0; the cut-off entries are never
+    exponentiated, so no overflow is raised or warned about.
     """
-    if t.real > EXP_OVERFLOW:
+    if isinstance(t, np.ndarray):
+        cut = t.real > EXP_OVERFLOW
+        return np.where(cut, 0.0, 1.0 / np.expm1(np.where(cut, 1.0, t)))
+    if t > EXP_OVERFLOW:
         return 0.0
-    if isinstance(t, complex):
-        return 1.0 / (np.exp(t) - 1.0)
     return 1.0 / math.expm1(t)
 
 

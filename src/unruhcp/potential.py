@@ -55,6 +55,24 @@ MAX_REFINE times.  A point whose estimate then still exceeds max(abs_tol,
 10 rel_tol |value|) raises NumericalFailure with the partial value and its
 error estimate.  No scalar adaptive quadrature remains in this evaluator.
 
+Quadrature of the oracle.  Per point, one pass evaluates every occupation
+piece at every damping value: each node computes the integrand without
+occupation and damping once, and a (pieces x etas) factor matrix turns it
+into all the integrals.  Both path parts use composite rules of GL_ORDER
+nodes per panel: the segment is cut at a/2pi, a and 4a and into panels of
+at most ORACLE_PANEL_RAD radians of 2kR; the ray has edges at t_d 2^j
+(t_d = 1/(2R sin tilt) its decay length) up to 2^ORACLE_RAY_DOUBLINGS t_d,
+and its integrand at that end times t_d, a bound on the rest, enters the
+error estimate.  Each panel is compared with its two halves; only panels
+whose difference misses their share of the target are split again, up to
+MAX_REFINE times.  A point whose summed differences exceed max(abs_tol,
+10 rel_tol (|segment| + |ray|)) for some integral raises NumericalFailure.
+In the far zone the segment and the ray cancel to a sum about 100 R^-4
+of their size (1e-6 at R = 100), so the phase of e^{2ikR} is built from
+the panel (or ray) start and the node's offset, not from the rounded node.
+No scalar adaptive quadrature remains in the package; scipy.integrate is
+still imported at start-up (ROADMAP item 7).
+
 Every contour value is a function of (R, a, atom, QuadratureSpec) alone: the
 arithmetic of one row never involves another, so a grid returns bit for bit
 what point-by-point calls return.  All evaluators are pure functions,
@@ -68,7 +86,8 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad as _scipy_quad
+# unused; stays eager until a lazy import lands with its start-up gauge (ROADMAP item 7)
+from scipy.integrate import quad as _scipy_quad  # noqa: F401
 
 from .atoms import AtomSpec, alpha_real, oscillator_sum, oscillator_weights
 from .errors import (
@@ -80,9 +99,9 @@ from .errors import (
     check_domain,
 )
 from .kinematics import Regime, classify_regime, validity_check
-from .occupation import DEFAULT_POLE_CAP, _bose, mode_occupation
+from .occupation import DEFAULT_POLE_CAP, EXP_OVERFLOW, _bose, mode_occupation
 from .retardation import (
-    osc_imag_array,
+    SERIES_SWITCH,
     osc_imag_part,
     osc_real_part,
     quartic_weight,
@@ -107,6 +126,10 @@ POLE_BLOCK_MAX = 16384
 ORACLE_MAX_A = 0.1    # enforced oracle domain a / (omega0 c)
 ORACLE_K0 = 0.5       # reduced wavenumber where the oracle path leaves the real axis
 ORACLE_TILT = math.pi / 4
+ORACLE_PANEL_RAD = 1.0      # widest oracle segment panel, in radians of 2kR
+ORACLE_RAY_DOUBLINGS = 6    # oracle ray panels end at 2^6 decay lengths
+ORACLE_BLOCK = 256          # oracle panels evaluated per array pass
+ORACLE_MAX_PANELS = 16384   # oracle segment panels; about R / (c/omega0) are needed
 
 
 @dataclass(frozen=True)
@@ -114,7 +137,6 @@ class QuadratureSpec:
     """Tolerances and truncation policy for the potential evaluators.
 
     rel_tol / abs_tol     target relative and absolute (reduced-unit) errors
-    max_subdivisions      adaptive quadrature subdivision limit (oracle)
     matsubara_rel_cutoff  stop the pole sum when a term falls below this
                           fraction of the partial sum
     matsubara_hard_cap    unconditional pole-count cap
@@ -124,7 +146,6 @@ class QuadratureSpec:
 
     rel_tol: float = 1e-6
     abs_tol: float = 1e-30
-    max_subdivisions: int = 200
     matsubara_rel_cutoff: float = 1e-12
     matsubara_hard_cap: int = DEFAULT_POLE_CAP
     damping_schedule: tuple[float, ...] = (1e-2, 3e-3, 1e-3)
@@ -132,8 +153,6 @@ class QuadratureSpec:
     def __post_init__(self):
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise DomainError("tolerances must be positive")
-        if self.max_subdivisions < 10:
-            raise DomainError("max_subdivisions must be >= 10")
         if not self.matsubara_rel_cutoff > 0:
             raise DomainError("cutoffs must be positive")
         if self.matsubara_hard_cap < 10:
@@ -225,23 +244,6 @@ def _alpha2_real0(k, ra: _ReducedAtom):
     return s * s
 
 
-def _quad(f, a, b, quad: QuadratureSpec, points=None):
-    eps = _target(quad)
-    val, err, info, *rest = _scipy_quad(
-        f, a, b,
-        epsabs=1e-300, epsrel=eps,
-        limit=quad.max_subdivisions,
-        points=points, full_output=1,
-    )
-    if rest:  # QUADPACK message present: inspect severity
-        tol = max(quad.abs_tol, 10.0 * quad.rel_tol * abs(val))
-        if err > tol:
-            raise NumericalFailure(
-                f"quadrature did not converge on [{a}, {b}]: {rest[0]}",
-                partial=val, error_estimate=err)
-    return val, err
-
-
 def _target(quad: QuadratureSpec) -> float:
     """Relative accuracy every quadrature aims for."""
     return max(1e-13, min(1e-8, quad.rel_tol * 1e-2))
@@ -287,12 +289,20 @@ def _imag_axis_rule(panels: int, order: int):
 
 
 @lru_cache(maxsize=None)
+def _unit_gauss(order: int):
+    """Nodes in [0, 1] and weights (summing to 1) of the `order`-node
+    Gauss-Legendre rule."""
+    t, w = leggauss(order)
+    return _frozen(0.5 * (t + 1.0), 0.5 * w)
+
+
+@lru_cache(maxsize=None)
 def _bose_rule(parts: int, order: int):
     """Node offsets in [0, 1] and weights of the rule on a unit panel cut into
     `parts` equal parts of `order` Gauss-Legendre nodes each."""
-    t, w = leggauss(order)
-    offsets = ((np.arange(parts)[:, None] + 0.5 * (t + 1.0)) / parts).ravel()
-    return _frozen(offsets, np.tile(0.5 * w / parts, parts))
+    nodes, weights = _unit_gauss(order)
+    offsets = ((np.arange(parts)[:, None] + nodes) / parts).ravel()
+    return _frozen(offsets, np.tile(weights / parts, parts))
 
 
 def _nested(evaluate, n: int, quad: QuadratureSpec, floor=0.0):
@@ -453,7 +463,7 @@ def _bose_real_axis_integral(Rt: np.ndarray, at: np.ndarray, ra: _ReducedAtom,
         w = (width[rows] * weights).reshape(len(rows), -1)
         k = at[rows, None] * t
         k2 = k * k
-        f = (k2 * k2 * _alpha2_real0(k, ra) * osc_imag_array(k * Rt[rows, None])
+        f = (k2 * k2 * _alpha2_real0(k, ra) * osc_imag_part(k * Rt[rows, None])
              * (1.0 + 1.0 / (t * t)) / np.expm1(2.0 * math.pi * t))
         return (f * w).sum(axis=1)[None, :]
 
@@ -597,49 +607,147 @@ def potential_numeric(R: float, a: float, atom: AtomSpec,
 # oracle: damped integral on a deformed first-quadrant path
 # --------------------------------------------------------------------------
 def _occupation_piece(k, at: float, piece: str):
-    """Occupation piece "vacuum", "nonthermal_a2" or "bose" at real or complex k."""
+    """Occupation piece "vacuum", "nonthermal_a2" or "bose" at real or complex k
+    (a float or an array)."""
     if piece == "vacuum":
         return 0.5
     x2 = (at / k) ** 2
     if piece == "nonthermal_a2":
         return 0.5 * x2
-    return (1.0 + x2) * _bose(2.0 * math.pi * k / at)
+    with np.errstate(over="ignore"):   # t = inf lies past the Bose cut-off
+        t = 2.0 * math.pi * k / at
+    return (1.0 + x2) * _bose(t)
+
+
+def _path_integrals(edges: np.ndarray, integrand, quad: QuadratureSpec):
+    """Integrals of `integrand` over the panels between consecutive `edges` of
+    one path part.
+
+    integrand(lo, off) takes each node as its panel's start lo plus the
+    offset off (1-d arrays) and returns an array (integrals, len(lo)).  Each
+    panel's GL_ORDER-node sum is compared with the sum over its two halves;
+    a panel whose difference exceeds both its share of the target,
+    _target(quad) times its own magnitude, and the rounding floor of the
+    part's sum is split at its midpoint and compared again, up to
+    MAX_REFINE times.  Returns the values and error estimates (the summed
+    panel differences), one per integral.
+    """
+    nodes, weights = _unit_gauss(GL_ORDER)
+
+    def sums(lo, hi):
+        # in blocks of ORACLE_BLOCK panels, which bounds the temporary arrays
+        out = []
+        for i in range(0, len(lo), ORACLE_BLOCK):
+            b_lo = lo[i:i + ORACLE_BLOCK]
+            width = hi[i:i + ORACLE_BLOCK] - b_lo
+            f = integrand(np.repeat(b_lo, len(nodes)), (width[:, None] * nodes).ravel())
+            out.append((f.reshape(len(f), len(b_lo), len(nodes)) * weights).sum(axis=2) * width)
+        return np.concatenate(out, axis=1)
+
+    lo, hi = edges[:-1], edges[1:]
+    mid = lo + 0.5 * (hi - lo)
+    n = len(lo)
+    first = sums(np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi]))
+    coarse, halves = first[:, :n], first[:, n:]
+    # differences below the rounding of the whole part's sum cannot shrink
+    floor = 4.0 * np.finfo(float).eps * np.abs(halves[:, :n] + halves[:, n:]).sum(axis=1)[:, None]
+    target = _target(quad)
+    value = error = 0.0
+    for level in range(MAX_REFINE + 1):
+        left, right = halves[:, :n], halves[:, n:]
+        fine = left + right
+        diff = np.abs(fine - coarse)
+        miss = ((diff > target * np.abs(fine)) & (diff > floor)).any(axis=0)
+        done = ~miss if level < MAX_REFINE else np.ones_like(miss)
+        value = value + fine[:, done].sum(axis=1)
+        error = error + diff[:, done].sum(axis=1)
+        if done.all():
+            break
+        lo, hi = np.concatenate([lo[miss], mid[miss]]), np.concatenate([mid[miss], hi[miss]])
+        coarse = np.concatenate([left[:, miss], right[:, miss]], axis=1)
+        mid = lo + 0.5 * (hi - lo)
+        n = len(lo)
+        halves = sums(np.concatenate([lo, mid]), np.concatenate([mid, hi]))
+    return value, error
+
+
+def _k4u(x, Rt: float):
+    """k^4 u_factor(kR) at x = kR, real or complex, from the numerator polynomial."""
+    return ((((x + 2j) * x - 5.0) * x - 6j) * x + 3.0) / Rt**4
 
 
 def _oracle_piece(Rt: float, at: float, ra: _ReducedAtom, quad: QuadratureSpec,
-                  eta: float, piece: str):
-    """One occupation piece of the damped integral over the deformed path."""
+                  pieces: tuple[str, ...]):
+    """The damped integral of each occupation piece over the deformed path,
+    for every damping value eta of quad.damping_schedule, on the oracle's
+    rules (module docstring).  Returns values and error estimates, arrays
+    (pieces, etas), and whether every integral's error is within
+    max(abs_tol, 10 rel_tol (|segment| + |ray|)).
+    """
+    etas = np.array(quad.damping_schedule)
 
-    def f_seg(k):
-        if k <= 0.0:
-            return 0.0
-        return (_occupation_piece(k, at, piece) * k**4 * _alpha2_real0(k, ra)
-                * osc_imag_part(k * Rt) * math.exp(-eta * k))
+    def factors(k):
+        occ = np.array([np.broadcast_to(_occupation_piece(k, at, p), k.shape)
+                        for p in pieces])
+        damp = np.exp(-np.multiply.outer(etas, k))
+        return (occ[:, None, :] * damp[None, :, :]).reshape(-1, len(k))
 
-    pts = None
-    if piece != "vacuum" and at > 0.0:
-        pts = sorted(p for p in (at / (2.0 * math.pi), at, 4.0 * at)
-                     if 0.0 < p < ORACLE_K0)
-    seg, e_seg = _quad(f_seg, 0.0, ORACLE_K0, quad, points=pts or None)
+    def f_seg(x_lo, dx):
+        # the segment in x = kR; Im[e^{2ix} u_factor(x)] by its series below
+        # SERIES_SWITCH, where the polynomial form cancels
+        x = x_lo + dx
+        k = x / Rt
+        osc = (_k4u(x, Rt) * np.exp(2j * x_lo) * np.exp(2j * dx)).imag
+        small = x <= SERIES_SWITCH
+        k2 = k[small] ** 2
+        osc[small] = k2 * k2 * osc_imag_part(x[small])
+        return factors(k) * (osc * _alpha2_real0(k, ra) / Rt)
 
     eith = complex(math.cos(ORACLE_TILT), math.sin(ORACLE_TILT))
+    phase0 = np.exp(2j * ORACLE_K0 * Rt)
 
-    def f_ray(t):
+    def f_ray_complex(t_lo, dt):
+        t = t_lo + dt
         k = ORACLE_K0 + t * eith
         alpha = oscillator_sum(k * k, ra.weights, ra.omegas)
-        x = k * Rt
-        ufac = ((((x + 2j) * x - 5.0) * x - 6j) * x + 3.0) / x**4
-        occ = _occupation_piece(k, at, piece)
-        val = k**4 * occ * np.exp(2j * k * Rt) * ufac * alpha * alpha \
-            * np.exp(-eta * k)
-        return (eith * val).imag
+        return factors(k) * (eith * _k4u(k * Rt, Rt) * phase0 * np.exp(2j * Rt * eith * t)
+                             * alpha * alpha)
+
+    # cuts below the smallest normal double would put nodes at k = 0
+    end = ORACLE_K0 * Rt
+    cuts = [0.0, *sorted(x for x in (p * Rt for p in (at / (2.0 * math.pi), at, 4.0 * at))
+                         if np.finfo(float).tiny < x < end), end]
+    counts = [max(1, math.ceil(2.0 * (x1 - x0) / ORACLE_PANEL_RAD))
+              for x0, x1 in zip(cuts, cuts[1:])]
+    if sum(counts) > ORACLE_MAX_PANELS:
+        raise NumericalFailure(f"oracle segment needs {sum(counts)} panels at "
+                               f"R = {Rt:.3g} c/omega0, more than {ORACLE_MAX_PANELS}")
+    seg_edges = [0.0]
+    for x0, x1, n in zip(cuts, cuts[1:], counts):
+        seg_edges.extend(x0 + (x1 - x0) * np.arange(1, n) / n)
+        seg_edges.append(x1)
+    seg, e_seg = _path_integrals(np.array(seg_edges), f_seg, quad)
 
     td = 1.0 / (2.0 * Rt * math.sin(ORACLE_TILT))
-    ray, e_ray = _quad(f_ray, 0.0, 60.0 * td, quad,
-                       points=[td, 2 * td, 4 * td, 8 * td, 16 * td, 32 * td])
-    tail, e_tail = _quad(f_ray, 60.0 * td, np.inf, quad)
+    # the first edge resolves the shortest scale at the ray's start: t_d, the
+    # distance to the lowest resonance (k = 1) and, where the Bose factor is
+    # not cut off on the ray, its decay length
+    scales = [td, 1.0 - ORACLE_K0]
+    if 2.0 * math.pi * ORACLE_K0 <= EXP_OVERFLOW * at:
+        scales.append(at / (2.0 * math.pi))
+    j0 = min(0, math.floor(math.log2(min(scales) / td)))
+    ray_edges = td * np.array([0.0, *(2.0**j for j in range(j0, ORACLE_RAY_DOUBLINGS + 1))])
+    ray, e_ray = _path_integrals(ray_edges, lambda t, dt: f_ray_complex(t, dt).imag, quad)
+    e_ray = e_ray + td * np.abs(f_ray_complex(ray_edges[-1:], np.zeros(1)))[:, 0]
+
+    # segment and ray cancel more and more as R grows, so the tolerance is
+    # relative to their magnitudes, not to their sum
+    error = e_seg + e_ray
+    ok = bool((error <= np.maximum(quad.abs_tol,
+                                   10.0 * quad.rel_tol * (np.abs(seg) + np.abs(ray)))).all())
     scale = -2.0 / (math.pi * Rt * Rt)
-    return scale * (seg + ray + tail), abs(scale) * (e_seg + e_ray + e_tail)
+    shape = (len(pieces), len(etas))
+    return (scale * (seg + ray)).reshape(shape), (abs(scale) * error).reshape(shape), ok
 
 
 def _extrapolate_eta(etas, values):
@@ -663,10 +771,11 @@ def potential_oracle(R: float, a: float, atom: AtomSpec,
     """Independent evaluation of the accelerated-pair potential.
 
     Deformed-path damped integral, extrapolated to zero damping over
-    quad.damping_schedule.  Supported for a/(omega0 c) <= 0.1; the
-    extrapolation spread is reported as the error estimate and the call
-    fails with OracleUnreliableError when the spread exceeds ten times the
-    requested relative tolerance.
+    quad.damping_schedule.  Supported for a/(omega0 c) <= 0.1.  The error
+    estimate is the extrapolation spread plus the largest quadrature error.
+    The call fails with NumericalFailure when the path quadrature misses its
+    tolerance and with OracleUnreliableError when the spread exceeds ten
+    times the requested relative tolerance.
     """
     u = units_for(atom, units)
     check_domain("separation", R)
@@ -679,30 +788,22 @@ def potential_oracle(R: float, a: float, atom: AtomSpec,
             f"oracle supports a/(omega0 c) <= {ORACLE_MAX_A}; got {at:.3g}")
 
     etas = quad.damping_schedule
-    quad_err = 0.0
-    totals = []
-    # per-eta values of the two extrapolated parts; the Bose piece enters the
-    # totals only
-    kept = {"vacuum": [], "nonthermal_a2": []}
-    for eta in etas:
-        tot = 0.0
-        for p in ("vacuum", "nonthermal_a2", "bose"):
-            if at == 0.0 and p != "vacuum":
-                continue
-            val, err = _oracle_piece(Rt, at, ra, quad, eta, p)
-            if p in kept:
-                kept[p].append(val)
-            quad_err = max(quad_err, err)
-            tot += val
-        totals.append(tot)
-
-    vt, spread = _extrapolate_eta(etas, totals)
-    per_piece = {p: _extrapolate_eta(etas, v)[0] if any(v) else 0.0
-                 for p, v in kept.items()}
+    # the Bose piece enters the totals only; at a = 0 only the vacuum piece is left
+    pieces = ("vacuum",) if at == 0.0 else ("vacuum", "nonthermal_a2", "bose")
+    values, errors, ok = _oracle_piece(Rt, at, ra, quad, pieces)
+    vt, spread = _extrapolate_eta(etas, values.sum(axis=0))
+    rows = dict(zip(pieces, values))
+    per_piece = {p: _extrapolate_eta(etas, rows[p])[0] if p in rows and rows[p].any() else 0.0
+                 for p in ("vacuum", "nonthermal_a2")}
     # keep the decomposition summing exactly to the extrapolated value
     per_piece["residue_sum"] = vt - per_piece["vacuum"] - per_piece["nonthermal_a2"]
 
-    err_est = spread + quad_err
+    err_est = spread + float(errors.max())
+    if not ok:
+        raise NumericalFailure(
+            f"oracle quadrature missed its tolerance at R={R!r}, a={a!r}: "
+            f"error estimate {u.restore_energy(err_est):.3e} after {MAX_REFINE} refinements",
+            partial=u.restore_energy(vt), error_estimate=u.restore_energy(err_est))
     if spread > 10.0 * quad.rel_tol * max(abs(vt), quad.abs_tol):
         raise OracleUnreliableError(
             f"damping extrapolation spread {spread:.3e} exceeds "

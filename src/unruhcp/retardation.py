@@ -18,7 +18,7 @@ breaks the oscillatory cancellation at the origin and the far-zone law.
 
 osc_imag_part / osc_real_part evaluate Im / Re of e^{2ix} u_factor(x)
 without catastrophic cancellation (series branch below |x| = 1/2);
-osc_imag_array is osc_imag_part over a numpy array.
+osc_imag_part also takes numpy arrays.
 """
 from __future__ import annotations
 
@@ -53,8 +53,8 @@ _EXP_NUMER = _exp_numer_coeffs()
 # x^{-4}..x^{0} are real, so Im[e^{2ix} u(x)] = O(x) and Re = O(x^-4).
 _SIGMA = [c.imag for c in _EXP_NUMER]
 _RHO = [c.real for c in _EXP_NUMER]
-# Im[e^{2ix} u(x)] is odd in x, x * sum_j _SIGMA[5 + 2j] x^{2j}; the array
-# version keeps the terms that still count in double precision at the switch
+# Im[e^{2ix} u(x)] is odd in x, x * sum_j _SIGMA[5 + 2j] x^{2j}; osc_imag_part
+# keeps the terms that still count in double precision at the switch
 _SIGMA_EVEN_ARRAY = np.array([c for j, c in enumerate(_SIGMA[5::2])
                               if abs(c) * SERIES_SWITCH ** (2 * j) >= 2.0**-60 * _SIGMA[5]])
 _EVEN_POWERS = np.arange(len(_SIGMA_EVEN_ARRAY))
@@ -87,35 +87,23 @@ def quartic_weight(x: float) -> float:
     return (((x + 2.0) * x + 5.0) * x + 6.0) * x + 3.0
 
 
-def osc_imag_part(x: float) -> float:
+def osc_imag_part(x):
     """Im[e^{2ix} u_factor(x)] for real x > 0, stable down to x -> 0.
 
-    The closed trigonometric form loses all significance below x ~ 1e-3
-    (terms ~ 6/x^3 cancel to O(x)); the series branch restores it.
+    Takes a float (returns a float) or an array (elementwise; each element is
+    a function of that element alone).  The closed trigonometric form loses
+    all significance below x ~ 1e-3 (terms ~ 6/x^3 cancel to O(x)); below
+    SERIES_SWITCH the odd Taylor series restores it.
     """
-    if x > SERIES_SWITCH:
-        A = 1.0 - 5.0 / (x * x) + 3.0 / x**4
-        B = 2.0 / x - 6.0 / x**3
-        return math.sin(2.0 * x) * A + math.cos(2.0 * x) * B
-    s = 0.0
-    for m in range(len(_SIGMA) - 1, 4, -1):
-        s = s * x + _SIGMA[m]
-    return s * x  # sum_{m >= 5} Im(c_m) x^{m-4}
-
-
-def osc_imag_array(x: np.ndarray) -> np.ndarray:
-    """osc_imag_part elementwise over an array of x > 0, with the same two branches.
-
-    Each element is a function of that element alone, so the result does not
-    depend on the array it sits in.
-    """
-    small = np.minimum(x, SERIES_SWITCH)
+    arr = np.asarray(x, dtype=float)
+    small = np.minimum(arr, SERIES_SWITCH)
     series = small * ((small * small)[..., None] ** _EVEN_POWERS * _SIGMA_EVEN_ARRAY).sum(axis=-1)
-    big = np.maximum(x, SERIES_SWITCH)
+    big = np.maximum(arr, SERIES_SWITCH)
     inv2 = 1.0 / (big * big)
     closed = (np.sin(2.0 * big) * (1.0 - 5.0 * inv2 + 3.0 * inv2 * inv2)
               + np.cos(2.0 * big) * (2.0 - 6.0 * inv2) / big)
-    return np.where(x > SERIES_SWITCH, closed, series)
+    out = np.where(arr > SERIES_SWITCH, closed, series)
+    return out if out.ndim else float(out)
 
 
 def osc_real_part(x: float) -> float:
@@ -145,7 +133,6 @@ __all__ = [
     "imag_axis_weight",
     "quartic_weight",
     "osc_imag_part",
-    "osc_imag_array",
     "osc_real_part",
     "osc_complex",
     "leading_imag_slope",

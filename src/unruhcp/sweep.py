@@ -552,11 +552,14 @@ def _section_dual_method(atom, quad, units):
     a_scale = u.restore_acceleration(1.0)
     Rs = np.logspace(-1, 2, 5) * R_scale
     As = np.logspace(-3, -1, 5) * a_scale
+    contour = potential_grid(Rs, As, atom, quad, units=units)
     worst = 0.0
     failures = []
-    for a in As:
-        for R in Rs:
-            v = potential_numeric(float(R), float(a), atom, quad, units=units).value
+    for a, row in zip(As, contour):
+        for R, entry in zip(Rs, row):
+            if isinstance(entry, UnruhCPError):
+                raise entry
+            v = entry.value
             try:
                 w = potential_oracle(float(R), float(a), atom, quad, units=units).value
             except UnruhCPError as exc:

@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from unruhcp import load_atom, potential_numeric
+from unruhcp import load_atom, potential_numeric, potential_oracle
 
 TABLE = json.loads((pathlib.Path(__file__).parent / "golden" / "contour_parts.json")
                    .read_text(encoding="utf-8"))
@@ -19,6 +19,16 @@ def test_parts_match_golden(point):
     tol = max(res.error_estimate, 1e-9 * abs(sum(want.values())))
     for part in PARTS:
         assert abs(res.parts[part] - want[part]) <= tol, (part, res.parts[part], want[part])
+
+
+@pytest.mark.parametrize("point", [p for p in TABLE["points"] if 0.1 <= p["R"] <= 100.0 and p["a"] <= 0.1],
+                         ids=lambda p: f"{p['atom']}-R{p['R']:g}-a{p['a']:g}")
+def test_oracle_matches_golden(point):
+    # the oracle's own domain, R in [0.1, 100] and a <= 0.1
+    res = potential_oracle(point["R"], point["a"], load_atom(TABLE["atoms"][point["atom"]]))
+    want = sum(float(point[part]) for part in PARTS)
+    assert abs(res.value - want) <= res.error_estimate
+    assert abs(res.value - want) <= 1e-7 * abs(want)
 
 
 def test_table_covers_the_domain():

@@ -1,10 +1,13 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unruhcp import DomainError, InputError, bose_poles, mode_occupation, occupation_highacc
+from unruhcp.occupation import EXP_OVERFLOW, _bose
 
 
 def test_vacuum_limit():
@@ -134,3 +137,16 @@ def test_bose_pole_spacing_is_regime_parameter():
     a, R = 0.37, 4.0
     poles = bose_poles(a, 2)
     assert (poles[1] - poles[0]) * R == pytest.approx(a * R, rel=1e-15)
+
+
+def test_bose_factor_on_arrays():
+    real = np.array([1e-8, 0.5, 30.0, EXP_OVERFLOW, EXP_OVERFLOW + 1.0, 1e5])
+    cplx = real + 3.0j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r, c = _bose(real), _bose(cplx)
+    assert r[-2:].tolist() == [0.0, 0.0] and c[-2:].tolist() == [0.0, 0.0]
+    for t, v in zip(real[:-2], r[:-2]):
+        assert v == pytest.approx(_bose(float(t)), rel=1e-15)
+    for t, v in zip(cplx[:-2], c[:-2]):
+        assert v == pytest.approx(1.0 / (np.exp(t) - 1.0), rel=1e-12)

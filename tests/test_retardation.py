@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -81,3 +82,13 @@ def test_osc_imag_small_x_law():
 def test_osc_real_small_x_law():
     x = 1e-4
     assert osc_real_part(x) == pytest.approx(3.0 / x**4 + 1.0 / x**2 + 1.0, rel=1e-12)
+
+
+def test_osc_imag_part_takes_floats_and_arrays():
+    xs = np.array([1e-6, 0.3, 0.5, 0.5000001, 7.7, 40.0])
+    values = osc_imag_part(xs)
+    assert values.shape == xs.shape
+    for x, v in zip(xs, values):
+        scalar = osc_imag_part(float(x))
+        assert type(scalar) is float and scalar == v
+    assert osc_imag_part(xs.reshape(2, 3)).tolist() == values.reshape(2, 3).tolist()

@@ -54,9 +54,10 @@ def test_sweep_config_validation():
         _config(methods=("contour", "sorcery"))
     with pytest.raises(InputError):
         SweepConfig.from_dict({})
-    with pytest.raises(InputError):   # not a QuadratureSpec field
-        SweepConfig.from_dict({"atom": {"two_level": {"omega0": 1.0, "alpha0": 1.0}},
-                               "quad": {"origin_cutoff": 1e-3}})
+    for dropped in ({"origin_cutoff": 1e-3}, {"max_subdivisions": 200}):   # not QuadratureSpec fields
+        with pytest.raises(InputError):
+            SweepConfig.from_dict({"atom": {"two_level": {"omega0": 1.0, "alpha0": 1.0}},
+                                   "quad": dropped})
     with pytest.raises(InputError):   # no contour run to catch the nan
         SweepConfig.from_dict({"atom": {"two_level": {"omega0": 1.0, "alpha0": 1.0}},
                                "a_grid": {"value": math.nan},
