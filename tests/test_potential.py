@@ -334,7 +334,7 @@ def test_oracle_refinement_recovers_a_coarse_rule(monkeypatch, atom):
             assert res.parts[part] == pytest.approx(ref.parts[part], rel=1e-9, abs=1e-9 * abs(ref.value))
 
 
-def test_oracle_missed_tolerance_raises_with_partial(monkeypatch, atom):
+def test_quadrature_non_convergence_carries_partial(monkeypatch, atom):
     from unruhcp import GridSpec, NumericalFailure, SweepConfig, run_sweep
 
     reference = potential_oracle(10.0, 0.01, atom).value
