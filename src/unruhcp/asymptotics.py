@@ -31,13 +31,9 @@ import numpy as np
 from .atoms import AtomSpec, alpha_static, oscillator_sum
 from .errors import DomainError, InconsistentRegimeError, check_domain
 from .kinematics import Regime, classify_regime  # noqa: F401  (re-export)
-from .potential import (
-    DEFAULT_QUAD,
-    QuadratureSpec,
-    _reduce_atom,
-    potential_inertial,
-    potential_numeric,
-)
+from .potential import DEFAULT_QUAD, QuadratureSpec, _reduce_atom, _result, potential_grid
+# unused; the perfbench tracer wraps these names in this module (ROADMAP item 4)
+from .potential import potential_inertial, potential_numeric  # noqa: F401
 from .units import UnitSystem, units_for
 
 EXPONENT_TOL = 0.05
@@ -191,8 +187,8 @@ def fit_a2_near_coefficient(atom: AtomSpec, quad: QuadratureSpec = DEFAULT_QUAD,
                             n_a: int = 4, n_R: int = 4) -> A2FitResult:
     """Extract the near-zone coefficient K of the a^2/R^6 correction.
 
-    Runs the contour evaluator on a log grid a in [1e-5, 1e-3] omega0 c and
-    R in [1e-3, 1e-2] c/omega0, subtracts the inertial value, and fits
+    Runs the contour evaluator, in one potential_grid call, on a log grid
+    a in [1e-5, 1e-3] omega0 c and R in [1e-3, 1e-2] c/omega0, subtracts the inertial value, and fits
     |dV| = K a^2 R^-6.  The fitted exponents must match (2, -6) within
     0.05 or InconsistentRegimeError is raised.
     """
@@ -202,11 +198,12 @@ def fit_a2_near_coefficient(atom: AtomSpec, quad: QuadratureSpec = DEFAULT_QUAD,
     a_grid = np.logspace(-5, -3, n_a) * a_scale
     R_grid = np.logspace(-3, -2, n_R) * R_scale
 
+    inertial, *accel = potential_grid(R_grid, [0.0, *a_grid], atom, quad, units=u)
     rows = []
-    for R in R_grid:
-        v0 = potential_inertial(float(R), atom, quad, units=u).value
-        for a in a_grid:
-            dv = potential_numeric(float(R), float(a), atom, quad, units=u).value - v0
+    for i, R in enumerate(R_grid):
+        v0 = _result(inertial[i]).value
+        for a, row in zip(a_grid, accel):
+            dv = _result(row[i]).value - v0
             if not dv < 0.0:
                 raise InconsistentRegimeError(
                     f"near-zone correction is not attractive at R={R}, a={a}: {dv}")

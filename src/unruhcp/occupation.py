@@ -59,6 +59,15 @@ def _bose(t):
     return 1.0 / math.expm1(t)
 
 
+def _occupation_parts(omega, a, c: float = 1.0):
+    """(value, thermal_part, nonthermal_part) at a > 0, for floats or for
+    arrays of omega and a; no domain checks."""
+    x2 = (a / (c * omega)) ** 2
+    bose = _bose(2.0 * math.pi * c * omega / a)
+    nonthermal = 0.5 * x2 * (1.0 + 2.0 * bose)
+    return 0.5 + bose + nonthermal, bose, nonthermal
+
+
 def mode_occupation(omega: float, a: float, c: float = 1.0) -> OccupationValue:
     """Exact mode occupation; 1/2 at a = 0 and continuous in both arguments."""
     check_domain("mode frequency", omega)
@@ -66,10 +75,7 @@ def mode_occupation(omega: float, a: float, c: float = 1.0) -> OccupationValue:
     if a == 0.0:
         return OccupationValue(value=0.5, thermal_part=0.0, nonthermal_part=0.0)
     try:
-        x2 = (a / (c * omega)) ** 2
-        bose = _bose(2.0 * math.pi * c * omega / a)
-        nonthermal = 0.5 * x2 * (1.0 + 2.0 * bose)
-        value = 0.5 + bose + nonthermal
+        value, bose, nonthermal = _occupation_parts(omega, a, c)
     except (OverflowError, ZeroDivisionError):
         value = math.inf
     if not math.isfinite(value):

@@ -71,7 +71,7 @@ In the far zone the segment and the ray cancel to a sum about 100 R^-4
 of their size (1e-6 at R = 100), so the phase of e^{2ikR} is built from
 the panel (or ray) start and the node's offset, not from the rounded node.
 No scalar adaptive quadrature remains in the package; scipy.integrate is
-still imported at start-up (ROADMAP item 7).
+still imported at start-up (ROADMAP item 4).
 
 Every contour value is a function of (R, a, atom, QuadratureSpec) alone: the
 arithmetic of one row never involves another, so a grid returns bit for bit
@@ -86,7 +86,7 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-# unused; stays eager until a lazy import lands with its start-up gauge (ROADMAP item 7)
+# unused; stays eager until a lazy import lands with its start-up gauge (ROADMAP item 4)
 from scipy.integrate import quad as _scipy_quad  # noqa: F401
 
 from .atoms import AtomSpec, alpha_real, oscillator_sum, oscillator_weights
@@ -151,15 +151,19 @@ class QuadratureSpec:
     damping_schedule: tuple[float, ...] = (1e-2, 3e-3, 1e-3)
 
     def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise DomainError("tolerances must be positive")
-        if not self.matsubara_rel_cutoff > 0:
-            raise DomainError("cutoffs must be positive")
-        if self.matsubara_hard_cap < 10:
-            raise DomainError("matsubara_hard_cap must be >= 10")
-        sched = tuple(float(e) for e in self.damping_schedule)
-        if len(sched) < 3 or any(b <= c for b, c in zip(sched, sched[1:])) or sched[-1] <= 0:
-            raise DomainError("damping_schedule must be strictly decreasing, length >= 3, positive")
+        check_domain("rel_tol", self.rel_tol)
+        check_domain("abs_tol", self.abs_tol)
+        check_domain("matsubara_rel_cutoff", self.matsubara_rel_cutoff)
+        if not (math.isfinite(self.matsubara_hard_cap) and self.matsubara_hard_cap >= 10):
+            raise DomainError("matsubara_hard_cap must be finite and >= 10")
+        try:
+            sched = tuple(float(e) for e in self.damping_schedule)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"damping_schedule must hold numbers: {exc}") from exc
+        if (len(sched) < 3 or not all(map(math.isfinite, sched))
+                or any(b <= c for b, c in zip(sched, sched[1:])) or sched[-1] <= 0):
+            raise DomainError("damping_schedule must be finite, strictly decreasing, "
+                              "length >= 3, positive")
         object.__setattr__(self, "damping_schedule", sched)
 
 
@@ -578,17 +582,17 @@ def potential_grid(R, a, atom: AtomSpec, quad: QuadratureSpec = DEFAULT_QUAD,
     return grid
 
 
-def _point(grid) -> PotentialResult:
-    result = grid[0][0]
-    if isinstance(result, UnruhCPError):
-        raise result
-    return result
+def _result(entry) -> PotentialResult:
+    """The PotentialResult of a potential_grid entry; an error entry is raised."""
+    if isinstance(entry, UnruhCPError):
+        raise entry
+    return entry
 
 
 def potential_inertial(R: float, atom: AtomSpec, quad: QuadratureSpec = DEFAULT_QUAD,
                        units: UnitSystem | str | None = None) -> PotentialResult:
     """Ground-state dispersion potential of the inertial pair (a = 0)."""
-    return _point(potential_grid([R], [0.0], atom, quad, units))
+    return _result(potential_grid([R], [0.0], atom, quad, units)[0][0])
 
 
 def potential_numeric(R: float, a: float, atom: AtomSpec,
@@ -600,7 +604,7 @@ def potential_numeric(R: float, a: float, atom: AtomSpec,
     Raises RegimeError when the validity check reports the spontaneously
     excited regime (use potential_high_acc there).
     """
-    return _point(potential_grid([R], [a], atom, quad, units))
+    return _result(potential_grid([R], [a], atom, quad, units)[0][0])
 
 
 # --------------------------------------------------------------------------

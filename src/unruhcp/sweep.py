@@ -4,6 +4,11 @@ Rows are produced in lexicographic (a, R) order whatever the concurrency
 level or batching, numbers are serialized with shortest round-trip
 precision, and a fixed configuration yields byte-identical CSV and report
 output.
+
+Each report section that needs contour values evaluates its (R, a) grid in
+one potential_grid call, which returns bit for bit what point-by-point calls
+return; an entry that is an error is raised as the point call raises it.  The occupation
+section checks its sampled (omega, a) points in one array pass.
 """
 from __future__ import annotations
 
@@ -26,16 +31,17 @@ from .errors import (
     UnruhCPError,
 )
 from .kinematics import classify_regime, validity_check
-from .occupation import mode_occupation, occupation_highacc
+from .occupation import _occupation_parts, mode_occupation, occupation_highacc
 from .potential import (
     DEFAULT_QUAD,
     PotentialResult,
     QuadratureSpec,
+    _result,
     potential_grid,
-    potential_inertial,
-    potential_numeric,
     potential_oracle,
 )
+# unused; the perfbench tracer wraps these names in this module (ROADMAP item 4)
+from .potential import potential_inertial, potential_numeric  # noqa: F401
 from .units import UnitSystem, units_for
 
 CSV_COLUMNS = ("R", "a", "regime", "V_contour", "V_oracle", "V_asymptotic",
@@ -57,18 +63,18 @@ class GridSpec:
 
     @classmethod
     def from_obj(cls, obj) -> "GridSpec":
-        if isinstance(obj, dict) and "value" in obj:
-            g = cls(value=float(obj["value"]))
-        elif isinstance(obj, (int, float)):
-            g = cls(value=float(obj))
-        else:
-            try:
+        try:
+            if isinstance(obj, dict) and "value" in obj:
+                g = cls(value=float(obj["value"]))
+            elif isinstance(obj, (int, float)):
+                g = cls(value=float(obj))
+            else:
                 g = cls(min=float(obj["min"]), max=float(obj["max"]),
                         count=int(obj["count"]))
-            except (KeyError, TypeError) as exc:
-                raise InputError(f"bad grid spec {obj!r}: {exc}") from exc
-            if g.count < 2 or not 0.0 < g.min < g.max:
-                raise InputError(f"grid needs 0 < min < max and count >= 2, got {obj!r}")
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"bad grid spec {obj!r}: {exc}") from exc
+        if g.value is None and (g.count < 2 or not 0.0 < g.min < g.max):
+            raise InputError(f"grid needs 0 < min < max and count >= 2, got {obj!r}")
         ends = (g.min, g.max) if g.value is None else (g.value,)
         if not all(math.isfinite(x) for x in ends):
             raise InputError(f"grid values must be finite, got {obj!r}")
@@ -105,11 +111,16 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SweepConfig":
+        if not isinstance(doc, dict):
+            raise InputError(f"sweep config must be a JSON object, got {doc!r}")
         try:
             atom_source = doc["atom"]
         except KeyError as exc:
             raise InputError("sweep config needs an 'atom' entry") from exc
         atom = load_atom(atom_source)
+        methods = doc.get("methods", ["contour"])
+        if not isinstance(methods, list):
+            raise InputError(f"sweep config 'methods' must be a list, got {methods!r}")
         quad_doc = doc.get("quad")
         try:
             quad = QuadratureSpec(**quad_doc) if quad_doc else DEFAULT_QUAD
@@ -119,7 +130,7 @@ class SweepConfig:
             atom=atom,
             R_grid=GridSpec.from_obj(doc.get("R_grid", {"value": 1.0})),
             a_grid=GridSpec.from_obj(doc.get("a_grid", {"value": 0.0})),
-            methods=tuple(doc.get("methods", ["contour"])),
+            methods=tuple(methods),
             quad=quad,
             units=doc.get("units", "natural"),
             output_path=doc.get("output_path"),
@@ -369,10 +380,11 @@ def _section_inertial_far(atom, quad, units):
     printed = -23.0 * alpha0**2 / 4.0
     R_scale = u.restore_length(1.0)
     grid = [50.0, 100.0, 200.0]
+    (row,) = potential_grid([Rt * R_scale for Rt in grid], [0.0], atom, quad, units=units)
     vals = []
     rows = []
-    for Rt in grid:
-        v = potential_inertial(Rt * R_scale, atom, quad, units=units).value
+    for Rt, entry in zip(grid, row):
+        v = _result(entry).value
         vals.append(u.reduce_energy(v) * Rt**7)
         rows.append({"R": Rt, "V": u.reduce_energy(v)})
     slope = fit_slope(rows, "R", "V").slope
@@ -393,11 +405,10 @@ def _section_inertial_far(atom, quad, units):
 
 def _section_inertial_near(atom, quad, units):
     u = units_for(atom, units)
-    R_scale = u.restore_length(1.0)
-    vals = []
-    for Rt in (0.01, 0.005):
-        v = potential_inertial(Rt * R_scale, atom, quad, units=units).value
-        vals.append(v / asymptotics.near_zone_value(Rt * R_scale, atom, units=units))
+    Rs = [Rt * u.restore_length(1.0) for Rt in (0.01, 0.005)]
+    (row,) = potential_grid(Rs, [0.0], atom, quad, units=units)
+    vals = [_result(entry).value / asymptotics.near_zone_value(R, atom, units=units)
+            for R, entry in zip(Rs, row)]
     return {
         "C6": asymptotics.near_zone_inertial(atom, hbar=u.hbar_atomic),
         "ratio_to_C6_law": vals,
@@ -410,12 +421,10 @@ def _section_far_a2(atom, quad, units):
     a = 1e-3 * u.restore_acceleration(1.0)
     R_scale = u.restore_length(1.0)
     grid = list(np.logspace(math.log10(50.0), math.log10(500.0), 8))
-    rows = []
-    for Rt in grid:
-        R = Rt * R_scale
-        v = potential_numeric(R, a, atom, quad, units=units).value
-        v0 = potential_inertial(R, atom, quad, units=units).value
-        rows.append({"R": Rt, "dV": u.reduce_energy(v - v0)})
+    inertial, accel = potential_grid([Rt * R_scale for Rt in grid], [0.0, a], atom, quad,
+                                     units=units)
+    rows = [{"R": Rt, "dV": u.reduce_energy(_result(e).value - _result(e0).value)}
+            for Rt, e0, e in zip(grid, inertial, accel)]
     fit = fit_slope(rows, "R", "dV")
     at = u.reduce_acceleration(a)
     alpha0 = u.reduce_alpha(alpha_static(atom, hbar=u.hbar_atomic))
@@ -460,12 +469,14 @@ def _section_near_a2(atom, quad, units):
 def _section_high_aR(atom, quad, units):
     u = units_for(atom, units)
     a = 0.01 * u.restore_acceleration(1.0)
+    aRs = (50.0, 100.0, 200.0)
+    Rs = [aR / 0.01 * u.restore_length(1.0) for aR in aRs]
+    (row,) = potential_grid(Rs, [a], atom, quad, units=units)
     points = []
     rows = []
     ok = True
-    for aR in (50.0, 100.0, 200.0):
-        R = aR / 0.01 * u.restore_length(1.0)
-        v = potential_numeric(R, a, atom, quad, units=units).value
+    for aR, R, entry in zip(aRs, Rs, row):
+        v = _result(entry).value
         law = asymptotics.high_aR(R, a, atom, units=units)
         ratio = v / law
         ok = ok and abs(ratio - 1.0) <= 0.05
@@ -518,12 +529,10 @@ def _section_occupation():
     n = 10_000
     omegas = np.exp(rng.uniform(math.log(1e-2), math.log(1e2), n))
     accs = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), n))
-    min_excess = math.inf
-    ok_floor = True
-    for w, a in zip(omegas, accs):
-        v = mode_occupation(float(w), float(a)).value
-        ok_floor = ok_floor and v >= 0.5
-        min_excess = min(min_excess, v - 0.5)
+    # one array pass; the first 100 points also serve the thermality identity
+    value, bose, _ = _occupation_parts(omegas, accs)
+    min_value = float(np.min(value))
+    ok_floor = min_value >= 0.5
     bound_ok = True
     ratios = []
     for y in (10.0, 30.0, 100.0, 1000.0):
@@ -532,13 +541,11 @@ def _section_occupation():
         ratios.append(abs(approx / exact - 1.0) * y * y)
         bound_ok = bound_ok and abs(approx / exact - 1.0) <= 5.0 / y**2
     # thermality-breaking identity: value / (planck part) == 1 + a^2/(c w)^2
-    ident_ok = True
-    for w, a in zip(omegas[:100], accs[:100]):
-        occ = mode_occupation(float(w), float(a))
-        planck = 0.5 + occ.thermal_part
-        ident_ok = ident_ok and abs(occ.value / planck / (1 + (a / w) ** 2) - 1.0) <= 1e-12
+    w, a = omegas[:100], accs[:100]
+    planck = 0.5 + bose[:100]
+    ident_ok = bool(np.all(np.abs(value[:100] / planck / (1 + (a / w) ** 2) - 1.0) <= 1e-12))
     return {
-        "floor_pass": ok_floor and min_excess > 0.0,
+        "floor_pass": min_value > 0.5,
         "highacc_bound_pass": bound_ok,
         "highacc_scaled_errors": ratios,
         "thermality_identity_pass": ident_ok,
@@ -557,9 +564,7 @@ def _section_dual_method(atom, quad, units):
     failures = []
     for a, row in zip(As, contour):
         for R, entry in zip(Rs, row):
-            if isinstance(entry, UnruhCPError):
-                raise entry
-            v = entry.value
+            v = _result(entry).value
             try:
                 w = potential_oracle(float(R), float(a), atom, quad, units=units).value
             except UnruhCPError as exc:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from unruhcp import (
     AtomSpec,
     DomainError,
+    NumericalFailure,
     Transition,
     alpha_real,
     far_low_acc,
@@ -15,10 +16,14 @@ from unruhcp import (
     high_aR,
     near_zone_inertial,
     near_zone_value,
+    potential_grid,
     potential_high_acc,
     two_level,
 )
+from unruhcp import asymptotics
 from unruhcp.asymptotics import closed_form_slope, high_acc_bracket
+from unruhcp.potential import DEFAULT_QUAD
+from unruhcp.sweep import _section_near_a2
 
 
 def test_near_zone_inertial_two_level(atom):
@@ -150,3 +155,21 @@ def test_fit_a2_near_coefficient_smoke(atom):
     assert fit.K > 0
     # two-level closed-form cross-check: K = (3/pi) * (3 pi/4) alpha0^2 = 9/4
     assert fit.K == pytest.approx(2.25, rel=1e-3)
+
+
+def test_fit_a2_near_coefficient_raises_grid_failure(atom, monkeypatch):
+    # a failed grid entry is raised as the point call raised it, and the
+    # report section turns it into a failed check with the message
+    failure = NumericalFailure("contour quadrature missed its tolerance (injected)")
+
+    def failing_grid(*args, **kwargs):
+        grid = potential_grid(*args, **kwargs)
+        grid[1][2] = failure
+        return grid
+
+    monkeypatch.setattr(asymptotics, "potential_grid", failing_grid)
+    with pytest.raises(NumericalFailure) as info:
+        fit_a2_near_coefficient(atom, n_a=3, n_R=3)
+    assert info.value is failure
+    section = _section_near_a2(atom, DEFAULT_QUAD, "natural")
+    assert section == {"pass": False, "error": str(failure)}

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unruhcp import DomainError, InputError, bose_poles, mode_occupation, occupation_highacc
-from unruhcp.occupation import EXP_OVERFLOW, _bose
+from unruhcp.occupation import EXP_OVERFLOW, _bose, _occupation_parts
 
 
 def test_vacuum_limit():
@@ -137,6 +137,22 @@ def test_bose_pole_spacing_is_regime_parameter():
     a, R = 0.37, 4.0
     poles = bose_poles(a, 2)
     assert (poles[1] - poles[0]) * R == pytest.approx(a * R, rel=1e-15)
+
+
+def test_occupation_kernel_on_arrays_matches_scalar():
+    # t = 2 pi omega / a spans 1e-5 .. 1e6, so some entries take the t > 700 cut
+    rng = np.random.default_rng(7)
+    omegas = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 2000))
+    accs = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 2000))
+    assert (2.0 * math.pi * omegas / accs > EXP_OVERFLOW).any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, thermal, nonthermal = _occupation_parts(omegas, accs)
+    for k, (w, a) in enumerate(zip(omegas.tolist(), accs.tolist())):
+        occ = mode_occupation(w, a)
+        assert value[k] == pytest.approx(occ.value, rel=1e-15, abs=0.0)
+        assert thermal[k] == pytest.approx(occ.thermal_part, rel=1e-15, abs=0.0)
+        assert nonthermal[k] == pytest.approx(occ.nonthermal_part, rel=1e-15, abs=0.0)
 
 
 def test_bose_factor_on_arrays():

@@ -40,7 +40,8 @@ def test_grid_spec_validation():
         GridSpec.from_obj({"min": 1.0, "max": 2.0, "count": 1})
     with pytest.raises(InputError):
         GridSpec.from_obj({"max": 2.0})
-    for bad in ({"value": math.nan}, {"min": 1.0, "max": math.inf, "count": 3}):
+    for bad in ({"value": math.nan}, {"min": 1.0, "max": math.inf, "count": 3},
+                {"min": 1, "max": 2, "count": "x"}, {"value": "x"}):
         with pytest.raises(InputError):
             GridSpec.from_obj(bad)
     g = GridSpec.from_obj({"value": 0.0})
@@ -54,6 +55,11 @@ def test_sweep_config_validation():
         _config(methods=("contour", "sorcery"))
     with pytest.raises(InputError):
         SweepConfig.from_dict({})
+    with pytest.raises(InputError):
+        SweepConfig.from_dict([])
+    with pytest.raises(InputError, match="list"):   # not split into characters
+        SweepConfig.from_dict({"atom": {"two_level": {"omega0": 1.0, "alpha0": 1.0}},
+                               "methods": "contour"})
     for dropped in ({"origin_cutoff": 1e-3}, {"max_subdivisions": 200}):   # not QuadratureSpec fields
         with pytest.raises(InputError):
             SweepConfig.from_dict({"atom": {"two_level": {"omega0": 1.0, "alpha0": 1.0}},
@@ -254,6 +260,12 @@ def test_cli_rejects_non_finite_arguments(atom_file, tmp_path, capsys):
     cfg.write_text(json.dumps({"atom": atom_file, "a_grid": {"value": math.nan},
                                "methods": ["asymptotic"]}))
     assert cli.main(["sweep", "--config", str(cfg)]) == 1
+    # an infinite tolerance once exited 0 with every tolerance gate off; a
+    # malformed grid once escaped as a traceback
+    for doc in ({"atom": atom_file, "quad": {"rel_tol": math.inf}},
+                {"atom": atom_file, "R_grid": {"min": 1, "max": 2, "count": "x"}}):
+        cfg.write_text(json.dumps(doc))
+        assert cli.main(["sweep", "--config", str(cfg)]) == 1
     assert capsys.readouterr().out == ""
 
 
