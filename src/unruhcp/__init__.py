@@ -49,6 +49,7 @@ from .potential import (
     potential_inertial,
     potential_numeric,
     potential_oracle,
+    potential_oracle_grid,
 )
 from .retardation import imag_axis_weight, osc_imag_part, u_factor
 from .sweep import (

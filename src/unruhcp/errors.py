@@ -39,7 +39,8 @@ class NumericalFailure(UnruhCPError):
 
 
 class OracleUnreliableError(NumericalFailure):
-    """The damped-integral extrapolation spread exceeds its trust threshold."""
+    """Kept for callers that catch it; nothing raises it any more.  The
+    undamped oracle has no eta -> 0 extrapolation to distrust."""
 
 
 class InconsistentRegimeError(UnruhCPError):

@@ -20,11 +20,11 @@ evaluated two independent ways:
   exactly equivalent Bose-weighted real-axis integral of the imaginary
   part, which stays cheap for arbitrarily small a R.  ``potential_numeric``
   (one point) and ``potential_inertial`` (a = 0) are 1 x 1 grids.
-* ``potential_oracle``    - an independent check: the raw integrand is
-  integrated over a deformed first-quadrant path (real segment plus a
-  tilted ray, exact by Cauchy's theorem), with the convergence factor
-  e^{-eta k} and a polynomial extrapolation eta -> 0.  It shares no series,
-  residue or finite-part algebra with the contour evaluator.
+* ``potential_oracle_grid`` - an independent check on the same grid: the raw
+  integrand is integrated over a deformed first-quadrant path (real segment
+  plus a tilted ray, exact by Cauchy's theorem), undamped.  It shares no
+  series, residue or finite-part algebra with the contour evaluator.
+  ``potential_oracle`` (one point) is its 1 x 1 grid.
 
 Quadrature of the contour evaluator.  The three integrals are numpy array
 expressions on fixed composite Gauss-Legendre rules with GL_ORDER nodes per
@@ -55,28 +55,27 @@ MAX_REFINE times.  A point whose estimate then still exceeds max(abs_tol,
 10 rel_tol |value|) raises NumericalFailure with the partial value and its
 error estimate.  No scalar adaptive quadrature remains in this evaluator.
 
-Quadrature of the oracle.  Per point, one pass evaluates every occupation
-piece at every damping value: each node computes the integrand without
-occupation and damping once, and a (pieces x etas) factor matrix turns it
-into all the integrals.  Both path parts use composite rules of GL_ORDER
-nodes per panel: the segment is cut at a/2pi, a and 4a and into panels of
-at most ORACLE_PANEL_RAD radians of 2kR; the ray has edges at t_d 2^j
-(t_d = 1/(2R sin tilt) its decay length) up to 2^ORACLE_RAY_DOUBLINGS t_d,
-and its integrand at that end times t_d, a bound on the rest, enters the
-error estimate.  Each panel is compared with its two halves; only panels
-whose difference misses their share of the target are split again, up to
-MAX_REFINE times.  A point whose summed differences exceed max(abs_tol,
-10 rel_tol (|segment| + |ray|)) for some integral raises NumericalFailure.
-In the far zone the segment and the ray cancel to a sum about 100 R^-4
-of their size (1e-6 at R = 100), so the phase of e^{2ikR} is built from
-the panel (or ray) start and the node's offset, not from the rounded node.
-No scalar adaptive quadrature remains in the package; scipy.integrate is
-still imported at start-up (ROADMAP item 4).
+Quadrature of the oracle.  A point's path leaves the real axis at
+K0 = min(ORACLE_K0, 1/R) and follows the ray K0 + t e^{i ORACLE_TILT}, on
+which e^{2ikR} decays by itself, so the integral is taken undamped.  One
+pass per path part covers every panel of every point; each node evaluates
+the integrand once and the three occupation pieces from it.  Both parts use
+composite rules of GL_ORDER nodes per panel: the segment, x = kR in
+[0, K0 R] (K0 R <= 1), is cut at a/2pi, a and 4a and into panels of at most
+ORACLE_PANEL_RAD radians of 2kR; the ray has edges at t_d 2^j (t_d =
+1/(2R sin tilt), its decay length) up to 2^ORACLE_RAY_DOUBLINGS t_d, and its
+integrand there times t_d bounds the rest in the error estimate.  Panels
+whose difference from their two halves misses their share of the target are
+split again, up to MAX_REFINE times.  A point whose summed error estimate
+exceeds max(abs_tol, 10 rel_tol |V|) is a NumericalFailure.  No scalar
+adaptive quadrature remains; scipy.integrate is still imported at start-up
+(ROADMAP item 4).
 
-Every contour value is a function of (R, a, atom, QuadratureSpec) alone: the
-arithmetic of one row never involves another, so a grid returns bit for bit
-what point-by-point calls return.  All evaluators are pure functions,
-deterministic for a fixed QuadratureSpec, and safe for concurrent use.
+Every contour and oracle value is a function of (R, a, atom,
+QuadratureSpec) alone: the arithmetic of one point never involves another,
+so a grid returns bit for bit what point-by-point calls return.  All
+evaluators are pure functions, deterministic for a fixed QuadratureSpec,
+and safe for concurrent use.
 """
 from __future__ import annotations
 
@@ -93,7 +92,6 @@ from .atoms import AtomSpec, alpha_real, oscillator_sum, oscillator_weights
 from .errors import (
     DomainError,
     NumericalFailure,
-    OracleUnreliableError,
     RegimeError,
     UnruhCPError,
     check_domain,
@@ -124,12 +122,11 @@ P_SERIES = 0.25       # below this x, (Q(x) e^{-2x} - 3)/x^2 is summed as a seri
 POLE_BLOCK_MIN = 32   # pole-sum block sizes (terms)
 POLE_BLOCK_MAX = 16384
 ORACLE_MAX_A = 0.1    # enforced oracle domain a / (omega0 c)
-ORACLE_K0 = 0.5       # reduced wavenumber where the oracle path leaves the real axis
+ORACLE_K0 = 0.5       # the oracle path leaves the real axis at min(ORACLE_K0, 1/R)
 ORACLE_TILT = math.pi / 4
 ORACLE_PANEL_RAD = 1.0      # widest oracle segment panel, in radians of 2kR
 ORACLE_RAY_DOUBLINGS = 6    # oracle ray panels end at 2^6 decay lengths
 ORACLE_BLOCK = 256          # oracle panels evaluated per array pass
-ORACLE_MAX_PANELS = 16384   # oracle segment panels; about R / (c/omega0) are needed
 
 
 @dataclass(frozen=True)
@@ -140,15 +137,14 @@ class QuadratureSpec:
     matsubara_rel_cutoff  stop the pole sum when a term falls below this
                           fraction of the partial sum
     matsubara_hard_cap    unconditional pole-count cap
-    damping_schedule      decreasing e^{-eta k} factors (units c/omega0)
-                          used by the oracle's eta -> 0 extrapolation
+
+    The oracle integrates undamped and needs no further setting.
     """
 
     rel_tol: float = 1e-6
     abs_tol: float = 1e-30
     matsubara_rel_cutoff: float = 1e-12
     matsubara_hard_cap: int = DEFAULT_POLE_CAP
-    damping_schedule: tuple[float, ...] = (1e-2, 3e-3, 1e-3)
 
     def __post_init__(self):
         check_domain("rel_tol", self.rel_tol)
@@ -156,15 +152,6 @@ class QuadratureSpec:
         check_domain("matsubara_rel_cutoff", self.matsubara_rel_cutoff)
         if not (math.isfinite(self.matsubara_hard_cap) and self.matsubara_hard_cap >= 10):
             raise DomainError("matsubara_hard_cap must be finite and >= 10")
-        try:
-            sched = tuple(float(e) for e in self.damping_schedule)
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"damping_schedule must hold numbers: {exc}") from exc
-        if (len(sched) < 3 or not all(map(math.isfinite, sched))
-                or any(b <= c for b, c in zip(sched, sched[1:])) or sched[-1] <= 0):
-            raise DomainError("damping_schedule must be finite, strictly decreasing, "
-                              "length >= 3, positive")
-        object.__setattr__(self, "damping_schedule", sched)
 
 
 DEFAULT_QUAD = QuadratureSpec()
@@ -205,6 +192,21 @@ class _ReducedAtom:
     alpha_curv: float            # k^2 coefficient of alpha^2(k) about k = 0
     alpha_quart: float           # k^4 coefficient of alpha^2(k) about k = 0
     gamma: float                 # linewidth in omega0
+
+
+def _grid_points(R, a, atom: AtomSpec, units):
+    """(units, separations, accelerations, reduced atom, reduced separations,
+    reduced accelerations) of a grid call; DomainError for a separation that
+    is not finite and > 0 or an acceleration that is not finite and >= 0."""
+    u = units_for(atom, units)
+    Rs = [float(r) for r in R]
+    As = [float(x) for x in a]
+    for r in Rs:
+        check_domain("separation", r)
+    for x in As:
+        check_domain("acceleration", x, strict=False)
+    return (u, Rs, As, _reduce_atom(atom, u), [u.reduce_length(r) for r in Rs],
+            [u.reduce_acceleration(x) for x in As])
 
 
 def _reduce_atom(atom: AtomSpec, units: UnitSystem) -> _ReducedAtom:
@@ -505,16 +507,7 @@ def potential_grid(R, a, atom: AtomSpec, quad: QuadratureSpec = DEFAULT_QUAD,
     for the whole call.  Every entry equals what potential_numeric returns
     (or raises) for its point alone.
     """
-    u = units_for(atom, units)
-    Rs = [float(r) for r in R]
-    As = [float(x) for x in a]
-    for r in Rs:
-        check_domain("separation", r)
-    for x in As:
-        check_domain("acceleration", x, strict=False)
-    ra = _reduce_atom(atom, u)
-    rts = [u.reduce_length(r) for r in Rs]
-    ats = [u.reduce_acceleration(x) for x in As]
+    u, Rs, As, ra, rts, ats = _grid_points(R, a, atom, units)
     imag, e_imag, imag_ok = (arr.tolist() for arr in _imag_axis_pieces(np.array(rts), ra, quad))
 
     # the Bose real-axis piece, batched over every (R, a) pair that takes it
@@ -608,219 +601,216 @@ def potential_numeric(R: float, a: float, atom: AtomSpec,
 
 
 # --------------------------------------------------------------------------
-# oracle: damped integral on a deformed first-quadrant path
+# oracle: undamped integral on an R-scaled deformed first-quadrant path
 # --------------------------------------------------------------------------
-def _occupation_piece(k, at: float, piece: str):
-    """Occupation piece "vacuum", "nonthermal_a2" or "bose" at real or complex k
-    (a float or an array)."""
-    if piece == "vacuum":
-        return 0.5
+def _occupation_pieces(k, at, inv):
+    """Occupation pieces (vacuum, nonthermal_a2, bose), an array (3, len(k)), at
+    real or complex nodes k with reduced accelerations at and inv = 2 pi/at
+    (inf at a = 0, where the last two pieces are exact zeros)."""
     x2 = (at / k) ** 2
-    if piece == "nonthermal_a2":
-        return 0.5 * x2
-    with np.errstate(over="ignore"):   # t = inf lies past the Bose cut-off
-        t = 2.0 * math.pi * k / at
-    return (1.0 + x2) * _bose(t)
+    return np.stack([np.full(k.shape, 0.5), 0.5 * x2, (1.0 + x2) * _bose(k * inv)])
 
 
-def _path_integrals(edges: np.ndarray, integrand, quad: QuadratureSpec):
-    """Integrals of `integrand` over the panels between consecutive `edges` of
-    one path part.
+def _path_integrals(lo, hi, pt, n: int, integrand, quad: QuadratureSpec):
+    """Integrals of `integrand` over the panels [lo, hi] of one path part of
+    n points; panel i belongs to point pt[i].
 
-    integrand(lo, off) takes each node as its panel's start lo plus the
-    offset off (1-d arrays) and returns an array (integrals, len(lo)).  Each
-    panel's GL_ORDER-node sum is compared with the sum over its two halves;
-    a panel whose difference exceeds both its share of the target,
-    _target(quad) times its own magnitude, and the rounding floor of the
-    part's sum is split at its midpoint and compared again, up to
-    MAX_REFINE times.  Returns the values and error estimates (the summed
-    panel differences), one per integral.
+    integrand(lo, off, p) takes each node as its panel's start lo plus the
+    offset off, with its point index p (1-d arrays), and returns an array
+    (integrals, len(lo)).  Each panel's GL_ORDER-node sum is compared with
+    the sum over its two halves; a panel whose difference exceeds both its
+    share of the target, _target(quad) times its own magnitude, and the
+    rounding floor of its point's sum is split at its midpoint and compared
+    again, up to MAX_REFINE times.  Returns the values and error estimates
+    (the summed panel differences), arrays (integrals, n).  np.bincount sums
+    each point's panels in order, so no point's results depend on another's.
     """
     nodes, weights = _unit_gauss(GL_ORDER)
 
-    def sums(lo, hi):
+    def sums(lo, hi, pt):
         # in blocks of ORACLE_BLOCK panels, which bounds the temporary arrays
         out = []
         for i in range(0, len(lo), ORACLE_BLOCK):
             b_lo = lo[i:i + ORACLE_BLOCK]
             width = hi[i:i + ORACLE_BLOCK] - b_lo
-            f = integrand(np.repeat(b_lo, len(nodes)), (width[:, None] * nodes).ravel())
+            f = integrand(np.repeat(b_lo, len(nodes)), (width[:, None] * nodes).ravel(),
+                          np.repeat(pt[i:i + ORACLE_BLOCK], len(nodes)))
             out.append((f.reshape(len(f), len(b_lo), len(nodes)) * weights).sum(axis=2) * width)
         return np.concatenate(out, axis=1)
 
-    lo, hi = edges[:-1], edges[1:]
+    def per_point(x, pt):
+        # (integrals, panels) -> (integrals, n)
+        idx = (np.arange(len(x))[:, None] * n + pt).ravel()
+        return np.bincount(idx, weights=x.ravel(), minlength=len(x) * n).reshape(len(x), n)
+
     mid = lo + 0.5 * (hi - lo)
-    n = len(lo)
-    first = sums(np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi]))
-    coarse, halves = first[:, :n], first[:, n:]
-    # differences below the rounding of the whole part's sum cannot shrink
-    floor = 4.0 * np.finfo(float).eps * np.abs(halves[:, :n] + halves[:, n:]).sum(axis=1)[:, None]
+    m = len(lo)
+    first = sums(np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi]), np.tile(pt, 3))
+    coarse, halves = first[:, :m], first[:, m:]
+    # differences below the rounding of the point's whole sum cannot shrink
+    floor = 4.0 * np.finfo(float).eps * per_point(np.abs(halves[:, :m] + halves[:, m:]), pt)
     target = _target(quad)
     value = error = 0.0
     for level in range(MAX_REFINE + 1):
-        left, right = halves[:, :n], halves[:, n:]
+        left, right = halves[:, :m], halves[:, m:]
         fine = left + right
         diff = np.abs(fine - coarse)
-        miss = ((diff > target * np.abs(fine)) & (diff > floor)).any(axis=0)
+        miss = ((diff > target * np.abs(fine)) & (diff > floor[:, pt])).any(axis=0)
         done = ~miss if level < MAX_REFINE else np.ones_like(miss)
-        value = value + fine[:, done].sum(axis=1)
-        error = error + diff[:, done].sum(axis=1)
+        value = value + per_point(fine[:, done], pt[done])
+        error = error + per_point(diff[:, done], pt[done])
         if done.all():
             break
         lo, hi = np.concatenate([lo[miss], mid[miss]]), np.concatenate([mid[miss], hi[miss]])
+        pt = np.tile(pt[miss], 2)
         coarse = np.concatenate([left[:, miss], right[:, miss]], axis=1)
         mid = lo + 0.5 * (hi - lo)
-        n = len(lo)
-        halves = sums(np.concatenate([lo, mid]), np.concatenate([mid, hi]))
+        m = len(lo)
+        halves = sums(np.concatenate([lo, mid]), np.concatenate([mid, hi]), np.tile(pt, 2))
     return value, error
 
 
-def _k4u(x, Rt: float):
+def _k4u(x, Rt):
     """k^4 u_factor(kR) at x = kR, real or complex, from the numerator polynomial."""
     return ((((x + 2j) * x - 5.0) * x - 6j) * x + 3.0) / Rt**4
 
 
-def _oracle_piece(Rt: float, at: float, ra: _ReducedAtom, quad: QuadratureSpec,
-                  pieces: tuple[str, ...]):
-    """The damped integral of each occupation piece over the deformed path,
-    for every damping value eta of quad.damping_schedule, on the oracle's
-    rules (module docstring).  Returns values and error estimates, arrays
-    (pieces, etas), and whether every integral's error is within
-    max(abs_tol, 10 rel_tol (|segment| + |ray|)).
+def _oracle_piece(Rt: np.ndarray, at: np.ndarray, ra: _ReducedAtom, quad: QuadratureSpec):
+    """The undamped integrals of the three occupation pieces over the R-scaled
+    path of each reduced point (Rt, at) of the arrays, on the oracle's rules
+    (module docstring).  Returns values and error estimates, arrays
+    (3, len(Rt)), and per point whether its summed error is within
+    max(abs_tol, 10 rel_tol |V|), V the sum of its three values.
     """
-    etas = np.array(quad.damping_schedule)
+    n = len(Rt)
+    with np.errstate(divide="ignore", over="ignore"):   # inf: no Bose piece at a = 0
+        inv = 2.0 * math.pi / at
+    k0 = np.minimum(ORACLE_K0, 1.0 / Rt)
 
-    def factors(k):
-        occ = np.array([np.broadcast_to(_occupation_piece(k, at, p), k.shape)
-                        for p in pieces])
-        damp = np.exp(-np.multiply.outer(etas, k))
-        return (occ[:, None, :] * damp[None, :, :]).reshape(-1, len(k))
-
-    def f_seg(x_lo, dx):
+    def f_seg(x_lo, dx, p):
         # the segment in x = kR; Im[e^{2ix} u_factor(x)] by its series below
-        # SERIES_SWITCH, where the polynomial form cancels
+        # SERIES_SWITCH, where the polynomial form cancels; the phase comes
+        # from the panel start and the node's offset, not the rounded node
+        r = Rt[p]
         x = x_lo + dx
-        k = x / Rt
-        osc = (_k4u(x, Rt) * np.exp(2j * x_lo) * np.exp(2j * dx)).imag
+        k = x / r
+        osc = (_k4u(x, r) * np.exp(2j * x_lo) * np.exp(2j * dx)).imag
         small = x <= SERIES_SWITCH
         k2 = k[small] ** 2
         osc[small] = k2 * k2 * osc_imag_part(x[small])
-        return factors(k) * (osc * _alpha2_real0(k, ra) / Rt)
+        return _occupation_pieces(k, at[p], inv[p]) * (osc * _alpha2_real0(k, ra) / r)
 
     eith = complex(math.cos(ORACLE_TILT), math.sin(ORACLE_TILT))
-    phase0 = np.exp(2j * ORACLE_K0 * Rt)
+    phase0 = np.exp(2j * k0 * Rt)
 
-    def f_ray_complex(t_lo, dt):
+    def f_ray_complex(t_lo, dt, p):
+        r = Rt[p]
         t = t_lo + dt
-        k = ORACLE_K0 + t * eith
+        k = k0[p] + t * eith
         alpha = oscillator_sum(k * k, ra.weights, ra.omegas)
-        return factors(k) * (eith * _k4u(k * Rt, Rt) * phase0 * np.exp(2j * Rt * eith * t)
-                             * alpha * alpha)
+        return _occupation_pieces(k, at[p], inv[p]) * (
+            eith * _k4u(k * r, r) * phase0[p] * np.exp((2j * eith) * (r * t)) * alpha * alpha)
 
-    # cuts below the smallest normal double would put nodes at k = 0
-    end = ORACLE_K0 * Rt
-    cuts = [0.0, *sorted(x for x in (p * Rt for p in (at / (2.0 * math.pi), at, 4.0 * at))
-                         if np.finfo(float).tiny < x < end), end]
-    counts = [max(1, math.ceil(2.0 * (x1 - x0) / ORACLE_PANEL_RAD))
-              for x0, x1 in zip(cuts, cuts[1:])]
-    if sum(counts) > ORACLE_MAX_PANELS:
-        raise NumericalFailure(f"oracle segment needs {sum(counts)} panels at "
-                               f"R = {Rt:.3g} c/omega0, more than {ORACLE_MAX_PANELS}")
-    seg_edges = [0.0]
-    for x0, x1, n in zip(cuts, cuts[1:], counts):
-        seg_edges.extend(x0 + (x1 - x0) * np.arange(1, n) / n)
-        seg_edges.append(x1)
-    seg, e_seg = _path_integrals(np.array(seg_edges), f_seg, quad)
-
+    seg, ray = ([], [], []), ([], [], [])   # (lo, hi, point) of every panel
     td = 1.0 / (2.0 * Rt * math.sin(ORACLE_TILT))
-    # the first edge resolves the shortest scale at the ray's start: t_d, the
-    # distance to the lowest resonance (k = 1) and, where the Bose factor is
-    # not cut off on the ray, its decay length
-    scales = [td, 1.0 - ORACLE_K0]
-    if 2.0 * math.pi * ORACLE_K0 <= EXP_OVERFLOW * at:
-        scales.append(at / (2.0 * math.pi))
-    j0 = min(0, math.floor(math.log2(min(scales) / td)))
-    ray_edges = td * np.array([0.0, *(2.0**j for j in range(j0, ORACLE_RAY_DOUBLINGS + 1))])
-    ray, e_ray = _path_integrals(ray_edges, lambda t, dt: f_ray_complex(t, dt).imag, quad)
-    e_ray = e_ray + td * np.abs(f_ray_complex(ray_edges[-1:], np.zeros(1)))[:, 0]
+    ray_end = np.empty(n)
+    for p, (r, a, k) in enumerate(zip(Rt.tolist(), at.tolist(), k0.tolist())):
+        # cuts below the smallest normal double would put nodes at k = 0
+        end = k * r
+        cuts = [0.0, *sorted(x for x in (q * r for q in (a / (2.0 * math.pi), a, 4.0 * a))
+                             if np.finfo(float).tiny < x < end), end]
+        edges = [0.0]
+        for x0, x1 in zip(cuts, cuts[1:]):
+            count = max(1, math.ceil(2.0 * (x1 - x0) / ORACLE_PANEL_RAD))
+            edges.extend(x0 + (x1 - x0) * np.arange(1, count) / count)
+            edges.append(x1)
+        # the first ray edge resolves the shortest scale at the ray's start:
+        # t_d, the distance to the lowest resonance (k = 1) and, where the
+        # Bose factor is not cut off on the ray, its decay length
+        scales = [td[p], 1.0 - k]
+        if 2.0 * math.pi * k <= EXP_OVERFLOW * a:
+            scales.append(a / (2.0 * math.pi))
+        j0 = min(0, math.floor(math.log2(min(scales) / td[p])))
+        ray_edges = [0.0, *(td[p] * 2.0**j for j in range(j0, ORACLE_RAY_DOUBLINGS + 1))]
+        ray_end[p] = ray_edges[-1]
+        for part, e in ((seg, edges), (ray, ray_edges)):
+            part[0].extend(e[:-1])
+            part[1].extend(e[1:])
+            part[2].extend([p] * (len(e) - 1))
+    v_seg, e_seg = _path_integrals(*map(np.array, seg), n, f_seg, quad)
+    v_ray, e_ray = _path_integrals(*map(np.array, ray), n,
+                                   lambda t, dt, p: f_ray_complex(t, dt, p).imag, quad)
+    e_ray = e_ray + td * np.abs(f_ray_complex(ray_end, np.zeros(n), np.arange(n)))
 
-    # segment and ray cancel more and more as R grows, so the tolerance is
-    # relative to their magnitudes, not to their sum
-    error = e_seg + e_ray
-    ok = bool((error <= np.maximum(quad.abs_tol,
-                                   10.0 * quad.rel_tol * (np.abs(seg) + np.abs(ray)))).all())
     scale = -2.0 / (math.pi * Rt * Rt)
-    shape = (len(pieces), len(etas))
-    return (scale * (seg + ray)).reshape(shape), (abs(scale) * error).reshape(shape), ok
+    values, errors = scale * (v_seg + v_ray), np.abs(scale) * (e_seg + e_ray)
+    total = values[0] + values[1] + values[2]
+    ok = errors[0] + errors[1] + errors[2] <= np.maximum(quad.abs_tol,
+                                                         10.0 * quad.rel_tol * np.abs(total))
+    return values, errors, ok
 
 
-def _extrapolate_eta(etas, values):
-    """Polynomial (Richardson-style) extrapolation to eta = 0.
+def potential_oracle_grid(R, a, atom: AtomSpec, quad: QuadratureSpec = DEFAULT_QUAD,
+                          units: UnitSystem | str | None = None
+                          ) -> list[list[PotentialResult | UnruhCPError]]:
+    """Oracle evaluation on the product grid of separations R and accelerations a.
 
-    Returns (value, spread) where spread compares the quadratic and linear
-    extrapolations through the smallest damping values.
+    Same layout and whole-call DomainError as potential_grid.  An entry is
+    the PotentialResult or the error its point raises: DomainError for
+    a/(omega0 c) > ORACLE_MAX_A, NumericalFailure (with the partial value and
+    error estimate) when the summed error estimate of the three pieces
+    exceeds max(abs_tol, 10 rel_tol |V|).  Every entry equals what
+    potential_oracle returns (or raises) for its point alone.
     """
-    e = list(etas)[-3:]
-    v = list(values)[-3:]
-    quad_fit = np.polyfit(e, v, 2)
-    lin_fit = np.polyfit(e[-2:], v[-2:], 1)
-    v_quad = float(np.polyval(quad_fit, 0.0))
-    v_lin = float(np.polyval(lin_fit, 0.0))
-    return v_quad, abs(v_quad - v_lin)
+    u, Rs, As, ra, rts, ats = _grid_points(R, a, atom, units)
+    inside = [at for at in ats if at <= ORACLE_MAX_A]
+    if inside:
+        values, errors, ok = (arr.tolist() for arr in _oracle_piece(
+            np.tile(rts, len(inside)), np.repeat(inside, len(rts)), ra, quad))
+    q = 0   # index of the next point inside the domain
+    grid = []
+    for a_j, at in zip(As, ats):
+        row = []
+        for R_i in Rs:
+            if at > ORACLE_MAX_A:
+                row.append(DomainError(
+                    f"oracle supports a/(omega0 c) <= {ORACLE_MAX_A}; got {at:.3g}"))
+                continue
+            vac, nonth, bose = (v[q] for v in values)
+            value = u.restore_energy(vac + nonth + bose)
+            error = u.restore_energy(errors[0][q] + errors[1][q] + errors[2][q])
+            if not ok[q]:
+                row.append(NumericalFailure(
+                    f"oracle quadrature missed its tolerance at R={R_i!r}, a={a_j!r}: "
+                    f"error estimate {error:.3e} after {MAX_REFINE} refinements",
+                    partial=value, error_estimate=error))
+            else:
+                row.append(PotentialResult(
+                    value=value,
+                    error_estimate=error,
+                    parts={"vacuum": u.restore_energy(vac),
+                           "nonthermal_a2": u.restore_energy(nonth),
+                           "residue_sum": u.restore_energy(bose)},
+                    regime=classify_regime(R_i, a_j, atom, c=u.c),
+                ))
+            q += 1
+        grid.append(row)
+    return grid
 
 
 def potential_oracle(R: float, a: float, atom: AtomSpec,
                      quad: QuadratureSpec = DEFAULT_QUAD,
                      units: UnitSystem | str | None = None) -> PotentialResult:
-    """Independent evaluation of the accelerated-pair potential.
+    """Independent evaluation of the accelerated-pair potential: the undamped
+    deformed-path integral of the module docstring, for a/(omega0 c) <=
+    ORACLE_MAX_A.
 
-    Deformed-path damped integral, extrapolated to zero damping over
-    quad.damping_schedule.  Supported for a/(omega0 c) <= 0.1.  The error
-    estimate is the extrapolation spread plus the largest quadrature error.
-    The call fails with NumericalFailure when the path quadrature misses its
-    tolerance and with OracleUnreliableError when the spread exceeds ten
-    times the requested relative tolerance.
+    The 1 x 1 call of potential_oracle_grid.  The error estimate is the sum
+    of the quadrature error estimates of the three occupation pieces; the
+    call raises NumericalFailure, carrying the partial value, when that sum
+    exceeds max(abs_tol, 10 rel_tol |V|).
     """
-    u = units_for(atom, units)
-    check_domain("separation", R)
-    check_domain("acceleration", a, strict=False)
-    ra = _reduce_atom(atom, u)
-    Rt = u.reduce_length(R)
-    at = u.reduce_acceleration(a)
-    if at > ORACLE_MAX_A:
-        raise DomainError(
-            f"oracle supports a/(omega0 c) <= {ORACLE_MAX_A}; got {at:.3g}")
-
-    etas = quad.damping_schedule
-    # the Bose piece enters the totals only; at a = 0 only the vacuum piece is left
-    pieces = ("vacuum",) if at == 0.0 else ("vacuum", "nonthermal_a2", "bose")
-    values, errors, ok = _oracle_piece(Rt, at, ra, quad, pieces)
-    vt, spread = _extrapolate_eta(etas, values.sum(axis=0))
-    rows = dict(zip(pieces, values))
-    per_piece = {p: _extrapolate_eta(etas, rows[p])[0] if p in rows and rows[p].any() else 0.0
-                 for p in ("vacuum", "nonthermal_a2")}
-    # keep the decomposition summing exactly to the extrapolated value
-    per_piece["residue_sum"] = vt - per_piece["vacuum"] - per_piece["nonthermal_a2"]
-
-    err_est = spread + float(errors.max())
-    if not ok:
-        raise NumericalFailure(
-            f"oracle quadrature missed its tolerance at R={R!r}, a={a!r}: "
-            f"error estimate {u.restore_energy(err_est):.3e} after {MAX_REFINE} refinements",
-            partial=u.restore_energy(vt), error_estimate=u.restore_energy(err_est))
-    if spread > 10.0 * quad.rel_tol * max(abs(vt), quad.abs_tol):
-        raise OracleUnreliableError(
-            f"damping extrapolation spread {spread:.3e} exceeds "
-            f"10 * rel_tol * |value| = {10 * quad.rel_tol * abs(vt):.3e}",
-            partial=u.restore_energy(vt), error_estimate=u.restore_energy(err_est))
-
-    return PotentialResult(
-        value=u.restore_energy(vt),
-        error_estimate=u.restore_energy(err_est),
-        parts={k: u.restore_energy(v) for k, v in per_piece.items()},
-        regime=classify_regime(R, a, atom, c=u.c),
-        warnings=(),
-    )
+    return _result(potential_oracle_grid([R], [a], atom, quad, units)[0][0])
 
 
 __all__ = [
@@ -832,6 +822,7 @@ __all__ = [
     "potential_inertial",
     "potential_numeric",
     "potential_oracle",
+    "potential_oracle_grid",
     "u_factor",
     "osc_imag_part",
     "osc_real_part",

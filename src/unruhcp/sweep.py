@@ -6,9 +6,11 @@ precision, and a fixed configuration yields byte-identical CSV and report
 output.
 
 Each report section that needs contour values evaluates its (R, a) grid in
-one potential_grid call, which returns bit for bit what point-by-point calls
-return; an entry that is an error is raised as the point call raises it.  The occupation
-section checks its sampled (omega, a) points in one array pass.
+one potential_grid call, and the dual-method section takes its oracle values
+from one potential_oracle_grid call; both return bit for bit what
+point-by-point calls return, and an entry that is an error is raised as the
+point call raises it.  The occupation section checks its sampled (omega, a)
+points in one array pass.
 """
 from __future__ import annotations
 
@@ -24,7 +26,6 @@ import numpy as np
 from . import asymptotics
 from .atoms import AtomSpec, alpha_static, load_atom, two_level
 from .errors import (
-    DomainError,
     InputError,
     NumericalFailure,
     RegimeError,
@@ -38,10 +39,10 @@ from .potential import (
     QuadratureSpec,
     _result,
     potential_grid,
-    potential_oracle,
+    potential_oracle_grid,
 )
 # unused; the perfbench tracer wraps these names in this module (ROADMAP item 4)
-from .potential import potential_inertial, potential_numeric  # noqa: F401
+from .potential import potential_inertial, potential_numeric, potential_oracle  # noqa: F401
 from .units import UnitSystem, units_for
 
 CSV_COLUMNS = ("R", "a", "regime", "V_contour", "V_oracle", "V_asymptotic",
@@ -63,14 +64,21 @@ class GridSpec:
 
     @classmethod
     def from_obj(cls, obj) -> "GridSpec":
+        def real(x) -> float:   # refuses JSON true/false
+            if isinstance(x, bool):
+                raise TypeError(f"{x!r} is not a number")
+            return float(x)
+
         try:
             if isinstance(obj, dict) and "value" in obj:
-                g = cls(value=float(obj["value"]))
+                g = cls(value=real(obj["value"]))
             elif isinstance(obj, (int, float)):
-                g = cls(value=float(obj))
+                g = cls(value=real(obj))
             else:
-                g = cls(min=float(obj["min"]), max=float(obj["max"]),
-                        count=int(obj["count"]))
+                count = obj["count"]
+                if int(count) != real(count):
+                    raise ValueError(f"count {count!r} is not an integer")
+                g = cls(min=real(obj["min"]), max=real(obj["max"]), count=int(count))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"bad grid spec {obj!r}: {exc}") from exc
         if g.value is None and (g.count < 2 or not 0.0 < g.min < g.max):
@@ -193,9 +201,9 @@ def _asymptotic_value(R: float, a: float, regime, config: SweepConfig, units: Un
     return None, "no closed form applies for crossover aR/c^2"
 
 
-def _eval_point(R: float, a: float, contour, config: SweepConfig, units: UnitSystem):
-    """The row of one grid point from its contour outcome (a PotentialResult,
-    the error it raised, or None when not requested), the oracle and the
+def _eval_point(R: float, a: float, contour, oracle, config: SweepConfig, units: UnitSystem):
+    """The row of one grid point from its contour and oracle outcomes (each a
+    PotentialResult, the error it raised, or None when not requested) and the
     closed forms."""
     warnings: list[str] = []
     vals: dict[str, float | None] = {"contour": None, "oracle": None, "asymptotic": None}
@@ -212,12 +220,10 @@ def _eval_point(R: float, a: float, contour, config: SweepConfig, units: UnitSys
         elif isinstance(contour, NumericalFailure):
             warnings.append(f"contour: numerical failure: {contour}")
 
-    if "oracle" in config.methods:
-        try:
-            res = potential_oracle(R, a, config.atom, config.quad, units=units)
-            vals["oracle"] = res.value
-        except (DomainError, NumericalFailure) as exc:
-            warnings.append(f"oracle: {exc}")
+    if isinstance(oracle, PotentialResult):
+        vals["oracle"] = oracle.value
+    elif oracle is not None:
+        warnings.append(f"oracle: {oracle}")
 
     if "asymptotic" in config.methods:
         try:
@@ -251,20 +257,21 @@ def _eval_point(R: float, a: float, contour, config: SweepConfig, units: UnitSys
 def _eval_batch(Rs: list[float], config: SweepConfig, units: UnitSystem) -> list[list[SweepRow]]:
     """Rows of the separations Rs at every acceleration, one list per acceleration."""
     As = config.a_grid.points()
-    if "contour" in config.methods:
-        contour = potential_grid(Rs, As, config.atom, config.quad, units=units)
-    else:
-        contour = [[None] * len(Rs) for _ in As]
-    return [[_eval_point(R, a, c, config, units) for R, c in zip(Rs, row)]
-            for a, row in zip(As, contour)]
+    absent = [[None] * len(Rs) for _ in As]
+    contour = (potential_grid(Rs, As, config.atom, config.quad, units=units)
+               if "contour" in config.methods else absent)
+    oracle = (potential_oracle_grid(Rs, As, config.atom, config.quad, units=units)
+              if "oracle" in config.methods else absent)
+    return [[_eval_point(R, a, c, o, config, units) for R, c, o in zip(Rs, c_row, o_row)]
+            for a, c_row, o_row in zip(As, contour, oracle)]
 
 
 def run_sweep(config: SweepConfig, max_workers: int = 1) -> list[SweepRow]:
     """Evaluate every grid point; row order is lexicographic (a, R).
 
-    The contour evaluator takes the grid in batches of separations, each at
-    every acceleration.  For max_workers > 1 the separations are split into
-    that many batches, evaluated concurrently; every value depends on its own
+    The contour evaluator and the oracle take the grid in batches of
+    separations, each at every acceleration; for max_workers > 1, in that
+    many batches, evaluated concurrently.  Every value depends on its own
     point only, so the output is independent of the split.  Per-point
     failures become row warnings and never abort the sweep.
     """
@@ -560,17 +567,16 @@ def _section_dual_method(atom, quad, units):
     Rs = np.logspace(-1, 2, 5) * R_scale
     As = np.logspace(-3, -1, 5) * a_scale
     contour = potential_grid(Rs, As, atom, quad, units=units)
+    oracle = potential_oracle_grid(Rs, As, atom, quad, units=units)
     worst = 0.0
     failures = []
-    for a, row in zip(As, contour):
-        for R, entry in zip(Rs, row):
+    for a, c_row, o_row in zip(As, contour, oracle):
+        for R, entry, o in zip(Rs, c_row, o_row):
             v = _result(entry).value
-            try:
-                w = potential_oracle(float(R), float(a), atom, quad, units=units).value
-            except UnruhCPError as exc:
-                failures.append({"R": float(R), "a": float(a), "error": str(exc)})
+            if isinstance(o, UnruhCPError):
+                failures.append({"R": float(R), "a": float(a), "error": str(o)})
                 continue
-            worst = max(worst, abs(w - v) / abs(v))
+            worst = max(worst, abs(o.value - v) / abs(v))
     return {
         "grid": {"R_omega0_over_c": [0.1, "...", 100.0], "a_over_omega0c": [1e-3, "...", 0.1]},
         "max_rel_diff": worst,

@@ -40,8 +40,10 @@ def test_grid_spec_validation():
         GridSpec.from_obj({"min": 1.0, "max": 2.0, "count": 1})
     with pytest.raises(InputError):
         GridSpec.from_obj({"max": 2.0})
+    # a fractional count was once truncated and a boolean read as 1.0
     for bad in ({"value": math.nan}, {"min": 1.0, "max": math.inf, "count": 3},
-                {"min": 1, "max": 2, "count": "x"}, {"value": "x"}):
+                {"min": 1, "max": 2, "count": "x"}, {"value": "x"},
+                {"min": 1, "max": 2, "count": 2.9}, {"value": True}, True):
         with pytest.raises(InputError):
             GridSpec.from_obj(bad)
     g = GridSpec.from_obj({"value": 0.0})
@@ -60,7 +62,9 @@ def test_sweep_config_validation():
     with pytest.raises(InputError, match="list"):   # not split into characters
         SweepConfig.from_dict({"atom": {"two_level": {"omega0": 1.0, "alpha0": 1.0}},
                                "methods": "contour"})
-    for dropped in ({"origin_cutoff": 1e-3}, {"max_subdivisions": 200}):   # not QuadratureSpec fields
+    # not QuadratureSpec fields
+    for dropped in ({"origin_cutoff": 1e-3}, {"max_subdivisions": 200},
+                    {"damping_schedule": [1e-2, 3e-3, 1e-3]}):
         with pytest.raises(InputError):
             SweepConfig.from_dict({"atom": {"two_level": {"omega0": 1.0, "alpha0": 1.0}},
                                    "quad": dropped})
@@ -261,9 +265,10 @@ def test_cli_rejects_non_finite_arguments(atom_file, tmp_path, capsys):
                                "methods": ["asymptotic"]}))
     assert cli.main(["sweep", "--config", str(cfg)]) == 1
     # an infinite tolerance once exited 0 with every tolerance gate off; a
-    # malformed grid once escaped as a traceback
+    # malformed grid once escaped as a traceback and a fractional count was truncated
     for doc in ({"atom": atom_file, "quad": {"rel_tol": math.inf}},
-                {"atom": atom_file, "R_grid": {"min": 1, "max": 2, "count": "x"}}):
+                {"atom": atom_file, "R_grid": {"min": 1, "max": 2, "count": "x"}},
+                {"atom": atom_file, "R_grid": {"min": 1, "max": 2, "count": 2.9}}):
         cfg.write_text(json.dumps(doc))
         assert cli.main(["sweep", "--config", str(cfg)]) == 1
     assert capsys.readouterr().out == ""
@@ -325,7 +330,6 @@ def test_cli_eval_custom_quad(atom_file, tmp_path):
     quad_file.write_text(json.dumps({
         "rel_tol": 1e-5,
         "matsubara_hard_cap": 50_000,
-        "damping_schedule": [2e-2, 6e-3, 2e-3],
     }))
     proc = _cli("eval", "--R", "1.0", "--accel", "0.01", "--atom", atom_file,
                 "--quad", str(quad_file), "--method", "both")
