@@ -39,6 +39,18 @@ def _print_json(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
+def _write_output(path: str | None, text: str) -> None:
+    """Write text to the file path, or to stdout when path is unset or "-"."""
+    if not path or path == "-":
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path!r}: {exc}") from exc
+
+
 def _load_quad(path: str | None) -> QuadratureSpec:
     if path is None:
         return QuadratureSpec()
@@ -85,21 +97,16 @@ def _cmd_asymptotic(args) -> int:
     doc = {"law": args.law, "R": args.R, "a": args.accel, "units": args.units}
     if args.law == "near":
         doc["value"] = near_zone_value(args.R, atom, units=args.units)
-        doc["slope"] = -6.0
     elif args.law == "far-low":
         t7, t5 = far_low_acc_parts(args.R, args.accel, atom, units=args.units)
         doc["value"] = t7 + t5
         doc["parts"] = {"inertial_R7": t7, "acceleration_R5": t5}
-        doc["slope"] = closed_form_slope("far-low", args.R, args.accel, atom,
-                                         units=args.units)
     elif args.law == "high-ar":
         doc["value"] = high_aR(args.R, args.accel, atom, units=args.units)
-        doc["slope"] = -6.0
     else:
         doc["value"] = potential_high_acc(args.R, args.accel, atom, atom_b,
                                           units=args.units)
-        doc["slope"] = closed_form_slope("high-acc", args.R, args.accel, atom,
-                                         units=args.units)
+    doc["slope"] = closed_form_slope(args.law, args.R, args.accel, atom, units=args.units)
     _print_json(doc)
     return 0
 
@@ -113,13 +120,7 @@ def _resolve_config(path: str) -> SweepConfig:
 def _cmd_sweep(args) -> int:
     config = _resolve_config(args.config)
     rows = run_sweep(config, max_workers=args.workers)
-    text = rows_to_csv(rows)
-    out = args.out or config.output_path
-    if out and out != "-":
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_output(args.out or config.output_path, rows_to_csv(rows))
     return 0
 
 
@@ -141,12 +142,7 @@ def _cmd_fit(args) -> int:
 def _cmd_report(args) -> int:
     config = _resolve_config(args.config)
     report = compare_report(config)
-    text = json.dumps(report, indent=2) + "\n"
-    if args.out and args.out != "-":
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_output(args.out, json.dumps(report, indent=2) + "\n")
     return 0 if report["acceptance_pass"] else 4
 
 

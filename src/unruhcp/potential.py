@@ -26,6 +26,11 @@ evaluated two independent ways:
   series, residue or finite-part algebra with the contour evaluator.
   ``potential_oracle`` (one point) is its 1 x 1 grid.
 
+Both grids share one front end, _grid, which does no numerics: it holds the
+domain checks, units, validity check, regime tag and entries, so both give
+a RegimeError for a/(omega0 c) >= 10 and the "marginal validity window"
+warning for 0.1 < a/(omega0 c) < 10.
+
 Quadrature of the contour evaluator.  The three integrals are numpy array
 expressions on fixed composite Gauss-Legendre rules with GL_ORDER nodes per
 panel:
@@ -89,13 +94,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad as _scipy_quad  # noqa: F401
 
 from .atoms import AtomSpec, alpha_real, oscillator_sum, oscillator_weights
-from .errors import (
-    DomainError,
-    NumericalFailure,
-    RegimeError,
-    UnruhCPError,
-    check_domain,
-)
+from .errors import DomainError, NumericalFailure, RegimeError, UnruhCPError, check_domain
 from .kinematics import Regime, classify_regime, validity_check
 from .occupation import DEFAULT_POLE_CAP, EXP_OVERFLOW, _bose, mode_occupation
 from .retardation import (
@@ -104,6 +103,7 @@ from .retardation import (
     osc_real_part,
     quartic_weight,
     u_factor,
+    u_numerator,
 )
 from .units import UnitSystem, units_for
 
@@ -121,7 +121,6 @@ MAX_REFINE = 4        # further panel halvings for rows that miss the target
 P_SERIES = 0.25       # below this x, (Q(x) e^{-2x} - 3)/x^2 is summed as a series
 POLE_BLOCK_MIN = 32   # pole-sum block sizes (terms)
 POLE_BLOCK_MAX = 16384
-ORACLE_MAX_A = 0.1    # enforced oracle domain a / (omega0 c)
 ORACLE_K0 = 0.5       # the oracle path leaves the real axis at min(ORACLE_K0, 1/R)
 ORACLE_TILT = math.pi / 4
 ORACLE_PANEL_RAD = 1.0      # widest oracle segment panel, in radians of 2kR
@@ -192,21 +191,6 @@ class _ReducedAtom:
     alpha_curv: float            # k^2 coefficient of alpha^2(k) about k = 0
     alpha_quart: float           # k^4 coefficient of alpha^2(k) about k = 0
     gamma: float                 # linewidth in omega0
-
-
-def _grid_points(R, a, atom: AtomSpec, units):
-    """(units, separations, accelerations, reduced atom, reduced separations,
-    reduced accelerations) of a grid call; DomainError for a separation that
-    is not finite and > 0 or an acceleration that is not finite and >= 0."""
-    u = units_for(atom, units)
-    Rs = [float(r) for r in R]
-    As = [float(x) for x in a]
-    for r in Rs:
-        check_domain("separation", r)
-    for x in As:
-        check_domain("acceleration", x, strict=False)
-    return (u, Rs, As, _reduce_atom(atom, u), [u.reduce_length(r) for r in Rs],
-            [u.reduce_acceleration(x) for x in As])
 
 
 def _reduce_atom(atom: AtomSpec, units: UnitSystem) -> _ReducedAtom:
@@ -494,71 +478,42 @@ def integrand(k: float, R: float, a: float, atom: AtomSpec,
         * u_factor(k * R) * alpha * alpha
 
 
-def potential_grid(R, a, atom: AtomSpec, quad: QuadratureSpec = DEFAULT_QUAD,
-                   units: UnitSystem | str | None = None
-                   ) -> list[list[PotentialResult | UnruhCPError]]:
-    """Contour evaluation on the product grid of separations R and accelerations a.
+def _grid(name: str, route, R, a, atom: AtomSpec, quad: QuadratureSpec, units):
+    """The entries of potential_grid's contract, with the values of `route`.
 
-    Returns one list per acceleration, in the order of a, each holding one
-    entry per separation, in the order of R: the PotentialResult, or the
-    RegimeError (spontaneously excited regime; use potential_high_acc) or
-    NumericalFailure that point raises.  A separation that is not finite and
-    > 0, or an acceleration that is not finite and >= 0, raises DomainError
-    for the whole call.  Every entry equals what potential_numeric returns
-    (or raises) for its point alone.
+    route(Rt, At, ra, quad) takes the reduced separations and non-excited
+    accelerations and returns, per point of their product grid in a-major
+    order, the reduced (total, vacuum, nonthermal_a2, residue_sum, error,
+    accepted, warnings); `name` labels its NumericalFailure messages.
     """
-    u, Rs, As, ra, rts, ats = _grid_points(R, a, atom, units)
-    imag, e_imag, imag_ok = (arr.tolist() for arr in _imag_axis_pieces(np.array(rts), ra, quad))
-
-    # the Bose real-axis piece, batched over every (R, a) pair that takes it
-    reports = [validity_check(x, atom, c=u.c) if x > 0.0 else None for x in As]
-    bose = [(j, i) for j, at in enumerate(ats) if reports[j] and not reports[j].excited
-            for i, rt in enumerate(rts) if at <= SWITCH_A and at * rt <= SWITCH_AR]
-    b_val, b_err, b_ok = (arr.tolist() for arr in _bose_real_axis_integral(
-        np.array([rts[i] for _, i in bose]), np.array([ats[j] for j, _ in bose]), ra, quad)
-    ) if bose else ((), (), ())
-    bose_of = {pair: (v, e, ok) for pair, v, e, ok in zip(bose, b_val, b_err, b_ok)}
-
+    u = units_for(atom, units)
+    Rs = [float(r) for r in R]
+    As = [float(x) for x in a]
+    for r in Rs:
+        check_domain("separation", r)
+    for x in As:
+        check_domain("acceleration", x, strict=False)
+    reports = [validity_check(x, atom, c=u.c) for x in As]
+    live = [x for x, report in zip(As, reports) if not report.excited]
+    points = iter(route(np.array([u.reduce_length(r) for r in Rs]),
+                        np.array([u.reduce_acceleration(x) for x in live]),
+                        _reduce_atom(atom, u), quad) if live and Rs else ())
     grid = []
-    for j, (a_j, at) in enumerate(zip(As, ats)):
-        report = reports[j]
+    for a_j, report in zip(As, reports):
+        if report.excited:
+            grid.append([RegimeError(
+                f"a/(omega0 c) = {1.0 / report.ratio:.3g} lies in the spontaneously "
+                "excited regime; use potential_high_acc") for _ in Rs])
+            continue
+        marginal = (f"marginal validity window: omega0 c / a = {report.ratio:.3g}",
+                    ) if report.status == "marginal" else ()
         row = []
-        for i, (R_i, rt) in enumerate(zip(Rs, rts)):
-            if report is not None and report.excited:
-                row.append(RegimeError(
-                    f"a/(omega0 c) = {1.0 / report.ratio:.3g} lies in the spontaneously "
-                    "excited regime; use potential_high_acc"))
-                continue
-            norm = math.pi * rt * rt
-            vac = -(imag[0][i] / rt**5) / norm
-            e_vac = (e_imag[0][i] / rt**5) / norm
-            ok = imag_ok[i]
-            warnings: list[str] = []
-            if report is None:
-                nonth = e_nonth = res = e_res = 0.0
-                vt = vac
-            else:
-                if report.status == "marginal":
-                    warnings.append(
-                        f"marginal validity window: omega0 c / a = {report.ratio:.3g}")
-                nonth = at * at / norm * (imag[1][i] / rt**3)
-                e_nonth = at * at / norm * (e_imag[1][i] / rt**3)
-                if (j, i) in bose_of:
-                    res, e_res, b_ok = bose_of[j, i]
-                    ok = ok and b_ok
-                    vt = vac + nonth + res
-                else:
-                    s, tail, sum_warnings = _pole_sum(rt, at, ra, quad)
-                    warnings.extend(sum_warnings)
-                    bracket = (math.pi / 2.0) * _origin_coefficient(rt, at, ra) + (at / 2.0) * s
-                    vt = -2.0 / norm * bracket
-                    e_res = 2.0 / norm * (at / 2.0) * tail
-                    res = vt - vac - nonth
+        for R_i, (vt, vac, nonth, res, err, ok, warnings) in zip(Rs, points):
             value = u.restore_energy(vt)
-            error = u.restore_energy(e_vac + e_nonth + e_res)
+            error = u.restore_energy(err)
             if not ok:
                 row.append(NumericalFailure(
-                    f"contour quadrature missed its tolerance at R={R_i!r}, a={a_j!r}: "
+                    f"{name} quadrature missed its tolerance at R={R_i!r}, a={a_j!r}: "
                     f"error estimate {error:.3e} after {MAX_REFINE} refinements",
                     partial=value, error_estimate=error))
                 continue
@@ -569,10 +524,69 @@ def potential_grid(R, a, atom: AtomSpec, quad: QuadratureSpec = DEFAULT_QUAD,
                        "nonthermal_a2": u.restore_energy(nonth),
                        "residue_sum": u.restore_energy(res)},
                 regime=classify_regime(R_i, a_j, atom, c=u.c),
-                warnings=tuple(warnings),
+                warnings=(*marginal, *warnings),
             ))
         grid.append(row)
     return grid
+
+
+def _contour_points(Rt: np.ndarray, At: np.ndarray, ra: _ReducedAtom, quad: QuadratureSpec):
+    """The contour evaluator's route for _grid."""
+    rts, ats = Rt.tolist(), At.tolist()
+    imag, e_imag, imag_ok = (arr.tolist() for arr in _imag_axis_pieces(Rt, ra, quad))
+
+    # the Bose real-axis piece, batched over every (R, a) pair that takes it
+    bose = [(j, i) for j, at in enumerate(ats) if 0.0 < at <= SWITCH_A
+            for i, rt in enumerate(rts) if at * rt <= SWITCH_AR]
+    b_val, b_err, b_ok = (arr.tolist() for arr in _bose_real_axis_integral(
+        np.array([rts[i] for _, i in bose]), np.array([ats[j] for j, _ in bose]), ra, quad)
+    ) if bose else ((), (), ())
+    bose_of = {pair: (v, e, ok) for pair, v, e, ok in zip(bose, b_val, b_err, b_ok)}
+
+    points = []
+    for j, at in enumerate(ats):
+        for i, rt in enumerate(rts):
+            norm = math.pi * rt * rt
+            vac = -(imag[0][i] / rt**5) / norm
+            e_vac = (e_imag[0][i] / rt**5) / norm
+            ok = imag_ok[i]
+            warnings: list[str] = []
+            if at == 0.0:
+                nonth = e_nonth = res = e_res = 0.0
+                vt = vac
+            else:
+                nonth = at * at / norm * (imag[1][i] / rt**3)
+                e_nonth = at * at / norm * (e_imag[1][i] / rt**3)
+                if (j, i) in bose_of:
+                    res, e_res, b_ok = bose_of[j, i]
+                    ok = ok and b_ok
+                    vt = vac + nonth + res
+                else:
+                    s, tail, warnings = _pole_sum(rt, at, ra, quad)
+                    bracket = (math.pi / 2.0) * _origin_coefficient(rt, at, ra) + (at / 2.0) * s
+                    vt = -2.0 / norm * bracket
+                    e_res = 2.0 / norm * (at / 2.0) * tail
+                    res = vt - vac - nonth
+            points.append((vt, vac, nonth, res, e_vac + e_nonth + e_res, ok, warnings))
+    return points
+
+
+def potential_grid(R, a, atom: AtomSpec, quad: QuadratureSpec = DEFAULT_QUAD,
+                   units: UnitSystem | str | None = None
+                   ) -> list[list[PotentialResult | UnruhCPError]]:
+    """Contour evaluation on the product grid of separations R and accelerations a.
+
+    Returns one list per acceleration, in the order of a, each holding one
+    entry per separation, in the order of R: the PotentialResult, or the
+    RegimeError (spontaneously excited regime, a/(omega0 c) >= 10; use
+    potential_high_acc) or NumericalFailure that point raises.  A result in
+    the marginal window 0.1 < a/(omega0 c) < 10 carries the "marginal
+    validity window" warning first.  A separation that is not finite and
+    > 0, or an acceleration that is not finite and >= 0, raises DomainError
+    for the whole call.  Every entry equals what potential_numeric returns
+    (or raises) for its point alone.
+    """
+    return _grid("contour", _contour_points, R, a, atom, quad, units)
 
 
 def _result(entry) -> PotentialResult:
@@ -670,11 +684,6 @@ def _path_integrals(lo, hi, pt, n: int, integrand, quad: QuadratureSpec):
     return value, error
 
 
-def _k4u(x, Rt):
-    """k^4 u_factor(kR) at x = kR, real or complex, from the numerator polynomial."""
-    return ((((x + 2j) * x - 5.0) * x - 6j) * x + 3.0) / Rt**4
-
-
 def _oracle_piece(Rt: np.ndarray, at: np.ndarray, ra: _ReducedAtom, quad: QuadratureSpec):
     """The undamped integrals of the three occupation pieces over the R-scaled
     path of each reduced point (Rt, at) of the arrays, on the oracle's rules
@@ -694,7 +703,7 @@ def _oracle_piece(Rt: np.ndarray, at: np.ndarray, ra: _ReducedAtom, quad: Quadra
         r = Rt[p]
         x = x_lo + dx
         k = x / r
-        osc = (_k4u(x, r) * np.exp(2j * x_lo) * np.exp(2j * dx)).imag
+        osc = (u_numerator(x) / r**4 * np.exp(2j * x_lo) * np.exp(2j * dx)).imag
         small = x <= SERIES_SWITCH
         k2 = k[small] ** 2
         osc[small] = k2 * k2 * osc_imag_part(x[small])
@@ -709,7 +718,8 @@ def _oracle_piece(Rt: np.ndarray, at: np.ndarray, ra: _ReducedAtom, quad: Quadra
         k = k0[p] + t * eith
         alpha = oscillator_sum(k * k, ra.weights, ra.omegas)
         return _occupation_pieces(k, at[p], inv[p]) * (
-            eith * _k4u(k * r, r) * phase0[p] * np.exp((2j * eith) * (r * t)) * alpha * alpha)
+            eith * (u_numerator(k * r) / r**4) * phase0[p]
+            * np.exp((2j * eith) * (r * t)) * alpha * alpha)
 
     seg, ray = ([], [], []), ([], [], [])   # (lo, hi, point) of every panel
     td = 1.0 / (2.0 * Rt * math.sin(ORACLE_TILT))
@@ -750,65 +760,41 @@ def _oracle_piece(Rt: np.ndarray, at: np.ndarray, ra: _ReducedAtom, quad: Quadra
     return values, errors, ok
 
 
+def _oracle_points(Rt: np.ndarray, At: np.ndarray, ra: _ReducedAtom, quad: QuadratureSpec):
+    """The oracle's route for _grid: _oracle_piece on the tiled grid."""
+    values, errors, ok = (arr.tolist() for arr in _oracle_piece(
+        np.tile(Rt, len(At)), np.repeat(At, len(Rt)), ra, quad))
+    return [(vac + nonth + bose, vac, nonth, bose, e_vac + e_nonth + e_bose, good, ())
+            for vac, nonth, bose, e_vac, e_nonth, e_bose, good in zip(*values, *errors, ok)]
+
+
 def potential_oracle_grid(R, a, atom: AtomSpec, quad: QuadratureSpec = DEFAULT_QUAD,
                           units: UnitSystem | str | None = None
                           ) -> list[list[PotentialResult | UnruhCPError]]:
     """Oracle evaluation on the product grid of separations R and accelerations a.
 
-    Same layout and whole-call DomainError as potential_grid.  An entry is
-    the PotentialResult or the error its point raises: DomainError for
-    a/(omega0 c) > ORACLE_MAX_A, NumericalFailure (with the partial value and
-    error estimate) when the summed error estimate of the three pieces
-    exceeds max(abs_tol, 10 rel_tol |V|).  Every entry equals what
-    potential_oracle returns (or raises) for its point alone.
+    Same domain, layout and entries as potential_grid (RegimeError,
+    marginal-window warning); a NumericalFailure when the summed error
+    estimate of the three pieces exceeds max(abs_tol, 10 rel_tol |V|).
+    Every entry equals what potential_oracle returns (or raises) for its
+    point alone.
     """
-    u, Rs, As, ra, rts, ats = _grid_points(R, a, atom, units)
-    inside = [at for at in ats if at <= ORACLE_MAX_A]
-    if inside:
-        values, errors, ok = (arr.tolist() for arr in _oracle_piece(
-            np.tile(rts, len(inside)), np.repeat(inside, len(rts)), ra, quad))
-    q = 0   # index of the next point inside the domain
-    grid = []
-    for a_j, at in zip(As, ats):
-        row = []
-        for R_i in Rs:
-            if at > ORACLE_MAX_A:
-                row.append(DomainError(
-                    f"oracle supports a/(omega0 c) <= {ORACLE_MAX_A}; got {at:.3g}"))
-                continue
-            vac, nonth, bose = (v[q] for v in values)
-            value = u.restore_energy(vac + nonth + bose)
-            error = u.restore_energy(errors[0][q] + errors[1][q] + errors[2][q])
-            if not ok[q]:
-                row.append(NumericalFailure(
-                    f"oracle quadrature missed its tolerance at R={R_i!r}, a={a_j!r}: "
-                    f"error estimate {error:.3e} after {MAX_REFINE} refinements",
-                    partial=value, error_estimate=error))
-            else:
-                row.append(PotentialResult(
-                    value=value,
-                    error_estimate=error,
-                    parts={"vacuum": u.restore_energy(vac),
-                           "nonthermal_a2": u.restore_energy(nonth),
-                           "residue_sum": u.restore_energy(bose)},
-                    regime=classify_regime(R_i, a_j, atom, c=u.c),
-                ))
-            q += 1
-        grid.append(row)
-    return grid
+    return _grid("oracle", _oracle_points, R, a, atom, quad, units)
 
 
 def potential_oracle(R: float, a: float, atom: AtomSpec,
                      quad: QuadratureSpec = DEFAULT_QUAD,
                      units: UnitSystem | str | None = None) -> PotentialResult:
     """Independent evaluation of the accelerated-pair potential: the undamped
-    deformed-path integral of the module docstring, for a/(omega0 c) <=
-    ORACLE_MAX_A.
+    deformed-path integral of the module docstring, on the domain of
+    potential_numeric.
 
     The 1 x 1 call of potential_oracle_grid.  The error estimate is the sum
     of the quadrature error estimates of the three occupation pieces; the
     call raises NumericalFailure, carrying the partial value, when that sum
-    exceeds max(abs_tol, 10 rel_tol |V|).
+    exceeds max(abs_tol, 10 rel_tol |V|).  Like potential_numeric it raises
+    RegimeError in the spontaneously excited regime and warns in the
+    marginal validity window.
     """
     return _result(potential_oracle_grid([R], [a], atom, quad, units)[0][0])
 

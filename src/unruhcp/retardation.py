@@ -70,16 +70,20 @@ def u_factor(x) -> complex:
         raise DomainError("u_factor is singular at x = 0")
     z = complex(x)
     inv = 1.0 / z
-    # Horner on 3 - 6i x - 5 x^2 + 2i x^3 + x^4, then divide by x^4
-    numer = (((z + 2j) * z - 5.0) * z - 6j) * z + 3.0
-    return numer * inv**4
+    return u_numerator(z) * inv**4
+
+
+def u_numerator(x):
+    """Numerator x^4 u_factor(x) = x^4 + 2i x^3 - 5x^2 - 6i x + 3 in Horner
+    form, at real or complex x, scalar or array."""
+    return (((x + 2j) * x - 5.0) * x - 6j) * x + 3.0
 
 
 def imag_axis_weight(x: float) -> float:
     """u_factor continued to the imaginary axis: 1 + 2/x + 5/x^2 + 6/x^3 + 3/x^4."""
     if x == 0:
         raise DomainError("imag_axis_weight is singular at x = 0")
-    return ((((x + 2.0) * x + 5.0) * x + 6.0) * x + 3.0) / x**4
+    return quartic_weight(x) / x**4
 
 
 def quartic_weight(x: float) -> float:
@@ -130,6 +134,7 @@ def leading_imag_slope() -> float:
 
 __all__ = [
     "u_factor",
+    "u_numerator",
     "imag_axis_weight",
     "quartic_weight",
     "osc_imag_part",

@@ -129,6 +129,9 @@ class SweepConfig:
         methods = doc.get("methods", ["contour"])
         if not isinstance(methods, list):
             raise InputError(f"sweep config 'methods' must be a list, got {methods!r}")
+        output_path = doc.get("output_path")
+        if output_path is not None and not isinstance(output_path, str):
+            raise InputError(f"sweep config 'output_path' must be a string, got {output_path!r}")
         quad_doc = doc.get("quad")
         try:
             quad = QuadratureSpec(**quad_doc) if quad_doc else DEFAULT_QUAD
@@ -141,7 +144,7 @@ class SweepConfig:
             methods=tuple(methods),
             quad=quad,
             units=doc.get("units", "natural"),
-            output_path=doc.get("output_path"),
+            output_path=output_path,
             atom_source=atom_source,
         )
 

@@ -17,9 +17,11 @@ from unruhcp import (
     alpha_static,
     integrand,
     mode_occupation,
+    potential_grid,
     potential_inertial,
     potential_numeric,
     potential_oracle,
+    potential_oracle_grid,
     two_level,
     u_factor,
 )
@@ -105,10 +107,23 @@ def test_vacuum_reduction_bit_identical(atom):
     assert vn.parts == vi.parts
 
 
+def test_underflowing_acceleration_is_the_inertial_point():
+    # a = 5e-324 reduces to a/(omega0 c) = 0 at omega0 = 2; the contour
+    # evaluator once took its Bose branch and divided by that zero
+    atom = two_level(2.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for grid in (potential_grid, potential_oracle_grid):
+            (tiny,), (zero,) = grid([1.0], [5e-324, 0.0], atom)
+            assert (tiny.value, tiny.parts) == (zero.value, zero.parts)
+
+
 def test_ground_truth_anchors(atom):
-    for (R, a), expect in GROUND_TRUTH.items():
-        got = potential_numeric(R, a, atom).value
-        assert got == pytest.approx(expect, rel=1e-9), (R, a)
+    # both evaluators, the marginal window included
+    for evaluate in (potential_numeric, potential_oracle):
+        for (R, a), expect in GROUND_TRUTH.items():
+            got = evaluate(R, a, atom).value
+            assert got == pytest.approx(expect, rel=1e-9), (evaluate.__name__, R, a)
 
 
 def test_parts_sum_exactly(atom):
@@ -253,11 +268,24 @@ def test_oracle_accelerated_agreement(atom):
 
 
 def test_oracle_domain_enforced(atom):
-    with pytest.raises(DomainError):
-        potential_oracle(1.0, 0.2, atom)
+    # the oracle takes the contour evaluator's domain and entry contract
+    Rs, As = [1e-3, 1.0, 30.0], [0.0, 1e-3, 0.5, 20.0]
+    contour, oracle = potential_grid(Rs, As, atom), potential_oracle_grid(Rs, As, atom)
+    for a, c_row, o_row in zip(As, contour, oracle):
+        for c, o in zip(c_row, o_row):
+            assert type(o) is type(c)
+            if a == 20.0:
+                assert isinstance(o, RegimeError) and str(o) == str(c)
+            else:
+                assert o.warnings[:1] == c.warnings[:1]
+                assert o.value == pytest.approx(c.value, rel=1e-8)
+    assert oracle[2][0].warnings == ("marginal validity window: omega0 c / a = 2",)
+    assert not any(o.warnings for row in oracle[:2] for o in row)
     for R, a in [(math.nan, 0.01), (math.inf, 0.01), (1.0, math.nan), (1.0, math.inf)]:
         with pytest.raises(DomainError):
             potential_oracle(R, a, atom)
+        with pytest.raises(DomainError):
+            potential_oracle_grid([1.0, R], [0.0, a], atom)
 
 
 def test_oracle_parts_sum(atom):

@@ -68,6 +68,9 @@ def test_sweep_config_validation():
         with pytest.raises(InputError):
             SweepConfig.from_dict({"atom": {"two_level": {"omega0": 1.0, "alpha0": 1.0}},
                                    "quad": dropped})
+    with pytest.raises(InputError, match="output_path"):   # once wrote to fd 2 and closed it
+        SweepConfig.from_dict({"atom": {"two_level": {"omega0": 1.0, "alpha0": 1.0}},
+                               "output_path": 2})
     with pytest.raises(InputError):   # no contour run to catch the nan
         SweepConfig.from_dict({"atom": {"two_level": {"omega0": 1.0, "alpha0": 1.0}},
                                "a_grid": {"value": math.nan},
@@ -290,7 +293,9 @@ def test_cli_asymptotic(atom_file):
     assert "parts" in doc
     proc = _cli("asymptotic", "--law", "near", "--R", "0.01", "--accel", "0",
                 "--atom", atom_file)
-    assert json.loads(proc.stdout)["value"] == pytest.approx(-0.75 / 1e-12, rel=1e-12)
+    doc = json.loads(proc.stdout)
+    assert doc["value"] == pytest.approx(-0.75 / 1e-12, rel=1e-12)
+    assert doc["slope"] == -6.0
 
 
 def test_cli_sweep_and_fit(atom_file, config_file, tmp_path):
@@ -307,6 +312,16 @@ def test_cli_sweep_and_fit(atom_file, config_file, tmp_path):
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert -7.0 < doc["slope"] < -5.0  # crossover-zone slope between the limits
+
+
+def test_cli_unwritable_output_is_an_input_error(tmp_path, capsys):
+    # a missing output directory once escaped as a traceback
+    for command in ("sweep", "report"):
+        out = tmp_path / "missing" / f"{command}.out"
+        assert cli.main([command, "--config", "default", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"input error: cannot write {str(out)!r}")
 
 
 def test_cli_fit_bad_window(atom_file, config_file, tmp_path):
