@@ -43,31 +43,30 @@ EXPONENT_TOL = 0.05
 FAR_A2_COEFF_MEASURED = 11.0 / (4.0 * math.pi)
 
 
-def near_zone_inertial(atom: AtomSpec, hbar: float = 1.0) -> float:
-    """London coefficient C6 >= 0 with V(R) = -C6 / R^6 in the near zone.
-
-    C6 = (2/3) sum_{r,s} mu_r^2 mu_s^2 / (E_r + E_s), the exact double sum
-    over transitions.
-    """
+def _c6(mu_sq, omegas, hbar: float) -> float:
+    """(2/3) sum_{r,s} mu_r^2 mu_s^2 / (hbar (omega_r + omega_s)), the exact
+    double sum over transitions."""
     c6 = 0.0
-    for tr in atom.transitions:
-        for ts in atom.transitions:
-            c6 += tr.mu_sq * ts.mu_sq / (hbar * (tr.omega + ts.omega))
+    for mr, o_r in zip(mu_sq, omegas):
+        for ms, o_s in zip(mu_sq, omegas):
+            c6 += mr * ms / (hbar * (o_r + o_s))
     return 2.0 / 3.0 * c6
+
+
+def near_zone_inertial(atom: AtomSpec, hbar: float = 1.0) -> float:
+    """London coefficient C6 >= 0 with V(R) = -C6 / R^6 in the near zone."""
+    return _c6([t.mu_sq for t in atom.transitions], [t.omega for t in atom.transitions], hbar)
 
 
 def near_zone_value(R: float, atom: AtomSpec,
                     units: UnitSystem | str | None = None) -> float:
-    """-C6 / R^6 evaluated in the caller's units via the reduced system."""
+    """-C6 / R^6 evaluated in the caller's units via the reduced system, where
+    mu_r^2 = 1.5 omega_r w_r (w_r the oscillator strengths) and hbar = 1."""
     u = units_for(atom, units)
     check_domain("separation", R)
     Rt = u.reduce_length(R)
     ra = _reduce_atom(atom, u)
-    c6 = 0.0
-    for wr, o_r in zip(ra.weights, ra.omegas):
-        for ws, o_s in zip(ra.weights, ra.omegas):
-            c6 += (1.5 * o_r * wr) * (1.5 * o_s * ws) / (o_r + o_s)
-    c6 *= 2.0 / 3.0
+    c6 = _c6([1.5 * o * w for w, o in zip(ra.weights, ra.omegas)], ra.omegas, 1.0)
     return u.restore_energy(-c6 / Rt**6)
 
 

@@ -29,7 +29,10 @@ evaluated two independent ways:
 Both grids share one front end, _grid, which does no numerics: it holds the
 domain checks, units, validity check, regime tag and entries, so both give
 a RegimeError for a/(omega0 c) >= 10 and the "marginal validity window"
-warning for 0.1 < a/(omega0 c) < 10.
+warning for 0.1 < a/(omega0 c) < 10.  It is also the one acceptance gate:
+each route returns per point its value V and error estimate, and a point is
+a PotentialResult iff that estimate is within 10 rel_tol |V|, otherwise a
+NumericalFailure carrying the partial value and its estimate.
 
 Quadrature of the contour evaluator.  The three integrals are numpy array
 expressions on fixed composite Gauss-Legendre rules with GL_ORDER nodes per
@@ -56,9 +59,13 @@ its value with every panel halved; the finer value is returned and the
 difference is its error estimate.  A row (one separation, or one (R, a)
 pair of the Bose piece) whose estimate exceeds max(1e-13, min(1e-8,
 rel_tol * 1e-2)) of its value is compared again one halving finer, up to
-MAX_REFINE times.  A point whose estimate then still exceeds max(abs_tol,
-10 rel_tol |value|) raises NumericalFailure with the partial value and its
-error estimate.  No scalar adaptive quadrature remains in this evaluator.
+MAX_REFINE times.  A point's error estimate is the sum of the estimates of
+the pieces its value uses; on the pole-ladder branch it also holds the
+geometric tail of the ladder beyond its last term (the sum stops at a term
+below POLE_REL_CUTOFF of the partial sum, or at DEFAULT_POLE_CAP terms).
+The tail bound is loose on dense ladders: just above a = SWITCH_A, points
+below about R = 1e-7 c/omega0 can fail the gate.  No scalar adaptive
+quadrature remains in this evaluator.
 
 Quadrature of the oracle.  A point's path leaves the real axis at
 K0 = min(ORACLE_K0, 1/R) and follows the ray K0 + t e^{i ORACLE_TILT}, on
@@ -71,10 +78,9 @@ ORACLE_PANEL_RAD radians of 2kR; the ray has edges at t_d 2^j (t_d =
 1/(2R sin tilt), its decay length) up to 2^ORACLE_RAY_DOUBLINGS t_d, and its
 integrand there times t_d bounds the rest in the error estimate.  Panels
 whose difference from their two halves misses their share of the target are
-split again, up to MAX_REFINE times.  A point whose summed error estimate
-exceeds max(abs_tol, 10 rel_tol |V|) is a NumericalFailure.  No scalar
-adaptive quadrature remains; scipy.integrate is still imported at start-up
-(ROADMAP item 4).
+split again, up to MAX_REFINE times.  A point's error estimate is the sum
+over the three occupation pieces.  No scalar adaptive quadrature remains;
+scipy.integrate is still imported at start-up (ROADMAP item 4).
 
 Every contour and oracle value is a function of (R, a, atom,
 QuadratureSpec) alone: the arithmetic of one point never involves another,
@@ -94,7 +100,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad as _scipy_quad  # noqa: F401
 
 from .atoms import AtomSpec, alpha_real, oscillator_sum, oscillator_weights
-from .errors import DomainError, NumericalFailure, RegimeError, UnruhCPError, check_domain
+from .errors import NumericalFailure, RegimeError, UnruhCPError, check_domain
 from .kinematics import Regime, classify_regime, validity_check
 from .occupation import DEFAULT_POLE_CAP, EXP_OVERFLOW, _bose, mode_occupation
 from .retardation import (
@@ -121,6 +127,7 @@ MAX_REFINE = 4        # further panel halvings for rows that miss the target
 P_SERIES = 0.25       # below this x, (Q(x) e^{-2x} - 3)/x^2 is summed as a series
 POLE_BLOCK_MIN = 32   # pole-sum block sizes (terms)
 POLE_BLOCK_MAX = 16384
+POLE_REL_CUTOFF = 1e-12   # the pole sum stops at a term below this fraction of the sum
 ORACLE_K0 = 0.5       # the oracle path leaves the real axis at min(ORACLE_K0, 1/R)
 ORACLE_TILT = math.pi / 4
 ORACLE_PANEL_RAD = 1.0      # widest oracle segment panel, in radians of 2kR
@@ -130,27 +137,18 @@ ORACLE_BLOCK = 256          # oracle panels evaluated per array pass
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and truncation policy for the potential evaluators.
+    """The accuracy asked of both evaluators: the single field rel_tol.
 
-    rel_tol / abs_tol     target relative and absolute (reduced-unit) errors
-    matsubara_rel_cutoff  stop the pole sum when a term falls below this
-                          fraction of the partial sum
-    matsubara_hard_cap    unconditional pole-count cap
-
-    The oracle integrates undamped and needs no further setting.
+    Every rule refines toward max(1e-13, min(1e-8, rel_tol/100)) of its
+    value, and a point is returned only when its whole error estimate
+    (quadrature, plus the pole-ladder tail on that branch) is within
+    10 rel_tol |V|; otherwise it is a NumericalFailure.
     """
 
     rel_tol: float = 1e-6
-    abs_tol: float = 1e-30
-    matsubara_rel_cutoff: float = 1e-12
-    matsubara_hard_cap: int = DEFAULT_POLE_CAP
 
     def __post_init__(self):
         check_domain("rel_tol", self.rel_tol)
-        check_domain("abs_tol", self.abs_tol)
-        check_domain("matsubara_rel_cutoff", self.matsubara_rel_cutoff)
-        if not (math.isfinite(self.matsubara_hard_cap) and self.matsubara_hard_cap >= 10):
-            raise DomainError("matsubara_hard_cap must be finite and >= 10")
 
 
 DEFAULT_QUAD = QuadratureSpec()
@@ -296,15 +294,14 @@ def _bose_rule(parts: int, order: int):
 
 
 def _nested(evaluate, n: int, quad: QuadratureSpec, floor=0.0):
-    """Values, error estimates and acceptance of n rows of a nested rule.
+    """Values and error estimates of n rows of a nested rule.
 
     evaluate(rows, level) returns an array (pieces, len(rows)) from the rule
     with its panels halved `level` times.  Level 1 is compared with level 0;
     rows whose difference misses the target are compared again one level
     finer, up to MAX_REFINE more times.  The error of a row is its last
-    difference plus `floor`, the error the rule cannot reduce.  A row is
-    accepted when every piece's error is within max(abs_tol, 10 rel_tol
-    |value|).  Each row's result depends on that row alone.
+    difference plus `floor`, the error the rule cannot reduce.  Each row's
+    result depends on that row alone.
     """
     target = _target(quad)
     rows = np.arange(n)
@@ -320,9 +317,7 @@ def _nested(evaluate, n: int, quad: QuadratureSpec, floor=0.0):
         if not miss.any():
             break
         rows, coarse = rows[miss], fine[:, miss]
-    error += floor
-    tol = np.maximum(quad.abs_tol, 10.0 * quad.rel_tol * np.abs(value))
-    return value, error, (error <= tol).all(axis=0)
+    return value, error + floor
 
 
 # --------------------------------------------------------------------------
@@ -361,7 +356,7 @@ def _origin_subtracted_integral(Rt: np.ndarray, ra: _ReducedAtom, level: int,
 
 def _imag_axis_pieces(Rt: np.ndarray, ra: _ReducedAtom, quad: QuadratureSpec):
     """(inertial, origin-subtracted) x-integrals per separation: value and error
-    arrays of shape (2, len(Rt)) and the accepted mask."""
+    arrays of shape (2, len(Rt))."""
 
     def evaluate(rows, level):
         r = Rt[rows]
@@ -390,13 +385,15 @@ def _origin_coefficient(Rt: float, at: float, ra: _ReducedAtom) -> float:
     return w0 * at * (math.pi / 6.0 + 0.5 / math.pi) + w2 * at**3 / (2.0 * math.pi)
 
 
-def _pole_sum(Rt: float, at: float, ra: _ReducedAtom, quad: QuadratureSpec):
+def _pole_sum(Rt: float, at: float, ra: _ReducedAtom):
     """sum_{n>=2} (1 - 1/n^2) W(n a) over the Bose poles (n = 1 is killed
     by the zero of 1 + a^2/k^2 at k = i a).
 
     The terms fall about as exp(-2 a R n), so the first block holds the
-    terms needed at that rate to reach the relative cutoff; later blocks
-    double, up to POLE_BLOCK_MAX terms each.
+    terms needed at that rate to reach POLE_REL_CUTOFF; later blocks
+    double, up to POLE_BLOCK_MAX terms each, and the sum stops after
+    DEFAULT_POLE_CAP terms.  Returns the sum, the geometric estimate of
+    the tail beyond its last term, and warnings.
     """
     warnings: list[str] = []
     if at * Rt < 1e-3:
@@ -406,11 +403,11 @@ def _pole_sum(Rt: float, at: float, ra: _ReducedAtom, quad: QuadratureSpec):
     total = 0.0
     tail = 0.0
     ratio = math.exp(-2.0 * at * Rt)
-    need = math.log(1.0 / quad.matsubara_rel_cutoff) / max(2.0 * at * Rt, 1e-300)
+    need = math.log(1.0 / POLE_REL_CUTOFF) / max(2.0 * at * Rt, 1e-300)
     block = int(min(POLE_BLOCK_MAX, max(POLE_BLOCK_MIN, math.ceil(need))))
     n0 = 2
-    while n0 <= quad.matsubara_hard_cap:
-        n = np.arange(n0, min(n0 + block, quad.matsubara_hard_cap + 1), dtype=float)
+    while n0 <= DEFAULT_POLE_CAP:
+        n = np.arange(n0, min(n0 + block, DEFAULT_POLE_CAP + 1), dtype=float)
         u = n * at
         x = u * Rt
         poly = u**4 + 2.0 * u**3 / Rt + 5.0 * u**2 / Rt**2 + 6.0 * u / Rt**3 + 3.0 / Rt**4
@@ -418,7 +415,7 @@ def _pole_sum(Rt: float, at: float, ra: _ReducedAtom, quad: QuadratureSpec):
             terms = (1.0 - 1.0 / n**2) * poly * np.exp(-2.0 * x) * _alpha2_iu(u, ra)
         total += float(terms.sum())
         last = float(terms[-1])
-        if last < quad.matsubara_rel_cutoff * max(abs(total), 1e-300):
+        if last < POLE_REL_CUTOFF * max(abs(total), 1e-300):
             tail = last * ratio / max(1.0 - ratio, 1e-300)
             break
         n0 += block
@@ -426,7 +423,7 @@ def _pole_sum(Rt: float, at: float, ra: _ReducedAtom, quad: QuadratureSpec):
     else:
         tail = float(terms[-1]) * ratio / max(1.0 - ratio, 1e-300)
         warnings.append(
-            f"pole sum truncated at the hard cap {quad.matsubara_hard_cap}; "
+            f"pole sum truncated at the hard cap {DEFAULT_POLE_CAP}; "
             f"geometric tail estimate {tail:.3e}")
     return total, tail, warnings
 
@@ -434,8 +431,7 @@ def _pole_sum(Rt: float, at: float, ra: _ReducedAtom, quad: QuadratureSpec):
 def _bose_real_axis_integral(Rt: np.ndarray, at: np.ndarray, ra: _ReducedAtom,
                              quad: QuadratureSpec):
     """Bose piece as -(2a/pi R^2) int_0^T ImW(a t)(1 + 1/t^2)/(e^{2 pi t}-1) dt,
-    per (R, a) pair of the arrays Rt, at: value and error arrays and the
-    accepted mask.
+    per (R, a) pair of the arrays Rt, at: value and error arrays.
 
     Exactly equivalent to the pole sum plus its origin term minus the two
     imaginary-axis integrals (Abel-Plana), but costs O(1) independent of
@@ -457,9 +453,9 @@ def _bose_real_axis_integral(Rt: np.ndarray, at: np.ndarray, ra: _ReducedAtom,
              * (1.0 + 1.0 / (t * t)) / np.expm1(2.0 * math.pi * t))
         return (f * w).sum(axis=1)[None, :]
 
-    value, error, ok = _nested(evaluate, len(at), quad)
+    value, error = _nested(evaluate, len(at), quad)
     scale = 2.0 * at / (math.pi * Rt * Rt)
-    return -scale * value[0], scale * error[0], ok
+    return -scale * value[0], scale * error[0]
 
 
 # --------------------------------------------------------------------------
@@ -484,7 +480,8 @@ def _grid(name: str, route, R, a, atom: AtomSpec, quad: QuadratureSpec, units):
     route(Rt, At, ra, quad) takes the reduced separations and non-excited
     accelerations and returns, per point of their product grid in a-major
     order, the reduced (total, vacuum, nonthermal_a2, residue_sum, error,
-    accepted, warnings); `name` labels its NumericalFailure messages.
+    warnings); `name` labels its NumericalFailure messages.  This is the one
+    acceptance gate: a point is a result iff error <= 10 rel_tol |total|.
     """
     u = units_for(atom, units)
     Rs = [float(r) for r in R]
@@ -508,10 +505,10 @@ def _grid(name: str, route, R, a, atom: AtomSpec, quad: QuadratureSpec, units):
         marginal = (f"marginal validity window: omega0 c / a = {report.ratio:.3g}",
                     ) if report.status == "marginal" else ()
         row = []
-        for R_i, (vt, vac, nonth, res, err, ok, warnings) in zip(Rs, points):
+        for R_i, (vt, vac, nonth, res, err, warnings) in zip(Rs, points):
             value = u.restore_energy(vt)
             error = u.restore_energy(err)
-            if not ok:
+            if not err <= 10.0 * quad.rel_tol * abs(vt):
                 row.append(NumericalFailure(
                     f"{name} quadrature missed its tolerance at R={R_i!r}, a={a_j!r}: "
                     f"error estimate {error:.3e} after {MAX_REFINE} refinements",
@@ -533,15 +530,15 @@ def _grid(name: str, route, R, a, atom: AtomSpec, quad: QuadratureSpec, units):
 def _contour_points(Rt: np.ndarray, At: np.ndarray, ra: _ReducedAtom, quad: QuadratureSpec):
     """The contour evaluator's route for _grid."""
     rts, ats = Rt.tolist(), At.tolist()
-    imag, e_imag, imag_ok = (arr.tolist() for arr in _imag_axis_pieces(Rt, ra, quad))
+    imag, e_imag = (arr.tolist() for arr in _imag_axis_pieces(Rt, ra, quad))
 
     # the Bose real-axis piece, batched over every (R, a) pair that takes it
     bose = [(j, i) for j, at in enumerate(ats) if 0.0 < at <= SWITCH_A
             for i, rt in enumerate(rts) if at * rt <= SWITCH_AR]
-    b_val, b_err, b_ok = (arr.tolist() for arr in _bose_real_axis_integral(
+    b_val, b_err = (arr.tolist() for arr in _bose_real_axis_integral(
         np.array([rts[i] for _, i in bose]), np.array([ats[j] for j, _ in bose]), ra, quad)
-    ) if bose else ((), (), ())
-    bose_of = {pair: (v, e, ok) for pair, v, e, ok in zip(bose, b_val, b_err, b_ok)}
+    ) if bose else ((), ())
+    bose_of = {pair: (v, e) for pair, v, e in zip(bose, b_val, b_err)}
 
     points = []
     for j, at in enumerate(ats):
@@ -549,7 +546,6 @@ def _contour_points(Rt: np.ndarray, At: np.ndarray, ra: _ReducedAtom, quad: Quad
             norm = math.pi * rt * rt
             vac = -(imag[0][i] / rt**5) / norm
             e_vac = (e_imag[0][i] / rt**5) / norm
-            ok = imag_ok[i]
             warnings: list[str] = []
             if at == 0.0:
                 nonth = e_nonth = res = e_res = 0.0
@@ -558,16 +554,15 @@ def _contour_points(Rt: np.ndarray, At: np.ndarray, ra: _ReducedAtom, quad: Quad
                 nonth = at * at / norm * (imag[1][i] / rt**3)
                 e_nonth = at * at / norm * (e_imag[1][i] / rt**3)
                 if (j, i) in bose_of:
-                    res, e_res, b_ok = bose_of[j, i]
-                    ok = ok and b_ok
+                    res, e_res = bose_of[j, i]
                     vt = vac + nonth + res
                 else:
-                    s, tail, warnings = _pole_sum(rt, at, ra, quad)
+                    s, tail, warnings = _pole_sum(rt, at, ra)
                     bracket = (math.pi / 2.0) * _origin_coefficient(rt, at, ra) + (at / 2.0) * s
                     vt = -2.0 / norm * bracket
                     e_res = 2.0 / norm * (at / 2.0) * tail
                     res = vt - vac - nonth
-            points.append((vt, vac, nonth, res, e_vac + e_nonth + e_res, ok, warnings))
+            points.append((vt, vac, nonth, res, e_vac + e_nonth + e_res, warnings))
     return points
 
 
@@ -579,7 +574,10 @@ def potential_grid(R, a, atom: AtomSpec, quad: QuadratureSpec = DEFAULT_QUAD,
     Returns one list per acceleration, in the order of a, each holding one
     entry per separation, in the order of R: the PotentialResult, or the
     RegimeError (spontaneously excited regime, a/(omega0 c) >= 10; use
-    potential_high_acc) or NumericalFailure that point raises.  A result in
+    potential_high_acc) or NumericalFailure that point raises.  A point is a
+    NumericalFailure, carrying the partial value and its error estimate,
+    when that estimate exceeds 10 rel_tol |V|; on the pole-ladder branch the
+    estimate includes the ladder's truncation tail.  A result in
     the marginal window 0.1 < a/(omega0 c) < 10 carries the "marginal
     validity window" warning first.  A separation that is not finite and
     > 0, or an acceleration that is not finite and >= 0, raises DomainError
@@ -688,8 +686,7 @@ def _oracle_piece(Rt: np.ndarray, at: np.ndarray, ra: _ReducedAtom, quad: Quadra
     """The undamped integrals of the three occupation pieces over the R-scaled
     path of each reduced point (Rt, at) of the arrays, on the oracle's rules
     (module docstring).  Returns values and error estimates, arrays
-    (3, len(Rt)), and per point whether its summed error is within
-    max(abs_tol, 10 rel_tol |V|), V the sum of its three values.
+    (3, len(Rt)).
     """
     n = len(Rt)
     with np.errstate(divide="ignore", over="ignore"):   # inf: no Bose piece at a = 0
@@ -753,19 +750,15 @@ def _oracle_piece(Rt: np.ndarray, at: np.ndarray, ra: _ReducedAtom, quad: Quadra
     e_ray = e_ray + td * np.abs(f_ray_complex(ray_end, np.zeros(n), np.arange(n)))
 
     scale = -2.0 / (math.pi * Rt * Rt)
-    values, errors = scale * (v_seg + v_ray), np.abs(scale) * (e_seg + e_ray)
-    total = values[0] + values[1] + values[2]
-    ok = errors[0] + errors[1] + errors[2] <= np.maximum(quad.abs_tol,
-                                                         10.0 * quad.rel_tol * np.abs(total))
-    return values, errors, ok
+    return scale * (v_seg + v_ray), np.abs(scale) * (e_seg + e_ray)
 
 
 def _oracle_points(Rt: np.ndarray, At: np.ndarray, ra: _ReducedAtom, quad: QuadratureSpec):
     """The oracle's route for _grid: _oracle_piece on the tiled grid."""
-    values, errors, ok = (arr.tolist() for arr in _oracle_piece(
+    values, errors = (arr.tolist() for arr in _oracle_piece(
         np.tile(Rt, len(At)), np.repeat(At, len(Rt)), ra, quad))
-    return [(vac + nonth + bose, vac, nonth, bose, e_vac + e_nonth + e_bose, good, ())
-            for vac, nonth, bose, e_vac, e_nonth, e_bose, good in zip(*values, *errors, ok)]
+    return [(vac + nonth + bose, vac, nonth, bose, e_vac + e_nonth + e_bose, ())
+            for vac, nonth, bose, e_vac, e_nonth, e_bose in zip(*values, *errors)]
 
 
 def potential_oracle_grid(R, a, atom: AtomSpec, quad: QuadratureSpec = DEFAULT_QUAD,
@@ -773,10 +766,10 @@ def potential_oracle_grid(R, a, atom: AtomSpec, quad: QuadratureSpec = DEFAULT_Q
                           ) -> list[list[PotentialResult | UnruhCPError]]:
     """Oracle evaluation on the product grid of separations R and accelerations a.
 
-    Same domain, layout and entries as potential_grid (RegimeError,
-    marginal-window warning); a NumericalFailure when the summed error
-    estimate of the three pieces exceeds max(abs_tol, 10 rel_tol |V|).
-    Every entry equals what potential_oracle returns (or raises) for its
+    Same domain, layout, entries and acceptance gate as potential_grid
+    (RegimeError, marginal-window warning, NumericalFailure when the error
+    estimate, summed over the three occupation pieces, exceeds
+    10 rel_tol |V|).  Every entry equals what potential_oracle returns (or raises) for its
     point alone.
     """
     return _grid("oracle", _oracle_points, R, a, atom, quad, units)
@@ -792,7 +785,7 @@ def potential_oracle(R: float, a: float, atom: AtomSpec,
     The 1 x 1 call of potential_oracle_grid.  The error estimate is the sum
     of the quadrature error estimates of the three occupation pieces; the
     call raises NumericalFailure, carrying the partial value, when that sum
-    exceeds max(abs_tol, 10 rel_tol |V|).  Like potential_numeric it raises
+    exceeds 10 rel_tol |V|.  Like potential_numeric it raises
     RegimeError in the spontaneously excited regime and warns in the
     marginal validity window.
     """

@@ -312,7 +312,7 @@ def read_rows_csv(path) -> list[dict]:
                     else:
                         row[key] = float(raw) if raw not in ("", None) else None
                 out.append(row)
-    except OSError as exc:
+    except (OSError, ValueError, csv.Error) as exc:   # UnicodeDecodeError is a ValueError
         raise InputError(f"cannot read rows CSV {path!r}: {exc}") from exc
     return out
 
@@ -336,22 +336,27 @@ def fit_slope(rows, x_field: str, y_field: str,
               window: tuple[float, float] | None = None) -> SlopeFit:
     """Ordinary least squares of log|y| against log x.
 
-    rows may be SweepRow objects or dicts.  Points with missing or zero y
-    are dropped; fewer than three usable points or a sign change inside the
-    window is an error (the logarithm would be undefined).
+    rows may be SweepRow objects or dicts.  Points with a missing or zero x
+    or y are dropped; a non-finite value, fewer than three usable points,
+    fewer than two distinct x or a sign change inside the window is an
+    error (the logarithm or the slope would be undefined).
     """
     xs, ys = [], []
     for row in rows:
         get = row.get if isinstance(row, dict) else lambda k, _r=row: getattr(_r, k)
         x, y = get(x_field), get(y_field)
-        if x is None or y is None or y == 0.0:
+        if x is None or y is None or x == 0.0 or y == 0.0:
             continue
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise InputError(f"non-finite value in the fit: {x_field}={x}, {y_field}={y}")
         if window is not None and not window[0] <= x <= window[1]:
             continue
         xs.append(float(x))
         ys.append(float(y))
     if len(xs) < 3:
         raise InputError(f"slope fit needs >= 3 usable points, got {len(xs)}")
+    if len(set(xs)) < 2:
+        raise InputError(f"slope fit needs >= 2 distinct {x_field} values")
     signs = {math.copysign(1.0, y) for y in ys}
     if len(signs) > 1:
         raise InputError("sign change inside the fit window; log|y| undefined")

@@ -47,6 +47,31 @@ def test_near_zone_value(atom):
     assert near_zone_value(2.0, atom) == pytest.approx(-0.75 / 2.0**6, rel=1e-14)
 
 
+@pytest.mark.parametrize("units", ["natural", "si"])
+def test_near_zone_value_bits_of_the_reduced_double_sum(units):
+    # one C6 kernel for both laws: routing the reduced sum through it
+    # (hbar = 1.0) keeps near_zone_value bit for bit
+    from unruhcp import units_for
+    from unruhcp.potential import _reduce_atom
+
+    atom = AtomSpec(transitions=(Transition(1.3e15, 2.1e-58), Transition(2.9e15, 0.7e-58),
+                                 Transition(5.3e15, 1.9e-58)))
+    if units == "natural":
+        atom = AtomSpec(transitions=(Transition(1.0, 1.5), Transition(2.2, 0.7),
+                                     Transition(4.1, 3.0)))
+    u = units_for(atom, units)
+    ra = _reduce_atom(atom, u)
+    for R in (0.37, 2.0, 11.0):
+        R = u.restore_length(R)
+        c6 = 0.0
+        for wr, o_r in zip(ra.weights, ra.omegas):
+            for ws, o_s in zip(ra.weights, ra.omegas):
+                c6 += (1.5 * o_r * wr) * (1.5 * o_s * ws) / (o_r + o_s)
+        c6 *= 2.0 / 3.0
+        assert near_zone_value(R, atom, units=units) == u.restore_energy(
+            -c6 / u.reduce_length(R)**6)
+
+
 def test_far_low_acc_frozen_values(atom):
     assert far_low_acc(1.0, 0.0, atom) == pytest.approx(-5.75, rel=1e-14)
     assert far_low_acc(1.0, 1.0, atom) == pytest.approx(-5.75 - 1.0 / (4 * math.pi), rel=1e-12)

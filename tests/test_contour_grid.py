@@ -17,6 +17,7 @@ from unruhcp import (
     potential_grid,
     potential_inertial,
     potential_numeric,
+    potential_oracle,
     rows_to_csv,
     run_sweep,
     two_level,
@@ -96,7 +97,7 @@ def test_missed_tolerance_raises_with_partial(monkeypatch):
     reference = potential_numeric(1.0, 0.01, atom).value
     monkeypatch.setattr(potmod, "IMAG_PANELS", 2)
     monkeypatch.setattr(potmod, "MAX_REFINE", 0)
-    strict = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-300)
+    strict = QuadratureSpec(rel_tol=1e-12)
     with pytest.raises(NumericalFailure) as exc_info:
         potential_numeric(1.0, 0.01, atom, strict)
     exc = exc_info.value
@@ -113,7 +114,7 @@ def test_pole_sum_blocks_match_a_full_sum(R, a):
     atom = AtomSpec(transitions=(Transition(omega=1.0, mu_sq=1.0), Transition(omega=2.0, mu_sq=0.5)))
     u = units_for(atom)
     ra = potmod._reduce_atom(atom, u)
-    total, tail, warnings = potmod._pole_sum(R, a, ra, potmod.DEFAULT_QUAD)
+    total, tail, warnings = potmod._pole_sum(R, a, ra)
     n = np.arange(2, 5000, dtype=float)
     k = n * a
     terms = ((1 - 1 / n**2) * (k**4 + 2 * k**3 / R + 5 * k**2 / R**2 + 6 * k / R**3 + 3 / R**4)
@@ -122,9 +123,19 @@ def test_pole_sum_blocks_match_a_full_sum(R, a):
     assert 0.0 <= tail <= 1e-12 * total and warnings == []
 
 
-def test_pole_sum_hard_cap_warning_unchanged():
+def test_pole_sum_hard_cap_warning_unchanged(monkeypatch):
+    # the ladder's truncation tail is part of the gated estimate: capped at
+    # 50 terms it is 5.6% of |V| and the point fails instead of returning a
+    # value 3.6e-4 off the oracle
     atom = two_level(1.0, 1.0)
-    capped = QuadratureSpec(matsubara_hard_cap=50)
-    res = potential_numeric(1e-3, 0.2, atom, capped)
-    assert any("hard cap 50" in w for w in res.warnings)
-    assert any("dense pole ladder" in w for w in res.warnings)
+    reference = potential_oracle(1e-3, 0.2, atom).value
+    monkeypatch.setattr(potmod, "DEFAULT_POLE_CAP", 50)
+    _, tail, warnings = potmod._pole_sum(1e-3, 0.2, potmod._reduce_atom(atom, units_for(atom)))
+    assert tail > 0.0
+    assert any("hard cap 50" in w for w in warnings)
+    assert any("dense pole ladder" in w for w in warnings)
+    with pytest.raises(NumericalFailure) as exc_info:
+        potential_numeric(1e-3, 0.2, atom)
+    exc = exc_info.value
+    assert exc.partial == pytest.approx(reference, rel=1e-3)
+    assert exc.error_estimate > 10.0 * potmod.DEFAULT_QUAD.rel_tol * abs(exc.partial)

@@ -64,7 +64,8 @@ def test_sweep_config_validation():
                                "methods": "contour"})
     # not QuadratureSpec fields
     for dropped in ({"origin_cutoff": 1e-3}, {"max_subdivisions": 200},
-                    {"damping_schedule": [1e-2, 3e-3, 1e-3]}):
+                    {"damping_schedule": [1e-2, 3e-3, 1e-3]}, {"abs_tol": 1e-30},
+                    {"matsubara_rel_cutoff": 1e-12}, {"matsubara_hard_cap": 50_000}):
         with pytest.raises(InputError):
             SweepConfig.from_dict({"atom": {"two_level": {"omega0": 1.0, "alpha0": 1.0}},
                                    "quad": dropped})
@@ -252,6 +253,10 @@ def test_cli_eval_exit_codes(atom_file, tmp_path):
                 "--atom", atom_file).returncode == 2  # regime error
     assert _cli("eval", "--R", "1.0", "--accel", "0.0",
                 "--atom", str(tmp_path / "nope.json")).returncode == 1
+    # the dense ladder's tail estimate misses the gate; the oracle evaluates the point
+    dense = ("eval", "--R", "1e-9", "--accel", "0.13", "--atom", atom_file)
+    assert _cli(*dense, "--method", "contour").returncode == 3
+    assert _cli(*dense, "--method", "oracle").returncode == 0
 
 
 def test_cli_rejects_non_finite_arguments(atom_file, tmp_path, capsys):
@@ -331,6 +336,28 @@ def test_cli_fit_bad_window(atom_file, config_file, tmp_path):
                 "--window", "oops").returncode == 1
 
 
+@pytest.mark.parametrize("body", [
+    b"R,V\n1,abc\n2,3\n3,4\n",          # non-numeric field: once a ValueError traceback
+    b"R,V\n0,1\n1,2\n2,3\n",            # x = 0 is dropped: once a LinAlgError traceback
+    b"R,V\n1,1\n2,\xff\xfe\n3,2\n",     # not UTF-8: once a UnicodeDecodeError traceback
+    b"R,V\n2,1\n2,2\n2,3\n",            # one distinct x: once slope 0.0 and exit 0
+    b"R,V\n1,inf\n2,2\n3,3\n",          # non-finite value: once a nan fit and exit 0
+], ids=["non_numeric", "zero_x", "not_utf8", "equal_x", "non_finite"])
+def test_cli_fit_bad_csv_is_an_input_error(tmp_path, body):
+    path = tmp_path / "rows.csv"
+    path.write_bytes(body)
+    proc = _cli("fit", "--input", str(path), "--x", "R", "--y", "V")
+    assert proc.returncode == 1
+    assert proc.stdout == "" and proc.stderr.startswith("input error")
+
+
+def test_fit_slope_drops_zero_x():
+    rows = [{"x": x, "y": 3.0 * x**-6 if x else 1.0} for x in (0.0, 1.0, 2.0, 4.0)]
+    fit = fit_slope(rows, "x", "y")
+    assert fit.n_points == 3
+    assert fit.slope == pytest.approx(-6.0, abs=1e-12)
+
+
 def test_cli_report_inertial_config_passes(config_file, tmp_path):
     out = tmp_path / "report.json"
     proc = _cli("report", "--config", config_file, "--out", str(out))
@@ -342,14 +369,16 @@ def test_cli_report_inertial_config_passes(config_file, tmp_path):
 
 def test_cli_eval_custom_quad(atom_file, tmp_path):
     quad_file = tmp_path / "quad.json"
-    quad_file.write_text(json.dumps({
-        "rel_tol": 1e-5,
-        "matsubara_hard_cap": 50_000,
-    }))
+    quad_file.write_text(json.dumps({"rel_tol": 1e-5}))
     proc = _cli("eval", "--R", "1.0", "--accel", "0.01", "--atom", atom_file,
                 "--quad", str(quad_file), "--method", "both")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["rel_diff"] < 1e-4
+    # a removed QuadratureSpec field is an input error, not silently ignored
+    quad_file.write_text(json.dumps({"rel_tol": 1e-5, "matsubara_hard_cap": 50_000}))
+    proc = _cli("eval", "--R", "1.0", "--accel", "0.01", "--atom", atom_file,
+                "--quad", str(quad_file))
+    assert proc.returncode == 1 and "input error" in proc.stderr
 
 
 def test_cli_eval_si_units(tmp_path):
