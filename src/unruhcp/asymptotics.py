@@ -109,11 +109,20 @@ def high_aR(R: float, a: float, atom: AtomSpec,
 
 
 def _alpha_b_at_resonance(atom_b: AtomSpec, k_a: float, u: UnitSystem):
-    """alpha_B(k_A), gamma = 0, with a proximity warning near B's resonances."""
+    """alpha_B(k_A) at gamma = 0, with a proximity warning near B's resonances.
+
+    Within B's linewidth of a line the damped real part is used instead.  On
+    a line (within 1e-12 of k_A) the gamma = 0 sum diverges and that line's
+    damped real part is 0, so there is no value: DomainError.
+    """
     rb = _reduce_atom(atom_b, u)
     z2 = k_a * k_a
     gap = min(abs(o - k_a) for o in rb.omegas)
-    if gap <= max(rb.gamma, 1e-12):
+    if gap <= 1e-12:
+        raise DomainError(
+            f"alpha_B(k_A) is undefined: atom B has a line within {gap:.3e} of k_A; "
+            "pair atom A with a detuned atom B")
+    if gap <= rb.gamma:
         _warnings.warn(
             f"alpha_B evaluated within {gap:.3e} of a resonance; "
             "using the damped value", RuntimeWarning, stacklevel=3)
@@ -128,7 +137,8 @@ def potential_high_acc(R: float, a: float, atom_a: AtomSpec,
 
     Atom A emits at its dominant transition k_A = omega0/c with squared
     dipole element mu_A^2; atom B responds through alpha_B(k_A).  Falls as
-    R^-6 in the near zone and R^-2 in the far zone.
+    R^-6 in the near zone and R^-2 in the far zone.  atom_b defaults to
+    atom_a, whose own line lies at k_A: that pair is a DomainError.
     """
     atom_b = atom_a if atom_b is None else atom_b
     u = units_for(atom_a, units)

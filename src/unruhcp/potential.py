@@ -79,8 +79,8 @@ ORACLE_PANEL_RAD radians of 2kR; the ray has edges at t_d 2^j (t_d =
 integrand there times t_d bounds the rest in the error estimate.  Panels
 whose difference from their two halves misses their share of the target are
 split again, up to MAX_REFINE times.  A point's error estimate is the sum
-over the three occupation pieces.  No scalar adaptive quadrature remains;
-scipy.integrate is still imported at start-up (ROADMAP item 4).
+over the three occupation pieces.  No scalar adaptive quadrature remains,
+and the package needs numpy alone.
 
 Every contour and oracle value is a function of (R, a, atom,
 QuadratureSpec) alone: the arithmetic of one point never involves another,
@@ -96,8 +96,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-# unused; stays eager until a lazy import lands with its start-up gauge (ROADMAP item 4)
-from scipy.integrate import quad as _scipy_quad  # noqa: F401
 
 from .atoms import AtomSpec, alpha_real, oscillator_sum, oscillator_weights
 from .errors import NumericalFailure, RegimeError, UnruhCPError, check_domain
@@ -508,10 +506,12 @@ def _grid(name: str, route, R, a, atom: AtomSpec, quad: QuadratureSpec, units):
         for R_i, (vt, vac, nonth, res, err, warnings) in zip(Rs, points):
             value = u.restore_energy(vt)
             error = u.restore_energy(err)
-            if not err <= 10.0 * quad.rel_tol * abs(vt):
+            bound = 10.0 * quad.rel_tol * abs(vt)
+            if not err <= bound:
                 row.append(NumericalFailure(
                     f"{name} quadrature missed its tolerance at R={R_i!r}, a={a_j!r}: "
-                    f"error estimate {error:.3e} after {MAX_REFINE} refinements",
+                    f"error estimate {error:.3e} exceeds 10 rel_tol |V| = "
+                    f"{u.restore_energy(bound):.3e}",
                     partial=value, error_estimate=error))
                 continue
             row.append(PotentialResult(

@@ -337,9 +337,9 @@ def fit_slope(rows, x_field: str, y_field: str,
     """Ordinary least squares of log|y| against log x.
 
     rows may be SweepRow objects or dicts.  Points with a missing or zero x
-    or y are dropped; a non-finite value, fewer than three usable points,
-    fewer than two distinct x or a sign change inside the window is an
-    error (the logarithm or the slope would be undefined).
+    or y are dropped; a non-finite value, a negative x, fewer than three
+    usable points, fewer than two distinct x or a sign change inside the
+    window is an error (the logarithm or the slope would be undefined).
     """
     xs, ys = [], []
     for row in rows:
@@ -349,6 +349,8 @@ def fit_slope(rows, x_field: str, y_field: str,
             continue
         if not (math.isfinite(x) and math.isfinite(y)):
             raise InputError(f"non-finite value in the fit: {x_field}={x}, {y_field}={y}")
+        if x < 0.0:
+            raise InputError(f"negative {x_field} = {x} in the fit; log {x_field} undefined")
         if window is not None and not window[0] <= x <= window[1]:
             continue
         xs.append(float(x))
@@ -360,7 +362,7 @@ def fit_slope(rows, x_field: str, y_field: str,
     signs = {math.copysign(1.0, y) for y in ys}
     if len(signs) > 1:
         raise InputError("sign change inside the fit window; log|y| undefined")
-    lx = np.log(np.abs(np.array(xs)))
+    lx = np.log(np.array(xs))
     ly = np.log(np.abs(np.array(ys)))
     A = np.column_stack([lx, np.ones_like(lx)])
     coef, *_ = np.linalg.lstsq(A, ly, rcond=None)

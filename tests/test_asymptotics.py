@@ -127,9 +127,12 @@ def test_potential_high_acc_frozen(highacc_atoms):
         pytest.approx(27.0 * v, rel=1e-12)
 
 
-def test_potential_high_acc_resonance_warning(atom):
-    with pytest.warns(RuntimeWarning):
-        potential_high_acc(1.0, 50.0, atom, atom)  # identical atoms: self-resonant
+def test_potential_high_acc_self_resonant_raises(atom):
+    # identical atoms: B's line sits at k_A, where the value was once -0.0
+    with pytest.raises(DomainError):
+        potential_high_acc(1.0, 50.0, atom, atom)
+    with pytest.raises(DomainError):
+        potential_high_acc(1.0, 50.0, atom)   # atom_b defaults to atom_a
 
 
 def test_potential_high_acc_damped_value(atom):

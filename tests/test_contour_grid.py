@@ -109,6 +109,19 @@ def test_missed_tolerance_raises_with_partial(monkeypatch):
     assert any(w.startswith("contour: numerical failure") for w in row.warnings)
 
 
+def test_failure_message_states_the_gate():
+    # the dense pole ladder's tail, which no refinement touches, misses the
+    # gate here; the message once blamed "4 refinements"
+    with pytest.raises(NumericalFailure) as exc_info:
+        potential_numeric(1e-9, 0.13, two_level(1.0, 1.0))
+    exc = exc_info.value
+    bound = 10.0 * potmod.DEFAULT_QUAD.rel_tol * abs(exc.partial)
+    assert exc.error_estimate > bound
+    assert str(exc) == (
+        "contour quadrature missed its tolerance at R=1e-09, a=0.13: "
+        f"error estimate {exc.error_estimate:.3e} exceeds 10 rel_tol |V| = {bound:.3e}")
+
+
 @pytest.mark.parametrize("R, a", [(3.0, 0.2), (20.0, 0.4), (1.0, 2.0)])
 def test_pole_sum_blocks_match_a_full_sum(R, a):
     atom = AtomSpec(transitions=(Transition(omega=1.0, mu_sq=1.0), Transition(omega=2.0, mu_sq=0.5)))

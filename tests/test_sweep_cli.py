@@ -106,11 +106,17 @@ def test_sweep_row_order_and_completeness():
 
 
 def test_sweep_excited_regime_degrades_to_warning():
-    cfg = _config(R_grid=GridSpec(value=1.0), a_grid=GridSpec(value=100.0))
+    cfg = _config(R_grid=GridSpec(value=1.0), a_grid=GridSpec(value=100.0),
+                  methods=("contour", "asymptotic"))
     rows = run_sweep(cfg)
     assert len(rows) == 1
     assert rows[0].V_contour is None
     assert any("regime error" in w for w in rows[0].warnings)
+    # the high-acceleration law pairs the atom with itself, whose line sits at
+    # k_A: no value (once a meaningless -0.0) and the law's domain error
+    assert rows[0].V_asymptotic is None
+    assert any(w.startswith("asymptotic: alpha_B(k_A) is undefined")
+               for w in rows[0].warnings)
 
 
 def test_sweep_dual_method_rel_diff():
@@ -342,7 +348,8 @@ def test_cli_fit_bad_window(atom_file, config_file, tmp_path):
     b"R,V\n1,1\n2,\xff\xfe\n3,2\n",     # not UTF-8: once a UnicodeDecodeError traceback
     b"R,V\n2,1\n2,2\n2,3\n",            # one distinct x: once slope 0.0 and exit 0
     b"R,V\n1,inf\n2,2\n3,3\n",          # non-finite value: once a nan fit and exit 0
-], ids=["non_numeric", "zero_x", "not_utf8", "equal_x", "non_finite"])
+    b"R,V\n-1,1\n2,0.25\n-4,0.0625\n",  # negative x: once a fit of log|x|, slope -2.0
+], ids=["non_numeric", "zero_x", "not_utf8", "equal_x", "non_finite", "negative_x"])
 def test_cli_fit_bad_csv_is_an_input_error(tmp_path, body):
     path = tmp_path / "rows.csv"
     path.write_bytes(body)
