@@ -58,16 +58,25 @@ def near_zone_inertial(atom: AtomSpec, hbar: float = 1.0) -> float:
     return _c6([t.mu_sq for t in atom.transitions], [t.omega for t in atom.transitions], hbar)
 
 
-def near_zone_value(R: float, atom: AtomSpec,
-                    units: UnitSystem | str | None = None) -> float:
-    """-C6 / R^6 evaluated in the caller's units via the reduced system, where
-    mu_r^2 = 1.5 omega_r w_r (w_r the oscillator strengths) and hbar = 1."""
+def near_zone_law(atom: AtomSpec, units: UnitSystem | str | None = None):
+    """The function R -> -C6 / R^6 in the caller's units, with C6 summed once
+    in the reduced system, where mu_r^2 = 1.5 omega_r w_r (w_r the oscillator
+    strengths) and hbar = 1."""
     u = units_for(atom, units)
-    check_domain("separation", R)
-    Rt = u.reduce_length(R)
     ra = _reduce_atom(atom, u)
     c6 = _c6([1.5 * o * w for w, o in zip(ra.weights, ra.omegas)], ra.omegas, 1.0)
-    return u.restore_energy(-c6 / Rt**6)
+
+    def value(R: float) -> float:
+        check_domain("separation", R)
+        return u.restore_energy(-c6 / u.reduce_length(R)**6)
+
+    return value
+
+
+def near_zone_value(R: float, atom: AtomSpec,
+                    units: UnitSystem | str | None = None) -> float:
+    """-C6 / R^6 evaluated in the caller's units (one call of near_zone_law)."""
+    return near_zone_law(atom, units)(R)
 
 
 def far_low_acc_parts(R: float, a: float, atom: AtomSpec,
@@ -130,17 +139,16 @@ def _alpha_b_at_resonance(atom_b: AtomSpec, k_a: float, u: UnitSystem):
     return oscillator_sum(z2, rb.weights, rb.omegas)
 
 
-def potential_high_acc(R: float, a: float, atom_a: AtomSpec,
-                       atom_b: AtomSpec | None = None,
+def potential_high_acc(R: float, a: float, atom_a: AtomSpec, atom_b: AtomSpec,
                        units: UnitSystem | str | None = None) -> float:
     """Closed-form potential in the spontaneously excited regime (a >> omega0 c).
 
     Atom A emits at its dominant transition k_A = omega0/c with squared
     dipole element mu_A^2; atom B responds through alpha_B(k_A).  Falls as
-    R^-6 in the near zone and R^-2 in the far zone.  atom_b defaults to
-    atom_a, whose own line lies at k_A: that pair is a DomainError.
+    R^-6 in the near zone and R^-2 in the far zone.  Atom B must be detuned
+    from k_A: a line of B at k_A (atom_a paired with itself, say) is a
+    DomainError.
     """
-    atom_b = atom_a if atom_b is None else atom_b
     u = units_for(atom_a, units)
     check_domain("separation", R)
     check_domain("acceleration", a)

@@ -92,6 +92,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_asymptotic(args) -> int:
+    if args.law == "high-acc" and args.atom_b is None:
+        raise InputError("--law high-acc needs --atom-b, the atom that responds to atom A")
     atom = load_atom(args.atom)
     atom_b = load_atom(args.atom_b) if args.atom_b else None
     doc = {"law": args.law, "R": args.R, "a": args.accel, "units": args.units}

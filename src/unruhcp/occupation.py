@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DomainError, InputError, check_domain
 
 EXP_OVERFLOW = 700.0  # beyond this the Bose factor underflows double precision
-DEFAULT_POLE_CAP = 100_000  # shared with the potential evaluator's pole sum
+DEFAULT_POLE_CAP = 100_000  # default length of the bose_poles list
 
 
 @dataclass(frozen=True)

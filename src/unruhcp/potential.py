@@ -15,11 +15,13 @@ evaluated two independent ways:
   onto the imaginary axis with a finite-part (Hadamard) regularization of
   its double pole at the origin; the third contributes the pole ladder of
   the Bose factor at k_n = n a / c^2 plus a closed-form origin term from the
-  k^-1 Laurent coefficient of the integrand.  When the pole ladder is too
-  dense (a R / c^2 small) the third piece is instead evaluated as the
-  exactly equivalent Bose-weighted real-axis integral of the imaginary
-  part, which stays cheap for arbitrarily small a R.  ``potential_numeric``
-  (one point) and ``potential_inertial`` (a = 0) are 1 x 1 grids.
+  k^-1 Laurent coefficient of the integrand.  The ladder is summed directly
+  where it is sparse and by the Abel-Plana formula from a shifted origin
+  where it is dense, in one batched kernel per grid (_pole_ladder).  For
+  a <= SWITCH_A and a R / c^2 <= SWITCH_AR the third piece is instead the
+  exactly equivalent Bose-weighted real-axis integral of the imaginary part,
+  which needs a below the lowest resonance.  ``potential_numeric`` (one
+  point) and ``potential_inertial`` (a = 0) are 1 x 1 grids.
 * ``potential_oracle_grid`` - an independent check on the same grid: the raw
   integrand is integrated over a deformed first-quadrant path (real segment
   plus a tilted ray, exact by Cauchy's theorem), undamped.  It shares no
@@ -39,33 +41,35 @@ expressions on fixed composite Gauss-Legendre rules with GL_ORDER nodes per
 panel:
 
 * the two imaginary-axis pieces use IMAG_PANELS equal panels in ln x over
-  x = uR in [X_LO, X_CUT].  The stretch [0, X_LO] is added analytically, as
-  3 alpha0^2 X_LO for the inertial piece and -W2 X_LO for the
-  origin-subtracted one (W2 = alpha0^2 + 3 alpha_curv/R^2, minus the
-  integrand at x = 0), and so is the -3 alpha0^2/X_CUT tail of the
-  origin-subtracted piece beyond X_CUT, where the exponential factor is
-  below e^{-80}; the leading terms these end pieces neglect (X_LO^3 times
-  the x^2 and x^4 Taylor coefficients) enter the error estimate, which
-  grows past the target only for R below about 1e-9 c/omega0.  Both pieces
-  share one set of polarizability samples and
-  depend on R only, so a grid computes them once per separation.  The
+  x = uR in [X_LO, X_CUT].  The stretch [0, X_LO] is added analytically
+  from the Taylor series of the integrand through x^4, and so is the
+  -3 alpha0^2/X_CUT tail of the origin-subtracted piece beyond X_CUT, where
+  the exponential factor is below e^{-80}; the leading terms these end
+  pieces neglect (those of x^5 and x^6) enter the error estimate, 1e-10 of
+  the value at R = 1e-10 c/omega0.  Both pieces share one set of
+  polarizability samples and depend on R only, so a grid computes them
+  once per separation.  The
   samples come from _alpha_iu, the one oscillator sum kept outside
   atoms.oscillator_sum: it fuses alpha(iu) with the deficit sum beta that
   the origin-subtracted piece needs, so both share one division per line.
 * the Bose real-axis piece uses the panels BOSE_EDGES, cut at T.
+* the pole ladder is a direct head of at most LADDER_HEAD terms where that
+  reaches a R n >= LADDER_Y, whose geometric tail is its error estimate.
+  Elsewhere it is the Abel-Plana remainder from the pole N = LADDER_ORIGIN:
+  the finite part of int_0^inf of the ladder's function comes from the two
+  imaginary-axis pieces, and its integral over [0, N] (panels halving
+  towards 0, LADDER_X_SPLITS of them) and the Abel-Plana correction over
+  t in LADDER_T_EDGES, whose nodes lie off the real axis, are one nested
+  rule.
 
 Each rule is nested: its value with the panels as given is compared with
 its value with every panel halved; the finer value is returned and the
 difference is its error estimate.  A row (one separation, or one (R, a)
-pair of the Bose piece) whose estimate exceeds max(1e-13, min(1e-8,
-rel_tol * 1e-2)) of its value is compared again one halving finer, up to
-MAX_REFINE times.  A point's error estimate is the sum of the estimates of
-the pieces its value uses; on the pole-ladder branch it also holds the
-geometric tail of the ladder beyond its last term (the sum stops at a term
-below POLE_REL_CUTOFF of the partial sum, or at DEFAULT_POLE_CAP terms).
-The tail bound is loose on dense ladders: just above a = SWITCH_A, points
-below about R = 1e-7 c/omega0 can fail the gate.  No scalar adaptive
-quadrature remains in this evaluator.
+pair of the Bose piece or the ladder remainder) whose estimate exceeds
+max(1e-13, min(1e-8, rel_tol * 1e-2)) of its value is compared again one
+halving finer, up to MAX_REFINE times.  A point's error estimate is the sum
+of the estimates of the imaginary-axis pieces and of its Bose piece or pole
+ladder.  No scalar adaptive quadrature remains in this evaluator.
 
 Quadrature of the oracle.  A point's path leaves the real axis at
 K0 = min(ORACLE_K0, 1/R) and follows the ray K0 + t e^{i ORACLE_TILT}, on
@@ -100,7 +104,7 @@ from numpy.polynomial.legendre import leggauss
 from .atoms import AtomSpec, alpha_real, oscillator_sum, oscillator_weights
 from .errors import NumericalFailure, RegimeError, UnruhCPError, check_domain
 from .kinematics import Regime, classify_regime, validity_check
-from .occupation import DEFAULT_POLE_CAP, EXP_OVERFLOW, _bose, mode_occupation
+from .occupation import EXP_OVERFLOW, _bose, mode_occupation
 from .retardation import (
     SERIES_SWITCH,
     osc_imag_part,
@@ -123,9 +127,11 @@ IMAG_PANELS = 32      # panels in ln x of the coarser imaginary-axis rule
 BOSE_EDGES = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 40.0)  # t panels, cut at T
 MAX_REFINE = 4        # further panel halvings for rows that miss the target
 P_SERIES = 0.25       # below this x, (Q(x) e^{-2x} - 3)/x^2 is summed as a series
-POLE_BLOCK_MIN = 32   # pole-sum block sizes (terms)
-POLE_BLOCK_MAX = 16384
-POLE_REL_CUTOFF = 1e-12   # the pole sum stops at a term below this fraction of the sum
+LADDER_HEAD = 64      # most terms of a directly summed pole ladder
+LADDER_Y = 26.0       # a direct ladder runs to the first pole with n a R >= LADDER_Y
+LADDER_ORIGIN = 2.0   # the Abel-Plana remainder starts at pole N = LADDER_ORIGIN
+LADDER_X_SPLITS = 6   # its [0, N] rule has the panels [0, 2^-6 N], ..., [N/2, N]
+LADDER_T_EDGES = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)   # and its t rule these panels
 ORACLE_K0 = 0.5       # the oracle path leaves the real axis at min(ORACLE_K0, 1/R)
 ORACLE_TILT = math.pi / 4
 ORACLE_PANEL_RAD = 1.0      # widest oracle segment panel, in radians of 2kR
@@ -138,8 +144,8 @@ class QuadratureSpec:
     """The accuracy asked of both evaluators: the single field rel_tol.
 
     Every rule refines toward max(1e-13, min(1e-8, rel_tol/100)) of its
-    value, and a point is returned only when its whole error estimate
-    (quadrature, plus the pole-ladder tail on that branch) is within
+    value, and a point is returned only when its whole error estimate (of
+    its quadratures and of a direct pole ladder's tail) is within
     10 rel_tol |V|; otherwise it is a NumericalFailure.
     """
 
@@ -186,6 +192,7 @@ class _ReducedAtom:
     alpha0: float                # static polarizability
     alpha_curv: float            # k^2 coefficient of alpha^2(k) about k = 0
     alpha_quart: float           # k^4 coefficient of alpha^2(k) about k = 0
+    alpha_sext: float            # k^6 coefficient of alpha^2(k) about k = 0
     gamma: float                 # linewidth in omega0
 
 
@@ -196,8 +203,10 @@ def _reduce_atom(atom: AtomSpec, units: UnitSystem) -> _ReducedAtom:
     alpha0 = sum(weights)
     s2 = sum(w / o**2 for w, o in zip(weights, omegas))
     s4 = sum(w / o**4 for w, o in zip(weights, omegas))
+    s6 = sum(w / o**6 for w, o in zip(weights, omegas))
     return _ReducedAtom(omegas=omegas, weights=weights, alpha0=alpha0,
                         alpha_curv=2.0 * alpha0 * s2, alpha_quart=s2 * s2 + 2.0 * alpha0 * s4,
+                        alpha_sext=2.0 * (s2 * s4 + alpha0 * s6),
                         gamma=units.reduce_frequency(atom.damping))
 
 
@@ -254,24 +263,30 @@ def _frozen(*arrays):
     return arrays
 
 
+def _quartic_exp(x: np.ndarray):
+    """Q(x) e^{-2x} and p(x) = (Q(x) e^{-2x} - 3)/x^2 at the nodes x > 0, p
+    summed as its series below P_SERIES."""
+    qe = quartic_weight(x) * np.exp(-2.0 * x)
+    xs = np.minimum(x, P_SERIES)
+    p = np.zeros_like(x)
+    for c in reversed(_QE_SERIES[2:]):
+        p = p * xs + c
+    far = x >= P_SERIES
+    p[far] = (qe[far] - 3.0) / (x[far] * x[far])
+    return qe, p
+
+
 @lru_cache(maxsize=None)
 def _imag_axis_rule(panels: int, order: int):
     """(x, w, Q e^{-2x}, p) on the imaginary-axis rule: `panels` equal panels in
     ln x over [X_LO, X_CUT], `order` Gauss-Legendre nodes each.  w includes the
-    Jacobian x of the ln-x substitution and p(x) = (Q(x) e^{-2x} - 3)/x^2,
-    summed as its series below P_SERIES."""
+    Jacobian x of the ln-x substitution; p as in _quartic_exp."""
     t, w = leggauss(order)
     lo = math.log(X_LO)
     h = (math.log(X_CUT) - lo) / panels
     x = np.exp((lo + h * np.arange(panels)[:, None] + 0.5 * h * (t + 1.0)).ravel())
     wx = np.tile(0.5 * h * w, panels) * x
-    qe = quartic_weight(x) * np.exp(-2.0 * x)
-    xs = np.minimum(x, P_SERIES)
-    series = np.zeros_like(x)
-    for c in reversed(_QE_SERIES[2:]):
-        series = series * xs + c
-    p = np.where(x < P_SERIES, series, (qe - 3.0) / (x * x))
-    return _frozen(x, wx, qe, p)
+    return _frozen(x, wx, *_quartic_exp(x))
 
 
 @lru_cache(maxsize=None)
@@ -321,23 +336,24 @@ def _nested(evaluate, n: int, quad: QuadratureSpec, floor=0.0):
 # --------------------------------------------------------------------------
 # contour-evaluator building blocks (reduced units)
 # --------------------------------------------------------------------------
-def _inertial_integral(Rt: np.ndarray, ra: _ReducedAtom, level: int):
+def _inertial_integral(Rt: np.ndarray, ra: _ReducedAtom, level: int, end: np.ndarray):
     """int_0^inf g(x) dx per separation, g(x) = Q(x) e^{-2x} alpha^2(ix/R), x = uR,
-    on the level's imaginary-axis rule.
+    on the level's imaginary-axis rule plus `end`, the [0, X_LO] piece.
 
     Returns the integrals and the polarizability samples (alpha, beta) of
     _alpha_iu, which _origin_subtracted_integral reuses.
     """
     x, wx, qe, _ = _imag_axis_rule(IMAG_PANELS << level, GL_ORDER)
     alpha, beta = _alpha_iu(x / Rt[:, None], ra)
-    integral = (qe * alpha * alpha * wx).sum(axis=1) + 3.0 * ra.alpha0**2 * X_LO
+    integral = (qe * alpha * alpha * wx).sum(axis=1) + end
     return integral, alpha, beta
 
 
 def _origin_subtracted_integral(Rt: np.ndarray, ra: _ReducedAtom, level: int,
-                                alpha: np.ndarray, beta: np.ndarray):
+                                alpha: np.ndarray, beta: np.ndarray, end: np.ndarray):
     """Finite part int_0^inf [g(x) - g(0)]/x^2 dx per separation (g as above,
-    g(0) = 3 alpha0^2), on the level's imaginary-axis rule.
+    g(0) = 3 alpha0^2), on the level's imaginary-axis rule, less `end`, which
+    is minus the [0, X_LO] piece.
 
     W'(0) vanishes identically (the 6/x^3 term of the weight cancels the
     linear term of e^{-2x}), so subtracting the pure double pole leaves a
@@ -348,25 +364,34 @@ def _origin_subtracted_integral(Rt: np.ndarray, ra: _ReducedAtom, level: int,
     _, wx, _, p = _imag_axis_rule(IMAG_PANELS << level, GL_ORDER)
     a0 = ra.alpha0
     integrand = p * alpha * alpha - 3.0 * beta * (alpha + a0) / (Rt * Rt)[:, None]
-    w2 = a0 * a0 + 3.0 * ra.alpha_curv / (Rt * Rt)
-    return (integrand * wx).sum(axis=1) - w2 * X_LO - 3.0 * a0 * a0 / X_CUT
+    return (integrand * wx).sum(axis=1) - end - 3.0 * a0 * a0 / X_CUT
 
 
 def _imag_axis_pieces(Rt: np.ndarray, ra: _ReducedAtom, quad: QuadratureSpec):
     """(inertial, origin-subtracted) x-integrals per separation: value and error
     arrays of shape (2, len(Rt))."""
+    # Taylor coefficients of g about x = 0: g = 3 alpha0^2 - g2 x^2 + g4 x^4
+    # + c5 alpha0^2 x^5 + g6 x^6 + ..., c_m those of Q(x) e^{-2x}; they
+    # overflow only far below R = X_LO, where the floor fails the point
+    a0sq, r2 = ra.alpha0**2, Rt * Rt
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        g2 = a0sq + 3.0 * ra.alpha_curv / r2
+        g4 = a0sq + ra.alpha_curv / r2 + 3.0 * ra.alpha_quart / (r2 * r2)
+        g6 = (_QE_SERIES[6] * a0sq - ra.alpha_curv / r2 - ra.alpha_quart / (r2 * r2)
+              - 3.0 * ra.alpha_sext / (r2 * r2 * r2))
+        # the [0, X_LO] pieces to that order, and the terms they neglect
+        end_inertial = (3.0 * a0sq - X_LO**2 * (g2 / 3.0 - X_LO**2 * g4 / 5.0)) * X_LO
+        end_origin = (g2 - g4 * X_LO**2 / 3.0) * X_LO
+        c5 = abs(_QE_SERIES[5]) * a0sq
+        floor = np.stack([c5 * X_LO**6 / 6.0 + np.abs(g6) * X_LO**7 / 7.0,
+                          c5 * X_LO**4 / 4.0 + np.abs(g6) * X_LO**5 / 5.0])
 
     def evaluate(rows, level):
         r = Rt[rows]
-        inertial, alpha, beta = _inertial_integral(r, ra, level)
-        return np.stack([inertial, _origin_subtracted_integral(r, ra, level, alpha, beta)])
+        inertial, alpha, beta = _inertial_integral(r, ra, level, end_inertial[rows])
+        return np.stack([inertial, _origin_subtracted_integral(
+            r, ra, level, alpha, beta, end_origin[rows])])
 
-    # leading neglected terms of the [0, X_LO] corrections: the x^2 and x^4
-    # Taylor coefficients of g, times X_LO^3/3
-    a0sq, r2 = ra.alpha0**2, Rt * Rt
-    g2 = a0sq + 3.0 * ra.alpha_curv / r2
-    g4 = a0sq + ra.alpha_curv / r2 + 3.0 * ra.alpha_quart / (r2 * r2)
-    floor = np.stack([g2, np.abs(g4)]) * X_LO**3 / 3.0
     return _nested(evaluate, len(Rt), quad, floor)
 
 
@@ -383,47 +408,85 @@ def _origin_coefficient(Rt: float, at: float, ra: _ReducedAtom) -> float:
     return w0 * at * (math.pi / 6.0 + 0.5 / math.pi) + w2 * at**3 / (2.0 * math.pi)
 
 
-def _pole_sum(Rt: float, at: float, ra: _ReducedAtom):
-    """sum_{n>=2} (1 - 1/n^2) W(n a) over the Bose poles (n = 1 is killed
-    by the zero of 1 + a^2/k^2 at k = i a).
+def _ladder_terms(n, Rt, at, ra: _ReducedAtom):
+    """R^4 g(n) with g(n) = (1 - 1/n^2) W(n a), W(u) = Q(uR) e^{-2uR} alpha^2(iu)/R^4
+    the imaginary-axis integrand; at real or complex n, elementwise."""
+    u = n * at
+    y = u * Rt
+    return (1.0 - 1.0 / (n * n)) * quartic_weight(y) * np.exp(-2.0 * y) * _alpha2_iu(u, ra)
 
-    The terms fall about as exp(-2 a R n), so the first block holds the
-    terms needed at that rate to reach POLE_REL_CUTOFF; later blocks
-    double, up to POLE_BLOCK_MAX terms each, and the sum stops after
-    DEFAULT_POLE_CAP terms.  Returns the sum, the geometric estimate of
-    the tail beyond its last term, and warnings.
+
+@lru_cache(maxsize=None)
+def _panel_rule(edges: tuple[float, ...], level: int):
+    """Nodes and weights of the rule on the panels between `edges`, each cut
+    into 2^level parts of GL_ORDER Gauss-Legendre nodes."""
+    offsets, weights = _bose_rule(1 << level, GL_ORDER)
+    lo, width = np.array(edges[:-1])[:, None], np.diff(edges)[:, None]
+    return _frozen((lo + width * offsets).ravel(), (width * weights).ravel())
+
+
+def _pole_ladder(Rt: np.ndarray, at: np.ndarray, ra: _ReducedAtom, quad: QuadratureSpec,
+                 fp: np.ndarray):
+    """R^4 sum_{n>=2} g(n) over the Bose poles (n = 1 is killed by the zero of
+    1 + a^2/k^2 at k = i a), per point of the arrays Rt, at: values and error
+    estimates.  fp is R^4 FP int_0^inf g per point, from the imaginary-axis
+    integrals.
+
+    Where the terms, which fall faster than e^{-2 a R n}, reach a R n >=
+    LADDER_Y within LADDER_HEAD terms, the ladder is that direct head,
+    summed for every such point in one ragged pass; the geometric tail
+    beyond its last term is its estimate.  Elsewhere the Abel-Plana formula
+    from the shifted origin N = LADDER_ORIGIN gives
+
+        sum_{n>=N} g(n) = int_N^inf g + g(N)/2 - 2 int_0^inf Im g(N + it)/(e^{2 pi t} - 1) dt,
+
+    with int_N^inf g = fp - FP int_0^N g.  The t-integrand's nodes lie at
+    k = -a t + i a N, off the real axis, so no polarizability resonance is
+    hit whatever a is.  FP int_0^N g = int_0^N h + W(0)/N with h(x) = W(xa) -
+    (W(xa) - W(0))/x^2, evaluated as in _origin_subtracted_integral; both
+    integrals are one nested rule (_nested) whose difference is the estimate.
+    Each point's result depends on that point alone.
     """
-    warnings: list[str] = []
-    if at * Rt < 1e-3:
-        warnings.append(
-            f"dense pole ladder: aR/c^2 = {at * Rt:.3e} < 1e-3; "
-            "the low-acceleration closed forms are better cross-checks here")
-    total = 0.0
-    tail = 0.0
-    ratio = math.exp(-2.0 * at * Rt)
-    need = math.log(1.0 / POLE_REL_CUTOFF) / max(2.0 * at * Rt, 1e-300)
-    block = int(min(POLE_BLOCK_MAX, max(POLE_BLOCK_MIN, math.ceil(need))))
-    n0 = 2
-    while n0 <= DEFAULT_POLE_CAP:
-        n = np.arange(n0, min(n0 + block, DEFAULT_POLE_CAP + 1), dtype=float)
-        u = n * at
-        x = u * Rt
-        poly = u**4 + 2.0 * u**3 / Rt + 5.0 * u**2 / Rt**2 + 6.0 * u / Rt**3 + 3.0 / Rt**4
+    value = np.empty(len(Rt))
+    error = np.empty(len(Rt))
+    ar = at * Rt
+    direct = ar >= LADDER_Y / (LADDER_HEAD + 1)
+    d = np.flatnonzero(direct)
+    if len(d):
+        count = np.maximum(np.ceil(LADDER_Y / ar[d]) - 1.0, 1.0).astype(np.int64)
+        pt = np.repeat(np.arange(len(d)), count)
+        ends = np.cumsum(count)
+        n = (np.arange(ends[-1]) - np.repeat(ends - count, count) + 2).astype(float)
         with np.errstate(under="ignore"):
-            terms = (1.0 - 1.0 / n**2) * poly * np.exp(-2.0 * x) * _alpha2_iu(u, ra)
-        total += float(terms.sum())
-        last = float(terms[-1])
-        if last < POLE_REL_CUTOFF * max(abs(total), 1e-300):
-            tail = last * ratio / max(1.0 - ratio, 1e-300)
-            break
-        n0 += block
-        block = min(2 * block, POLE_BLOCK_MAX)
-    else:
-        tail = float(terms[-1]) * ratio / max(1.0 - ratio, 1e-300)
-        warnings.append(
-            f"pole sum truncated at the hard cap {DEFAULT_POLE_CAP}; "
-            f"geometric tail estimate {tail:.3e}")
-    return total, tail, warnings
+            terms = _ladder_terms(n, Rt[d][pt], at[d][pt], ra)
+        ratio = np.exp(-2.0 * ar[d])
+        value[d] = np.bincount(pt, weights=terms, minlength=len(d))
+        error[d] = terms[ends - 1] * ratio / (1.0 - ratio)
+
+    rest = np.flatnonzero(~direct)
+    if len(rest):
+        r, a = Rt[rest, None], at[rest, None]
+        N = LADDER_ORIGIN
+        x_edges = (0.0, *(N * 2.0**-j for j in range(LADDER_X_SPLITS, -1, -1)))
+        const = 0.5 * _ladder_terms(N, r[:, 0], a[:, 0], ra) - 3.0 * ra.alpha0**2 / N
+
+        def evaluate(rows, level):
+            rr, aa = r[rows], a[rows]
+            x, wx = _panel_rule(x_edges, level)
+            u = x * aa
+            qe, p = _quartic_exp(u * rr)
+            alpha, beta = _alpha_iu(u, ra)
+            h = qe * alpha * alpha - aa * aa * (
+                rr * rr * p * alpha * alpha - 3.0 * beta * (alpha + ra.alpha0))
+            t, wt = _panel_rule(LADDER_T_EDGES, level)
+            g = _ladder_terms(N + 1j * t, rr, aa, ra)
+            corr = (g.imag * (wt / np.expm1(2.0 * math.pi * t))).sum(axis=1)
+            return (const[rows] - (h * wx).sum(axis=1) - 2.0 * corr)[None, :]
+
+        v, e = _nested(evaluate, len(rest), quad)
+        value[rest] = fp[rest] + v[0]
+        error[rest] = e[0]
+    return value, error
 
 
 def _bose_real_axis_integral(Rt: np.ndarray, at: np.ndarray, ra: _ReducedAtom,
@@ -507,7 +570,7 @@ def _grid(name: str, route, R, a, atom: AtomSpec, quad: QuadratureSpec, units):
             value = u.restore_energy(vt)
             error = u.restore_energy(err)
             bound = 10.0 * quad.rel_tol * abs(vt)
-            if not err <= bound:
+            if not (math.isfinite(vt) and err <= bound):
                 row.append(NumericalFailure(
                     f"{name} quadrature missed its tolerance at R={R_i!r}, a={a_j!r}: "
                     f"error estimate {error:.3e} exceeds 10 rel_tol |V| = "
@@ -530,7 +593,8 @@ def _grid(name: str, route, R, a, atom: AtomSpec, quad: QuadratureSpec, units):
 def _contour_points(Rt: np.ndarray, At: np.ndarray, ra: _ReducedAtom, quad: QuadratureSpec):
     """The contour evaluator's route for _grid."""
     rts, ats = Rt.tolist(), At.tolist()
-    imag, e_imag = (arr.tolist() for arr in _imag_axis_pieces(Rt, ra, quad))
+    pieces, e_pieces = _imag_axis_pieces(Rt, ra, quad)
+    imag, e_imag = pieces.tolist(), e_pieces.tolist()
 
     # the Bose real-axis piece, batched over every (R, a) pair that takes it
     bose = [(j, i) for j, at in enumerate(ats) if 0.0 < at <= SWITCH_A
@@ -539,6 +603,16 @@ def _contour_points(Rt: np.ndarray, At: np.ndarray, ra: _ReducedAtom, quad: Quad
         np.array([rts[i] for _, i in bose]), np.array([ats[j] for j, _ in bose]), ra, quad)
     ) if bose else ((), ())
     bose_of = {pair: (v, e) for pair, v, e in zip(bose, b_val, b_err)}
+
+    # the pole ladder, batched over every other point with a > 0
+    ladder = [(j, i) for j, at in enumerate(ats) if at > 0.0
+              for i in range(len(rts)) if (j, i) not in bose_of]
+    ri = np.array([i for _, i in ladder], dtype=np.int64)
+    rl, al = Rt[ri], At[[j for j, _ in ladder]]
+    fp = pieces[0, ri] / (al * rl) - al * rl * pieces[1, ri]
+    l_val, l_err = (arr.tolist() for arr in _pole_ladder(rl, al, ra, quad, fp)
+                    ) if ladder else ((), ())
+    ladder_of = {pair: (v, e) for pair, v, e in zip(ladder, l_val, l_err)}
 
     points = []
     for j, at in enumerate(ats):
@@ -557,11 +631,16 @@ def _contour_points(Rt: np.ndarray, At: np.ndarray, ra: _ReducedAtom, quad: Quad
                     res, e_res = bose_of[j, i]
                     vt = vac + nonth + res
                 else:
-                    s, tail, warnings = _pole_sum(rt, at, ra)
-                    bracket = (math.pi / 2.0) * _origin_coefficient(rt, at, ra) + (at / 2.0) * s
+                    s, e_s = ladder_of[j, i]
+                    bracket = ((math.pi / 2.0) * _origin_coefficient(rt, at, ra)
+                               + (at / 2.0) * s / rt**4)
                     vt = -2.0 / norm * bracket
-                    e_res = 2.0 / norm * (at / 2.0) * tail
+                    e_res = 2.0 / norm * (at / 2.0) * e_s / rt**4
                     res = vt - vac - nonth
+                    if at * rt < 1e-3:
+                        warnings.append(
+                            f"dense pole ladder: aR/c^2 = {at * rt:.3e} < 1e-3; "
+                            "the low-acceleration closed forms are better cross-checks here")
             points.append((vt, vac, nonth, res, e_vac + e_nonth + e_res, warnings))
     return points
 
@@ -577,7 +656,9 @@ def potential_grid(R, a, atom: AtomSpec, quad: QuadratureSpec = DEFAULT_QUAD,
     potential_high_acc) or NumericalFailure that point raises.  A point is a
     NumericalFailure, carrying the partial value and its error estimate,
     when that estimate exceeds 10 rel_tol |V|; on the pole-ladder branch the
-    estimate includes the ladder's truncation tail.  A result in
+    estimate includes the ladder's: the tail of a direct sum or the nested
+    rule of its Abel-Plana remainder.  A point on a dense ladder (aR/c^2
+    < 1e-3) carries the "dense pole ladder" advisory.  A result in
     the marginal window 0.1 < a/(omega0 c) < 10 carries the "marginal
     validity window" warning first.  A separation that is not finite and
     > 0, or an acceleration that is not finite and >= 0, raises DomainError

@@ -131,8 +131,8 @@ def test_potential_high_acc_self_resonant_raises(atom):
     # identical atoms: B's line sits at k_A, where the value was once -0.0
     with pytest.raises(DomainError):
         potential_high_acc(1.0, 50.0, atom, atom)
-    with pytest.raises(DomainError):
-        potential_high_acc(1.0, 50.0, atom)   # atom_b defaults to atom_a
+    with pytest.raises(TypeError):
+        potential_high_acc(1.0, 50.0, atom)   # atom B is required; it once defaulted to A
 
 
 def test_potential_high_acc_damped_value(atom):
@@ -147,18 +147,21 @@ def test_potential_high_acc_damped_value(atom):
         assert potential_high_acc(R, a, atom, atom_b) == pytest.approx(expect, rel=1e-12)
 
 
-def test_closed_form_domain_errors(atom):
+def test_closed_form_domain_errors(atom, highacc_atoms):
+    def high_acc(R, a, atom_a):
+        return potential_high_acc(R, a, atom_a, highacc_atoms[1])
+
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(DomainError):
             near_zone_value(bad, atom)
-        for law in (far_low_acc, high_aR, potential_high_acc):
+        for law in (far_low_acc, high_aR, high_acc):
             with pytest.raises(DomainError):
                 law(bad, 50.0, atom)
             if bad != 0.0:
                 with pytest.raises(DomainError):
                     law(1.0, bad, atom)
     with pytest.raises(DomainError):
-        potential_high_acc(1.0, 0.0, atom)
+        high_acc(1.0, 0.0, atom)
 
 
 @given(st.floats(min_value=1e-2, max_value=1e3))

@@ -1,5 +1,5 @@
 """The batched contour evaluator: batch independence, the nested rule's
-refinement and failure mode and the pole-sum blocks."""
+refinement and failure mode and the pole-ladder kernel."""
 import math
 
 import numpy as np
@@ -17,7 +17,6 @@ from unruhcp import (
     potential_grid,
     potential_inertial,
     potential_numeric,
-    potential_oracle,
     rows_to_csv,
     run_sweep,
     two_level,
@@ -110,45 +109,63 @@ def test_missed_tolerance_raises_with_partial(monkeypatch):
 
 
 def test_failure_message_states_the_gate():
-    # the dense pole ladder's tail, which no refinement touches, misses the
-    # gate here; the message once blamed "4 refinements"
+    # no estimate meets a tolerance this small; the message once blamed
+    # "4 refinements"
+    strict = QuadratureSpec(rel_tol=1e-300)
     with pytest.raises(NumericalFailure) as exc_info:
-        potential_numeric(1e-9, 0.13, two_level(1.0, 1.0))
+        potential_numeric(1e-9, 0.13, two_level(1.0, 1.0), strict)
     exc = exc_info.value
-    bound = 10.0 * potmod.DEFAULT_QUAD.rel_tol * abs(exc.partial)
+    bound = 10.0 * strict.rel_tol * abs(exc.partial)
     assert exc.error_estimate > bound
     assert str(exc) == (
         "contour quadrature missed its tolerance at R=1e-09, a=0.13: "
         f"error estimate {exc.error_estimate:.3e} exceeds 10 rel_tol |V| = {bound:.3e}")
 
 
-@pytest.mark.parametrize("R, a", [(3.0, 0.2), (20.0, 0.4), (1.0, 2.0)])
-def test_pole_sum_blocks_match_a_full_sum(R, a):
-    atom = AtomSpec(transitions=(Transition(omega=1.0, mu_sq=1.0), Transition(omega=2.0, mu_sq=0.5)))
-    u = units_for(atom)
-    ra = potmod._reduce_atom(atom, u)
-    total, tail, warnings = potmod._pole_sum(R, a, ra)
-    n = np.arange(2, 5000, dtype=float)
+def test_non_finite_value_is_a_failure():
+    # far below R = X_LO the end pieces overflow; -inf once passed the gate
+    # as a result, since its estimate inf was within 10 rel_tol |V| = inf
+    for entry in potential_grid([1e-60], [0.0, 0.13], two_level(1.0, 1.0)):
+        assert isinstance(entry[0], NumericalFailure)
+
+
+_TWO_LINES = AtomSpec(transitions=(Transition(omega=1.0, mu_sq=1.0),
+                                   Transition(omega=2.0, mu_sq=0.5)))
+
+
+def _ladder(R, a, atom):
+    """_pole_ladder at one reduced point, with its finite part from the
+    imaginary-axis integrals as _contour_points passes it."""
+    ra = potmod._reduce_atom(atom, units_for(atom))
+    Rt, at = np.array([R]), np.array([a])
+    (inertial, origin), _ = potmod._imag_axis_pieces(Rt, ra, potmod.DEFAULT_QUAD)
+    value, error = potmod._pole_ladder(Rt, at, ra, potmod.DEFAULT_QUAD,
+                                       inertial / (at * Rt) - at * Rt * origin)
+    return value[0], error[0], ra
+
+
+# direct heads (aR >= 0.4) and Abel-Plana remainders, dense ones included
+@pytest.mark.parametrize("R, a", [(3.0, 0.2), (20.0, 0.4), (1.0, 2.0), (0.3, 1.0),
+                                  (1e-3, 0.2), (1e-4, 0.13)])
+def test_pole_ladder_matches_a_full_sum(R, a):
+    value, error, ra = _ladder(R, a, _TWO_LINES)
+    n = np.arange(2, 2_000_000, dtype=float)
     k = n * a
-    terms = ((1 - 1 / n**2) * (k**4 + 2 * k**3 / R + 5 * k**2 / R**2 + 6 * k / R**3 + 3 / R**4)
-             * np.exp(-2 * k * R) * potmod._alpha2_iu(k, ra))
-    assert total == pytest.approx(math.fsum(terms), rel=1e-12)
-    assert 0.0 <= tail <= 1e-12 * total and warnings == []
+    alpha = sum(w * o * o / (o * o + k * k) for w, o in zip(ra.weights, ra.omegas))
+    with np.errstate(under="ignore"):
+        terms = ((1 - 1 / n**2) * ((((k * R + 2) * k * R + 5) * k * R + 6) * k * R + 3)
+                 * np.exp(-2 * k * R) * alpha**2)
+    reference = math.fsum(terms)    # R^4 times the ladder sum
+    assert terms[-1] < 1e-30 * reference
+    assert value == pytest.approx(reference, rel=1e-13, abs=0.0)
+    assert 0.0 <= error <= 1e-12 * reference
 
 
-def test_pole_sum_hard_cap_warning_unchanged(monkeypatch):
-    # the ladder's truncation tail is part of the gated estimate: capped at
-    # 50 terms it is 5.6% of |V| and the point fails instead of returning a
-    # value 3.6e-4 off the oracle
-    atom = two_level(1.0, 1.0)
-    reference = potential_oracle(1e-3, 0.2, atom).value
-    monkeypatch.setattr(potmod, "DEFAULT_POLE_CAP", 50)
-    _, tail, warnings = potmod._pole_sum(1e-3, 0.2, potmod._reduce_atom(atom, units_for(atom)))
-    assert tail > 0.0
-    assert any("hard cap 50" in w for w in warnings)
-    assert any("dense pole ladder" in w for w in warnings)
-    with pytest.raises(NumericalFailure) as exc_info:
-        potential_numeric(1e-3, 0.2, atom)
-    exc = exc_info.value
-    assert exc.partial == pytest.approx(reference, rel=1e-3)
-    assert exc.error_estimate > 10.0 * potmod.DEFAULT_QUAD.rel_tol * abs(exc.partial)
+@pytest.mark.parametrize("R, a", [(3.0, 0.2), (2.0, 0.5), (1.0, 2.0)])
+def test_pole_ladder_remainder_matches_the_head(monkeypatch, R, a):
+    # with no direct head the Abel-Plana remainder carries these points too
+    head, _, _ = _ladder(R, a, _TWO_LINES)
+    monkeypatch.setattr(potmod, "LADDER_HEAD", 0)
+    remainder, error, _ = _ladder(R, a, _TWO_LINES)
+    assert remainder == pytest.approx(head, rel=1e-11, abs=0.0)
+    assert abs(remainder - head) <= error

@@ -3,7 +3,7 @@ evaluator against the oracle over random atoms and their shared domain."""
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import unruhcp.potential as potmod
@@ -60,6 +60,9 @@ accel = st.one_of(st.just(0.0), st.floats(min_value=-5.0, max_value=0.99).map(la
 
 @given(st.floats(min_value=0.1, max_value=5.0), st.lists(line, max_size=3),
        st.floats(min_value=-4.0, max_value=5.0), accel)
+@example(1.5, [], -9.0, 0.13)    # dense two-level ladders that once failed the gate
+@example(1.5, [], -10.0, 0.13)
+@example(1.5, [], -10.0, 0.2)
 @settings(max_examples=20, deadline=None)
 def test_contour_agrees_with_oracle(mu_sq, lines, log_R, a):
     # 1-4 lines, the lowest at omega0 = 1; R in [1e-4, 1e5], a in [0, 9.8], the

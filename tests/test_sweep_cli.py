@@ -112,11 +112,10 @@ def test_sweep_excited_regime_degrades_to_warning():
     assert len(rows) == 1
     assert rows[0].V_contour is None
     assert any("regime error" in w for w in rows[0].warnings)
-    # the high-acceleration law pairs the atom with itself, whose line sits at
-    # k_A: no value (once a meaningless -0.0) and the law's domain error
+    # the high-acceleration law needs an atom B the config does not name (it
+    # once paired the atom with itself, whose line sits at k_A)
     assert rows[0].V_asymptotic is None
-    assert any(w.startswith("asymptotic: alpha_B(k_A) is undefined")
-               for w in rows[0].warnings)
+    assert "asymptotic: the high-acceleration law needs atom B" in rows[0].warnings
 
 
 def test_sweep_dual_method_rel_diff():
@@ -259,9 +258,10 @@ def test_cli_eval_exit_codes(atom_file, tmp_path):
                 "--atom", atom_file).returncode == 2  # regime error
     assert _cli("eval", "--R", "1.0", "--accel", "0.0",
                 "--atom", str(tmp_path / "nope.json")).returncode == 1
-    # the dense ladder's tail estimate misses the gate; the oracle evaluates the point
+    # a dense pole ladder just above the switch, which once missed the gate,
+    # evaluates on both methods
     dense = ("eval", "--R", "1e-9", "--accel", "0.13", "--atom", atom_file)
-    assert _cli(*dense, "--method", "contour").returncode == 3
+    assert _cli(*dense, "--method", "contour").returncode == 0
     assert _cli(*dense, "--method", "oracle").returncode == 0
 
 
@@ -307,6 +307,11 @@ def test_cli_asymptotic(atom_file):
     doc = json.loads(proc.stdout)
     assert doc["value"] == pytest.approx(-0.75 / 1e-12, rel=1e-12)
     assert doc["slope"] == -6.0
+    # the high-acceleration law needs atom B: an input error, not a traceback
+    proc = _cli("asymptotic", "--law", "high-acc", "--R", "1.0", "--accel", "50",
+                "--atom", atom_file)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "--atom-b" in proc.stderr
 
 
 def test_cli_sweep_and_fit(atom_file, config_file, tmp_path):
