@@ -1,33 +1,21 @@
 #!/usr/bin/env python3
 """Map where the contour evaluator fails its accuracy gate.
 
-Evaluates a two-level and a 3-line atom on the product grid of --points
-log-spaced separations R in [1e-10, 1e5] c/omega0 and a = 0 plus --points
+Evaluates a two-level and a 3-line atom on the product grid of POINTS
+log-spaced separations R in [1e-10, 1e5] c/omega0 and a = 0 plus POINTS
 log-spaced accelerations in [1e-6, 9.9] omega0 c (the whole non-excited
 domain), one potential_grid call per atom, and prints each atom's count of
-results and numerical failures with every failing (R, a).  It also checks
-the contour value against the oracle at the dense pole ladders R = 1e-9 and
-1e-10 at a = 0.13, and R = 1e-10 at a = 0.2.  Natural units.
+results and numerical failures with every failing (R, a).  Natural units.
 
-Exit code 1 on any contour NumericalFailure or an oracle disagreement above
-1e-8, else 0.
+Exit code 1 on any contour NumericalFailure, else 0.
 """
-import argparse
 import math
 import sys
 
 import numpy as np
 
-from unruhcp import (
-    AtomSpec,
-    NumericalFailure,
-    PotentialResult,
-    Transition,
-    potential_grid,
-    potential_numeric,
-    potential_oracle,
-    two_level,
-)
+from unruhcp import (AtomSpec, NumericalFailure, PotentialResult, Transition, potential_grid,
+                     two_level)
 
 ATOMS = {
     "two-level": two_level(1.0, 1.0),
@@ -35,16 +23,12 @@ ATOMS = {
                                     Transition(omega=2.3, mu_sq=0.4),
                                     Transition(omega=6.1, mu_sq=3.0))),
 }
-DENSE_LADDERS = ((1e-9, 0.13), (1e-10, 0.13), (1e-10, 0.2))
-ORACLE_TOL = 1e-8
+POINTS = 31   # R values, and a values above 0
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--points", type=int, default=31, help="R values, and a values above 0")
-    args = ap.parse_args(argv)
-    Rs = np.logspace(-10.0, 5.0, args.points).tolist()
-    As = [0.0, *np.logspace(-6.0, math.log10(9.9), args.points).tolist()]
+def main() -> int:
+    Rs = np.logspace(-10.0, 5.0, POINTS).tolist()
+    As = [0.0, *np.logspace(-6.0, math.log10(9.9), POINTS).tolist()]
     failed = False
     for name, atom in ATOMS.items():
         grid = potential_grid(Rs, As, atom)
@@ -56,19 +40,6 @@ def main(argv=None) -> int:
         for R, a in failures:
             print(f"  failure at R={R!r}, a={a!r}")
         failed |= bool(failures)
-    atom = ATOMS["two-level"]
-    for R, a in DENSE_LADDERS:
-        try:
-            vc = potential_numeric(R, a, atom).value
-            vo = potential_oracle(R, a, atom).value
-        except NumericalFailure as exc:
-            print(f"dense ladder R={R!r}, a={a!r}: {exc}")
-            failed = True
-            continue
-        diff = abs(vc - vo) / abs(vo)
-        print(f"dense ladder R={R!r}, a={a!r}: contour {vc!r}, oracle {vo!r}, "
-              f"rel diff {diff:.2e} (limit {ORACLE_TOL:g})")
-        failed |= not diff <= ORACLE_TOL
     return 1 if failed else 0
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import warnings as _warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -58,25 +59,20 @@ def near_zone_inertial(atom: AtomSpec, hbar: float = 1.0) -> float:
     return _c6([t.mu_sq for t in atom.transitions], [t.omega for t in atom.transitions], hbar)
 
 
-def near_zone_law(atom: AtomSpec, units: UnitSystem | str | None = None):
-    """The function R -> -C6 / R^6 in the caller's units, with C6 summed once
-    in the reduced system, where mu_r^2 = 1.5 omega_r w_r (w_r the oscillator
-    strengths) and hbar = 1."""
-    u = units_for(atom, units)
+@lru_cache(maxsize=64)
+def _reduced_c6(atom: AtomSpec, u: UnitSystem) -> float:
+    """C6 in the reduced system, where mu_r^2 = 1.5 omega_r w_r (w_r the
+    oscillator strengths) and hbar = 1; cached, so a sweep sums it once."""
     ra = _reduce_atom(atom, u)
-    c6 = _c6([1.5 * o * w for w, o in zip(ra.weights, ra.omegas)], ra.omegas, 1.0)
-
-    def value(R: float) -> float:
-        check_domain("separation", R)
-        return u.restore_energy(-c6 / u.reduce_length(R)**6)
-
-    return value
+    return _c6([1.5 * o * w for w, o in zip(ra.weights, ra.omegas)], ra.omegas, 1.0)
 
 
 def near_zone_value(R: float, atom: AtomSpec,
                     units: UnitSystem | str | None = None) -> float:
-    """-C6 / R^6 evaluated in the caller's units (one call of near_zone_law)."""
-    return near_zone_law(atom, units)(R)
+    """-C6 / R^6 evaluated in the caller's units via the reduced system."""
+    u = units_for(atom, units)
+    check_domain("separation", R)
+    return u.restore_energy(-_reduced_c6(atom, u) / u.reduce_length(R)**6)
 
 
 def far_low_acc_parts(R: float, a: float, atom: AtomSpec,

@@ -188,16 +188,14 @@ class SweepRow:
 # --------------------------------------------------------------------------
 # sweep execution
 # --------------------------------------------------------------------------
-def _asymptotic_value(R: float, a: float, regime, config: SweepConfig, units: UnitSystem,
-                      near_zone):
-    """Closed-form value for the regime at (R, a), or (None, warning);
-    near_zone is the sweep's asymptotics.near_zone_law."""
+def _asymptotic_value(R: float, a: float, regime, config: SweepConfig, units: UnitSystem):
+    """Closed-form value for the regime at (R, a), or (None, warning)."""
     atom = config.atom
     if a > 0.0 and validity_check(a, atom, c=units.c).excited:
         return None, "the high-acceleration law needs atom B"
     if a == 0.0 or regime.aR_class == "small":
         if regime.zone == "near":
-            return near_zone(R), None
+            return asymptotics.near_zone_value(R, atom, units=units), None
         if regime.zone == "far":
             return asymptotics.far_low_acc(R, a, atom, units=units), None
         return None, "no closed form applies in the crossover zone"
@@ -206,11 +204,10 @@ def _asymptotic_value(R: float, a: float, regime, config: SweepConfig, units: Un
     return None, "no closed form applies for crossover aR/c^2"
 
 
-def _eval_point(R: float, a: float, contour, oracle, config: SweepConfig, units: UnitSystem,
-                near_zone):
+def _eval_point(R: float, a: float, contour, oracle, config: SweepConfig, units: UnitSystem):
     """The row of one grid point from its contour and oracle outcomes (each a
     PotentialResult, the error it raised, or None when not requested) and the
-    closed forms (near_zone as in _asymptotic_value)."""
+    closed forms."""
     warnings: list[str] = []
     vals: dict[str, float | None] = {"contour": None, "oracle": None, "asymptotic": None}
     parts = {"vacuum": None, "nonthermal_a2": None, "residue_sum": None}
@@ -236,7 +233,7 @@ def _eval_point(R: float, a: float, contour, oracle, config: SweepConfig, units:
             import warnings as _w
             with _w.catch_warnings(record=True) as caught:
                 _w.simplefilter("always")
-                val, note = _asymptotic_value(R, a, regime, config, units, near_zone)
+                val, note = _asymptotic_value(R, a, regime, config, units)
             vals["asymptotic"] = val
             if note:
                 warnings.append(f"asymptotic: {note}")
@@ -260,8 +257,7 @@ def _eval_point(R: float, a: float, contour, oracle, config: SweepConfig, units:
     )
 
 
-def _eval_batch(Rs: list[float], config: SweepConfig, units: UnitSystem,
-                near_zone) -> list[list[SweepRow]]:
+def _eval_batch(Rs: list[float], config: SweepConfig, units: UnitSystem) -> list[list[SweepRow]]:
     """Rows of the separations Rs at every acceleration, one list per acceleration."""
     As = config.a_grid.points()
     absent = [[None] * len(Rs) for _ in As]
@@ -269,8 +265,7 @@ def _eval_batch(Rs: list[float], config: SweepConfig, units: UnitSystem,
                if "contour" in config.methods else absent)
     oracle = (potential_oracle_grid(Rs, As, config.atom, config.quad, units=units)
               if "oracle" in config.methods else absent)
-    return [[_eval_point(R, a, c, o, config, units, near_zone)
-             for R, c, o in zip(Rs, c_row, o_row)]
+    return [[_eval_point(R, a, c, o, config, units) for R, c, o in zip(Rs, c_row, o_row)]
             for a, c_row, o_row in zip(As, contour, oracle)]
 
 
@@ -281,21 +276,17 @@ def run_sweep(config: SweepConfig, max_workers: int = 1) -> list[SweepRow]:
     separations, each at every acceleration; for max_workers > 1, in that
     many batches, evaluated concurrently.  Every value depends on its own
     point only, so the output is independent of the split.  Per-point
-    failures become row warnings and never abort the sweep.  The asymptotic
-    column sums the near-zone C6 once per sweep.
+    failures become row warnings and never abort the sweep.
     """
     units = config.unit_system()
-    near_zone = (asymptotics.near_zone_law(config.atom, units)
-                 if "asymptotic" in config.methods else None)
     Rs = config.R_grid.points()
     n = max(1, min(max_workers, len(Rs)))
     batches = [Rs[k * len(Rs) // n:(k + 1) * len(Rs) // n] for k in range(n)]
     if n == 1:
-        done = [_eval_batch(Rs, config, units, near_zone)]
+        done = [_eval_batch(Rs, config, units)]
     else:
         with concurrent.futures.ThreadPoolExecutor(max_workers=n) as pool:
-            done = list(pool.map(lambda batch: _eval_batch(batch, config, units, near_zone),
-                                 batches))
+            done = list(pool.map(lambda batch: _eval_batch(batch, config, units), batches))
     return [row for j in range(len(done[0])) for rows in done for row in rows[j]]
 
 
