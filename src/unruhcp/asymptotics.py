@@ -19,6 +19,11 @@ coefficient measures 11/(4 pi c^3), eleven times the printed value, and for
 aR/c^2 >> 1 an additional a^3/R^4 origin term dominates the printed law.
 The near-zone a^2 term has no printed closed form; its coefficient is
 extracted numerically by fit_a2_near_coefficient.
+
+Each law is evaluated in doubles.  Where one of its steps under- or
+overflows, as at R = 1e-60 or 1e50 c/omega0, it is evaluated again exactly
+and rounded once (_rounded): a value that underflows is -0.0, and one beyond
+the largest double is a DomainError.
 """
 from __future__ import annotations
 
@@ -31,17 +36,39 @@ import numpy as np
 
 from .atoms import AtomSpec, alpha_static, oscillator_sum
 from .errors import DomainError, InconsistentRegimeError, check_domain
-from .kinematics import Regime, classify_regime  # noqa: F401  (re-export)
 from .potential import DEFAULT_QUAD, QuadratureSpec, _reduce_atom, _result, potential_grid
-# unused; the perfbench tracer wraps these names in this module (ROADMAP item 4)
-from .potential import potential_inertial, potential_numeric  # noqa: F401
-from .units import UnitSystem, units_for
+from .units import NATURAL, UnitSystem, units_for
 
 EXPONENT_TOL = 0.05
 
-# numerically measured far-zone a^2 coefficient in units of
-# hbar a^2 alpha0^2 / (c^3 R^5); the printed closed form carries 1/(4 pi)
-FAR_A2_COEFF_MEASURED = 11.0 / (4.0 * math.pi)
+
+def _rounded(law, *args, units: UnitSystem = NATURAL):
+    """law(restore, *args), restore being units.restore_energy, in doubles.
+
+    Where a double step of it under- or overflows, or a value is not
+    finite, the law is evaluated again exactly, in rationals, and rounded
+    once: a value that underflows is a zero of its sign, and one beyond the
+    largest double is a DomainError.  law is built from +, -, *, / and
+    integer powers of its arguments, so a float constant it needs is one of
+    args; it returns a value or a tuple of values.
+    """
+    def rounded(out):
+        return tuple(map(float, out)) if isinstance(out, tuple) else float(out)
+
+    try:
+        with np.errstate(all="raise"):
+            out = rounded(law(units.restore_energy, *map(np.float64, args)))
+        if all(map(math.isfinite, out if isinstance(out, tuple) else (out,))):
+            return out
+    except FloatingPointError:
+        pass
+    from fractions import Fraction   # only at the domain edge: 3 ms off the CLI's start
+
+    scale = Fraction(units.hbar) * Fraction(units.omega0)   # restore_energy, exactly
+    try:
+        return rounded(law(lambda v: v * scale, *map(Fraction, args)))
+    except (OverflowError, ValueError, ZeroDivisionError) as exc:
+        raise DomainError("the closed-form value lies beyond the range of a double") from exc
 
 
 def _c6(mu_sq, omegas, hbar: float) -> float:
@@ -72,28 +99,40 @@ def near_zone_value(R: float, atom: AtomSpec,
     """-C6 / R^6 evaluated in the caller's units via the reduced system."""
     u = units_for(atom, units)
     check_domain("separation", R)
-    return u.restore_energy(-_reduced_c6(atom, u) / u.reduce_length(R)**6)
+    return _rounded(lambda restore, c6, Rt: restore(-c6 / Rt**6),
+                    _reduced_c6(atom, u), u.reduce_length(float(R)), units=u)
+
+
+def _far_low_terms(restore, Rt, at, alpha0, pi):
+    """The (R^-7, R^-5) terms of the printed far-zone law, a law of _rounded."""
+    return (restore(-23 * alpha0**2 / (4 * Rt**7)),
+            restore(-at * at * alpha0**2 / (4 * pi * Rt**5)))
+
+
+def _far_low_args(R: float, a: float, atom: AtomSpec, u: UnitSystem) -> tuple:
+    """The arguments of _far_low_terms after the domain checks."""
+    check_domain("separation", R)
+    check_domain("acceleration", a, strict=False)
+    alpha0 = u.reduce_alpha(alpha_static(atom, hbar=u.hbar_atomic))
+    return u.reduce_length(float(R)), u.reduce_acceleration(float(a)), alpha0, math.pi
 
 
 def far_low_acc_parts(R: float, a: float, atom: AtomSpec,
                       units: UnitSystem | str | None = None) -> tuple[float, float]:
     """(inertial R^-7 term, acceleration R^-5 term) of the printed far-zone law."""
     u = units_for(atom, units)
-    check_domain("separation", R)
-    check_domain("acceleration", a, strict=False)
-    alpha0 = u.reduce_alpha(alpha_static(atom, hbar=u.hbar_atomic))
-    Rt = u.reduce_length(R)
-    at = u.reduce_acceleration(a)
-    term7 = -23.0 * alpha0**2 / (4.0 * Rt**7)
-    term5 = -at * at * alpha0**2 / (4.0 * math.pi * Rt**5)
-    return u.restore_energy(term7), u.restore_energy(term5)
+    return _rounded(_far_low_terms, *_far_low_args(R, a, atom, u), units=u)
 
 
 def far_low_acc(R: float, a: float, atom: AtomSpec,
                 units: UnitSystem | str | None = None) -> float:
     """Printed far-zone low-acceleration law (both terms, as printed)."""
-    t7, t5 = far_low_acc_parts(R, a, atom, units)
-    return t7 + t5
+    def law(restore, *args):
+        t7, t5 = _far_low_terms(restore, *args)
+        return t7 + t5
+
+    u = units_for(atom, units)
+    return _rounded(law, *_far_low_args(R, a, atom, u), units=u)
 
 
 def high_aR(R: float, a: float, atom: AtomSpec,
@@ -107,10 +146,10 @@ def high_aR(R: float, a: float, atom: AtomSpec,
                        RuntimeWarning, stacklevel=2)
         return 0.0
     alpha0 = u.reduce_alpha(alpha_static(atom, hbar=u.hbar_atomic))
-    Rt = u.reduce_length(R)
-    at = u.reduce_acceleration(a)
-    return u.restore_energy(
-        -(6.0 * at * alpha0**2 / (math.pi * Rt**6)) * (0.25 + math.pi**2 / 12.0))
+    return _rounded(
+        lambda restore, Rt, at, alpha0, pi, k: restore(-(6 * at * alpha0**2 / (pi * Rt**6)) * k),
+        u.reduce_length(float(R)), u.reduce_acceleration(float(a)), alpha0, math.pi,
+        0.25 + math.pi**2 / 12.0, units=u)
 
 
 def _alpha_b_at_resonance(atom_b: AtomSpec, k_a: float, u: UnitSystem):
@@ -148,39 +187,48 @@ def potential_high_acc(R: float, a: float, atom_a: AtomSpec, atom_b: AtomSpec,
     u = units_for(atom_a, units)
     check_domain("separation", R)
     check_domain("acceleration", a)
-    Rt = u.reduce_length(R)
-    at = u.reduce_acceleration(a)
-    k_a = 1.0  # dominant transition of atom A anchors the reduced units
+    # the dominant transition of atom A anchors the reduced units: k_A = 1
     mu_sq = 1.5 * u.reduce_alpha(
         2.0 * atom_a.mu_sq_dominant / (3.0 * u.hbar_atomic * atom_a.omega0))
-    alpha_b = _alpha_b_at_resonance(atom_b, k_a, u)
-    return u.restore_energy(-(2.0 / 3.0) * mu_sq * alpha_b * at**3 * k_a
-                            / (math.pi * Rt**2) * high_acc_bracket(k_a * Rt))
+    alpha_b = _alpha_b_at_resonance(atom_b, 1.0, u)
+    return _rounded(
+        lambda restore, Rt, at, mu_sq, alpha_b, m, pi: restore(
+            m * mu_sq * alpha_b * at**3 / (pi * Rt**2) * _high_acc_bracket(Rt)),
+        u.reduce_length(float(R)), u.reduce_acceleration(float(a)), mu_sq, alpha_b,
+        -(2.0 / 3.0), math.pi, units=u)
+
+
+def _high_acc_bracket(x):
+    # unchecked, for the laws of _rounded
+    x2 = x**2
+    return 1 + 1 / x2 + 3 / (x2 * x2)
 
 
 def high_acc_bracket(x: float) -> float:
     """Retardation bracket 1 + 1/x^2 + 3/x^4 of the high-acceleration law (>= 1)."""
     if x == 0.0:
         raise DomainError("bracket is singular at x = 0")
-    x2 = x**2
-    return 1.0 + 1.0 / x2 + 3.0 / (x2 * x2)
+    return _rounded(lambda restore, x: _high_acc_bracket(x), x)
 
 
 def closed_form_slope(law: str, R: float, a: float, atom: AtomSpec,
                       units: UnitSystem | str | None = None) -> float:
     """Exact d ln|V| / d ln R of a closed-form law at (R, a)."""
     u = units_for(atom, units)
-    Rt = u.reduce_length(R)
     if law == "far-low":
-        t7, t5 = far_low_acc_parts(R, a, atom, units)
-        return (-7.0 * t7 - 5.0 * t5) / (t7 + t5)
-    if law == "high-ar":
-        return -6.0
-    if law == "near":
+        def slope(restore, *args):
+            t7, t5 = _far_low_terms(restore, *args)
+            return (-7 * t7 - 5 * t5) / (t7 + t5)
+
+        return _rounded(slope, *_far_low_args(R, a, atom, u), units=u)
+    if law in ("high-ar", "near"):
         return -6.0
     if law == "high-acc":
-        x2 = Rt * Rt  # k_A = 1 in reduced units
-        return -2.0 + (-2.0 / x2 - 12.0 / (x2 * x2)) / high_acc_bracket(Rt)
+        def slope(restore, Rt):
+            x2 = Rt * Rt  # k_A = 1 in reduced units
+            return -2 + (-2 / x2 - 12 / (x2 * x2)) / _high_acc_bracket(Rt)
+
+        return _rounded(slope, u.reduce_length(float(R)))
     raise DomainError(f"unknown law {law!r}")
 
 

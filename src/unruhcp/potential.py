@@ -374,17 +374,16 @@ def _imag_axis_pieces(Rt: np.ndarray, ra: _ReducedAtom, quad: QuadratureSpec):
     # + c5 alpha0^2 x^5 + g6 x^6 + ..., c_m those of Q(x) e^{-2x}; they
     # overflow only far below R = X_LO, where the floor fails the point
     a0sq, r2 = ra.alpha0**2, Rt * Rt
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        g2 = a0sq + 3.0 * ra.alpha_curv / r2
-        g4 = a0sq + ra.alpha_curv / r2 + 3.0 * ra.alpha_quart / (r2 * r2)
-        g6 = (_QE_SERIES[6] * a0sq - ra.alpha_curv / r2 - ra.alpha_quart / (r2 * r2)
-              - 3.0 * ra.alpha_sext / (r2 * r2 * r2))
-        # the [0, X_LO] pieces to that order, and the terms they neglect
-        end_inertial = (3.0 * a0sq - X_LO**2 * (g2 / 3.0 - X_LO**2 * g4 / 5.0)) * X_LO
-        end_origin = (g2 - g4 * X_LO**2 / 3.0) * X_LO
-        c5 = abs(_QE_SERIES[5]) * a0sq
-        floor = np.stack([c5 * X_LO**6 / 6.0 + np.abs(g6) * X_LO**7 / 7.0,
-                          c5 * X_LO**4 / 4.0 + np.abs(g6) * X_LO**5 / 5.0])
+    g2 = a0sq + 3.0 * ra.alpha_curv / r2
+    g4 = a0sq + ra.alpha_curv / r2 + 3.0 * ra.alpha_quart / (r2 * r2)
+    g6 = (_QE_SERIES[6] * a0sq - ra.alpha_curv / r2 - ra.alpha_quart / (r2 * r2)
+          - 3.0 * ra.alpha_sext / (r2 * r2 * r2))
+    # the [0, X_LO] pieces to that order, and the terms they neglect
+    end_inertial = (3.0 * a0sq - X_LO**2 * (g2 / 3.0 - X_LO**2 * g4 / 5.0)) * X_LO
+    end_origin = (g2 - g4 * X_LO**2 / 3.0) * X_LO
+    c5 = abs(_QE_SERIES[5]) * a0sq
+    floor = np.stack([c5 * X_LO**6 / 6.0 + np.abs(g6) * X_LO**7 / 7.0,
+                      c5 * X_LO**4 / 4.0 + np.abs(g6) * X_LO**5 / 5.0])
 
     def evaluate(rows, level):
         r = Rt[rows]
@@ -457,8 +456,7 @@ def _pole_ladder(Rt: np.ndarray, at: np.ndarray, ra: _ReducedAtom, quad: Quadrat
         pt = np.repeat(np.arange(len(d)), count)
         ends = np.cumsum(count)
         n = (np.arange(ends[-1]) - np.repeat(ends - count, count) + 2).astype(float)
-        with np.errstate(under="ignore"):
-            terms = _ladder_terms(n, Rt[d][pt], at[d][pt], ra)
+        terms = _ladder_terms(n, Rt[d][pt], at[d][pt], ra)
         ratio = np.exp(-2.0 * ar[d])
         value[d] = np.bincount(pt, weights=terms, minlength=len(d))
         error[d] = terms[ends - 1] * ratio / (1.0 - ratio)
@@ -553,9 +551,15 @@ def _grid(name: str, route, R, a, atom: AtomSpec, quad: QuadratureSpec, units):
         check_domain("acceleration", x, strict=False)
     reports = [validity_check(x, atom, c=u.c) for x in As]
     live = [x for x, report in zip(As, reports) if not report.excited]
-    points = iter(route(np.array([u.reduce_length(r) for r in Rs]),
-                        np.array([u.reduce_acceleration(x) for x in live]),
-                        _reduce_atom(atom, u), quad) if live and Rs else ())
+    # the routes run with numpy's floating-point reports off: 2 pi/a is inf
+    # at a = 0, ladder terms underflow, and a point whose arithmetic leaves
+    # the range of doubles ends with a value or estimate that is not finite,
+    # which fails the gate below, or with a value that underflows to 0 with
+    # its estimate
+    with np.errstate(all="ignore"):
+        points = iter(route(np.array([u.reduce_length(r) for r in Rs]),
+                            np.array([u.reduce_acceleration(x) for x in live]),
+                            _reduce_atom(atom, u), quad) if live and Rs else ())
     grid = []
     for a_j, report in zip(As, reports):
         if report.excited:
@@ -617,31 +621,36 @@ def _contour_points(Rt: np.ndarray, At: np.ndarray, ra: _ReducedAtom, quad: Quad
     points = []
     for j, at in enumerate(ats):
         for i, rt in enumerate(rts):
-            norm = math.pi * rt * rt
-            vac = -(imag[0][i] / rt**5) / norm
-            e_vac = (e_imag[0][i] / rt**5) / norm
-            warnings: list[str] = []
-            if at == 0.0:
-                nonth = e_nonth = res = e_res = 0.0
-                vt = vac
-            else:
-                nonth = at * at / norm * (imag[1][i] / rt**3)
-                e_nonth = at * at / norm * (e_imag[1][i] / rt**3)
-                if (j, i) in bose_of:
-                    res, e_res = bose_of[j, i]
-                    vt = vac + nonth + res
+            try:
+                norm = math.pi * rt * rt
+                vac = -(imag[0][i] / rt**5) / norm
+                e_vac = (e_imag[0][i] / rt**5) / norm
+                warnings: list[str] = []
+                if at == 0.0:
+                    nonth = e_nonth = res = e_res = 0.0
+                    vt = vac
                 else:
-                    s, e_s = ladder_of[j, i]
-                    bracket = ((math.pi / 2.0) * _origin_coefficient(rt, at, ra)
-                               + (at / 2.0) * s / rt**4)
-                    vt = -2.0 / norm * bracket
-                    e_res = 2.0 / norm * (at / 2.0) * e_s / rt**4
-                    res = vt - vac - nonth
-                    if at * rt < 1e-3:
-                        warnings.append(
-                            f"dense pole ladder: aR/c^2 = {at * rt:.3e} < 1e-3; "
-                            "the low-acceleration closed forms are better cross-checks here")
-            points.append((vt, vac, nonth, res, e_vac + e_nonth + e_res, warnings))
+                    nonth = at * at / norm * (imag[1][i] / rt**3)
+                    e_nonth = at * at / norm * (e_imag[1][i] / rt**3)
+                    if (j, i) in bose_of:
+                        res, e_res = bose_of[j, i]
+                        vt = vac + nonth + res
+                    else:
+                        s, e_s = ladder_of[j, i]
+                        bracket = ((math.pi / 2.0) * _origin_coefficient(rt, at, ra)
+                                   + (at / 2.0) * s / rt**4)
+                        vt = -2.0 / norm * bracket
+                        e_res = 2.0 / norm * (at / 2.0) * e_s / rt**4
+                        res = vt - vac - nonth
+                        if at * rt < 1e-3:
+                            warnings.append(
+                                f"dense pole ladder: aR/c^2 = {at * rt:.3e} < 1e-3; "
+                                "the low-acceleration closed forms are better cross-checks here")
+                points.append((vt, vac, nonth, res, e_vac + e_nonth + e_res, warnings))
+            except ArithmeticError:
+                # a power of R beyond the range of doubles (R = 1e100 or
+                # 1e-100 c/omega0, say): no value, which the gate fails
+                points.append((math.nan, math.nan, math.nan, math.nan, math.inf, []))
     return points
 
 
@@ -662,8 +671,11 @@ def potential_grid(R, a, atom: AtomSpec, quad: QuadratureSpec = DEFAULT_QUAD,
     the marginal window 0.1 < a/(omega0 c) < 10 carries the "marginal
     validity window" warning first.  A separation that is not finite and
     > 0, or an acceleration that is not finite and >= 0, raises DomainError
-    for the whole call.  Every entry equals what potential_numeric returns
-    (or raises) for its point alone.
+    for the whole call.  A separation whose powers leave the range of
+    doubles (R = 1e100 or 1e-100 c/omega0, say) gives NumericalFailure
+    entries; no numpy warning escapes either grid.  Every
+    entry equals what potential_numeric returns (or raises) for its point
+    alone.
     """
     return _grid("contour", _contour_points, R, a, atom, quad, units)
 
@@ -770,8 +782,7 @@ def _oracle_piece(Rt: np.ndarray, at: np.ndarray, ra: _ReducedAtom, quad: Quadra
     (3, len(Rt)).
     """
     n = len(Rt)
-    with np.errstate(divide="ignore", over="ignore"):   # inf: no Bose piece at a = 0
-        inv = 2.0 * math.pi / at
+    inv = 2.0 * math.pi / at   # inf: no Bose piece at a = 0
     k0 = np.minimum(ORACLE_K0, 1.0 / Rt)
 
     def f_seg(x_lo, dx, p):

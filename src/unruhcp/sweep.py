@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import asymptotics
-from .atoms import AtomSpec, alpha_static, load_atom, two_level
+from .atoms import AtomSpec, Transition, alpha_static, load_atom, two_level
 from .errors import (
     InputError,
     NumericalFailure,
@@ -41,8 +41,6 @@ from .potential import (
     potential_grid,
     potential_oracle_grid,
 )
-# unused; the perfbench tracer wraps these names in this module (ROADMAP item 4)
-from .potential import potential_inertial, potential_numeric, potential_oracle  # noqa: F401
 from .units import UnitSystem, units_for
 
 CSV_COLUMNS = ("R", "a", "regime", "V_contour", "V_oracle", "V_asymptotic",
@@ -157,9 +155,6 @@ class SweepConfig:
             raise InputError(f"cannot read sweep config {path!r}: {exc}") from exc
         return cls.from_dict(doc)
 
-    def unit_system(self) -> UnitSystem:
-        return units_for(self.atom, self.units)
-
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -207,14 +202,12 @@ def _asymptotic_value(R: float, a: float, regime, config: SweepConfig, units: Un
 def _eval_point(R: float, a: float, contour, oracle, config: SweepConfig, units: UnitSystem):
     """The row of one grid point from its contour and oracle outcomes (each a
     PotentialResult, the error it raised, or None when not requested) and the
-    closed forms."""
+    closed form of its regime, whose error becomes an "asymptotic: ..." warning."""
     warnings: list[str] = []
-    vals: dict[str, float | None] = {"contour": None, "oracle": None, "asymptotic": None}
-    parts = {"vacuum": None, "nonthermal_a2": None, "residue_sum": None}
+    v_contour = v_oracle = v_asymptotic = None
+    parts = {}
     if isinstance(contour, PotentialResult):
-        regime = contour.regime
-        vals["contour"] = contour.value
-        parts = dict(contour.parts)
+        regime, v_contour, parts = contour.regime, contour.value, contour.parts
         warnings.extend(contour.warnings)
     else:
         regime = classify_regime(R, a, config.atom, c=units.c)
@@ -224,24 +217,19 @@ def _eval_point(R: float, a: float, contour, oracle, config: SweepConfig, units:
             warnings.append(f"contour: numerical failure: {contour}")
 
     if isinstance(oracle, PotentialResult):
-        vals["oracle"] = oracle.value
+        v_oracle = oracle.value
     elif oracle is not None:
         warnings.append(f"oracle: {oracle}")
 
     if "asymptotic" in config.methods:
         try:
-            import warnings as _w
-            with _w.catch_warnings(record=True) as caught:
-                _w.simplefilter("always")
-                val, note = _asymptotic_value(R, a, regime, config, units)
-            vals["asymptotic"] = val
+            v_asymptotic, note = _asymptotic_value(R, a, regime, config, units)
             if note:
                 warnings.append(f"asymptotic: {note}")
-            warnings.extend(f"asymptotic: {c.message}" for c in caught)
         except UnruhCPError as exc:
             warnings.append(f"asymptotic: {exc}")
 
-    present = [v for v in vals.values() if v is not None]
+    present = [v for v in (v_contour, v_oracle, v_asymptotic) if v is not None]
     rel_diff = None
     if len(present) >= 2:
         scale = max(abs(v) for v in present)
@@ -249,10 +237,9 @@ def _eval_point(R: float, a: float, contour, oracle, config: SweepConfig, units:
 
     return SweepRow(
         R=R, a=a, regime=regime.tag(),
-        V_contour=vals["contour"], V_oracle=vals["oracle"],
-        V_asymptotic=vals["asymptotic"],
-        part_vacuum=parts["vacuum"], part_a2=parts["nonthermal_a2"],
-        part_residue=parts["residue_sum"],
+        V_contour=v_contour, V_oracle=v_oracle, V_asymptotic=v_asymptotic,
+        part_vacuum=parts.get("vacuum"), part_a2=parts.get("nonthermal_a2"),
+        part_residue=parts.get("residue_sum"),
         rel_diff=rel_diff, warnings=tuple(warnings),
     )
 
@@ -278,7 +265,7 @@ def run_sweep(config: SweepConfig, max_workers: int = 1) -> list[SweepRow]:
     point only, so the output is independent of the split.  Per-point
     failures become row warnings and never abort the sweep.
     """
-    units = config.unit_system()
+    units = units_for(config.atom, config.units)
     Rs = config.R_grid.points()
     n = max(1, min(max_workers, len(Rs)))
     batches = [Rs[k * len(Rs) // n:(k + 1) * len(Rs) // n] for k in range(n)]
@@ -377,13 +364,13 @@ def fit_slope(rows, x_field: str, y_field: str,
 # --------------------------------------------------------------------------
 # comparison report
 # --------------------------------------------------------------------------
-def default_config(methods: tuple[str, ...] = METHODS) -> SweepConfig:
+def default_config() -> SweepConfig:
     """Bundled two-level configuration used by the acceptance report."""
     return SweepConfig(
         atom=two_level(1.0, 1.0),
         R_grid=GridSpec(min=0.1, max=100.0, count=5),
         a_grid=GridSpec(min=1e-3, max=0.1, count=5),
-        methods=methods,
+        methods=METHODS,
         quad=DEFAULT_QUAD,
         units="natural",
         atom_source={"two_level": {"omega0": 1.0, "alpha0": 1.0}},
@@ -512,14 +499,12 @@ def _section_high_aR(atom, quad, units):
     }
 
 
-def _section_high_acc(atom, quad, units):
+def _section_high_acc():
     # frozen closed-form cases use their own minimal atoms (natural units):
     # atom A has mu^2 = 1 at omega0 = 1, atom B has alpha_B(1) = 1 exactly
-    del atom, quad, units
-    from .atoms import AtomSpec as _A, Transition as _T
-
-    atom_a = _A(transitions=(_T(omega=1.0, mu_sq=1.0),))
-    atom_b = _A(transitions=(_T(omega=math.sqrt(2.0), mu_sq=0.75 * math.sqrt(2.0)),))
+    atom_a = AtomSpec(transitions=(Transition(omega=1.0, mu_sq=1.0),))
+    atom_b = AtomSpec(transitions=(Transition(omega=math.sqrt(2.0),
+                                              mu_sq=0.75 * math.sqrt(2.0)),))
     cases = [
         (1.0, 1.0, -10.0 / (3.0 * math.pi)),
         (10.0, 1.0, -(2.0 / (3.0 * math.pi)) * 1e-2 * (1.0 + 1e-2 + 3e-4)),
@@ -608,21 +593,6 @@ def _section_determinism(config: SweepConfig):
             "pass": csv1 == csv2 == csv4}
 
 
-def _plain(obj):
-    """Recursively coerce numpy scalars so the report serializes cleanly."""
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    return obj
-
-
 def compare_report(config: SweepConfig) -> dict:
     """Structured pass/fail report for every acceptance-grade check.
 
@@ -647,7 +617,7 @@ def compare_report(config: SweepConfig) -> dict:
         report["far_zone_a2"] = _section_far_a2(atom, quad, units)
         report["near_zone_a2"] = _section_near_a2(atom, quad, units)
         report["high_aR"] = _section_high_aR(atom, quad, units)
-        report["high_acc"] = _section_high_acc(atom, quad, units)
+        report["high_acc"] = _section_high_acc()
         report["occupation"] = _section_occupation()
         if "oracle" in config.methods:
             report["dual_method"] = _section_dual_method(atom, quad, units)
@@ -675,4 +645,4 @@ def compare_report(config: SweepConfig) -> dict:
     report["flagged_discrepancies"] = flagged
     report["overall_pass"] = all(section_pass(report[k]) for k in hard_keys)
     report["acceptance_pass"] = report["overall_pass"] and not flagged
-    return _plain(report)
+    return report

@@ -162,6 +162,19 @@ def test_closed_form_domain_errors(atom, highacc_atoms):
                     law(1.0, bad, atom)
     with pytest.raises(DomainError):
         high_acc(1.0, 0.0, atom)
+    # beyond the range of a double: a value that overflows is a DomainError,
+    # one that underflows is -0.0 (each once a bare OverflowError or
+    # ZeroDivisionError)
+    for law, R, a in ((lambda R, a, atom: near_zone_value(R, atom), 1e-60, 0.0),
+                      (far_low_acc, 1e-100, 1e-3), (high_aR, 1e-60, 1e-3),
+                      (high_acc, 1e-200, 20.0)):
+        with pytest.raises(DomainError):
+            law(R, a, atom)
+    for law, R, a in ((far_low_acc, 1e50, 0.0), (high_aR, 1e60, 1e-3),
+                      (high_acc, 1e200, 20.0)):
+        value = law(R, a, atom)
+        assert value == 0.0 and math.copysign(1.0, value) == -1.0
+    assert closed_form_slope("far-low", 1e50, 0.0, atom) == -7.0
 
 
 @given(st.floats(min_value=1e-2, max_value=1e3))

@@ -1,6 +1,7 @@
 """The batched contour evaluator: batch independence, the nested rule's
 refinement and failure mode and the pole-ladder kernel."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from unruhcp import (
     potential_grid,
     potential_inertial,
     potential_numeric,
+    potential_oracle_grid,
     rows_to_csv,
     run_sweep,
     two_level,
@@ -127,6 +129,17 @@ def test_non_finite_value_is_a_failure():
     # as a result, since its estimate inf was within 10 rel_tol |V| = inf
     for entry in potential_grid([1e-60], [0.0, 0.13], two_level(1.0, 1.0)):
         assert isinstance(entry[0], NumericalFailure)
+    # where powers of R leave the range of doubles the contour grid once
+    # raised OverflowError (R = 1e100) or ZeroDivisionError (1e-100, 1e-300),
+    # and both grids leaked numpy warnings: each entry is now a failure or a
+    # value that underflows to -0.0 with its estimate
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for grid in (potential_grid, potential_oracle_grid):
+            for row in grid([1e-300, 1e-100, 1e100], [0.0, 0.13], two_level(1.0, 1.0)):
+                assert all(isinstance(entry, NumericalFailure)
+                           or (entry.value == 0.0 and entry.error_estimate == 0.0)
+                           for entry in row)
 
 
 _TWO_LINES = AtomSpec(transitions=(Transition(omega=1.0, mu_sq=1.0),

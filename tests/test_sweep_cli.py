@@ -12,6 +12,7 @@ from unruhcp import (
     InputError,
     SweepConfig,
     compare_report,
+    default_config,
     fit_slope,
     rows_to_csv,
     run_sweep,
@@ -116,6 +117,24 @@ def test_sweep_excited_regime_degrades_to_warning():
     # once paired the atom with itself, whose line sits at k_A)
     assert rows[0].V_asymptotic is None
     assert "asymptotic: the high-acceleration law needs atom B" in rows[0].warnings
+    # closed forms beyond the range of a double once raised a bare
+    # OverflowError or ZeroDivisionError out of run_sweep, losing every row:
+    # at R = 1e50, a = 0 the far-zone law underflows to -0.0, at R = 1e-60
+    # the near-zone law overflows and the row carries the warning; log-spaced
+    # grids hand the laws numpy scalars, value grids Python floats
+    for R_grid in (GridSpec(value=1e50), GridSpec(min=1e50, max=1e51, count=2)):
+        rows = run_sweep(_config(R_grid=R_grid, methods=("contour", "asymptotic")))
+        assert len(rows) == R_grid.count
+        assert rows[0].V_contour == 0.0 and rows[0].V_asymptotic == 0.0
+        assert math.copysign(1.0, rows[0].V_asymptotic) == -1.0
+    for R_grid in (GridSpec(value=1e-60), GridSpec(min=1e-60, max=1e-3, count=2)):
+        rows = run_sweep(_config(R_grid=R_grid, methods=("contour", "asymptotic")))
+        assert len(rows) == R_grid.count
+        assert rows[0].V_contour is None and rows[0].V_asymptotic is None
+        assert any(w.startswith("contour: numerical failure") for w in rows[0].warnings)
+        assert ("asymptotic: the closed-form value lies beyond the range of a double"
+                in rows[0].warnings)
+        assert all(row.V_asymptotic is not None for row in rows[1:])
 
 
 def test_sweep_dual_method_rel_diff():
@@ -194,10 +213,19 @@ def test_report_inertial_only_sections_skipped():
 
 
 def test_report_byte_identical():
-    cfg = _config(a_grid=GridSpec(value=0.0))
-    d1 = json.dumps(compare_report(cfg), indent=2)
-    d2 = json.dumps(compare_report(cfg), indent=2)
-    assert d1 == d2
+    def plain(x):   # Python types only: the report is serialised as it is
+        if isinstance(x, dict):
+            return all(type(k) is str and plain(v) for k, v in x.items())
+        if isinstance(x, list):
+            return all(map(plain, x))
+        return type(x) in (bool, int, float, str, type(None))
+
+    for cfg in (_config(a_grid=GridSpec(value=0.0)), default_config()):
+        report = compare_report(cfg)
+        assert plain(report)
+        d1 = json.dumps(report, indent=2)
+        d2 = json.dumps(compare_report(cfg), indent=2)
+        assert d1 == d2
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +291,12 @@ def test_cli_eval_exit_codes(atom_file, tmp_path):
     dense = ("eval", "--R", "1e-9", "--accel", "0.13", "--atom", atom_file)
     assert _cli(*dense, "--method", "contour").returncode == 0
     assert _cli(*dense, "--method", "oracle").returncode == 0
+    # a separation whose powers leave the range of doubles once ended in an
+    # OverflowError traceback: a numerical failure or a value that underflows
+    for method in ("contour", "oracle", "both"):
+        far = _cli("eval", "--R", "1e100", "--accel", "0.01", "--atom", atom_file,
+                   "--method", method)
+        assert far.returncode in (0, 3)
 
 
 def test_cli_rejects_non_finite_arguments(atom_file, tmp_path, capsys):
@@ -307,6 +341,13 @@ def test_cli_asymptotic(atom_file):
     doc = json.loads(proc.stdout)
     assert doc["value"] == pytest.approx(-0.75 / 1e-12, rel=1e-12)
     assert doc["slope"] == -6.0
+    # beyond the range of a double: the law underflows to -0.0, or is an
+    # error (exit 1); both once ended in a traceback
+    proc = _cli("asymptotic", "--law", "far-low", "--R", "1e50", "--atom", atom_file)
+    doc = json.loads(proc.stdout)
+    assert doc["value"] == 0.0 and doc["slope"] == -7.0
+    proc = _cli("asymptotic", "--law", "near", "--R", "1e-60", "--atom", atom_file)
+    assert proc.returncode == 1 and proc.stdout == ""
     # the high-acceleration law needs atom B: an input error, not a traceback
     proc = _cli("asymptotic", "--law", "high-acc", "--R", "1.0", "--accel", "50",
                 "--atom", atom_file)
