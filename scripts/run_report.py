@@ -12,11 +12,12 @@ import sys
 
 from unruhcp.sweep import compare_report, default_config, rows_to_csv, run_sweep
 
+WORKERS = 4   # threads of the reference sweep; its rows do not depend on them
+
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out-dir", default="out", help="artifact directory")
-    ap.add_argument("--workers", type=int, default=4)
     args = ap.parse_args(argv)
 
     out = pathlib.Path(args.out_dir)
@@ -26,7 +27,7 @@ def main(argv=None) -> int:
     report = compare_report(config)
     (out / "report.json").write_text(json.dumps(report, indent=2) + "\n")
 
-    rows = run_sweep(config, max_workers=args.workers)
+    rows = run_sweep(config, max_workers=WORKERS)
     (out / "sweep.csv").write_text(rows_to_csv(rows))
 
     for key, sec in report.items():

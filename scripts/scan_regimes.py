@@ -5,7 +5,6 @@ Scans R at fixed accelerations in the four regimes, fits log-log slopes and
 extracts the leading coefficients, printing measured vs closed-form values.
 Natural units (hbar = c = 1, omega0 = 1, alpha0 = 1).
 """
-import argparse
 import math
 import sys
 
@@ -20,10 +19,12 @@ from unruhcp import (
 )
 from unruhcp.sweep import fit_slope
 
+POINTS = 8   # separations per scan
 
-def scan(atom, a, r_lo, r_hi, n, differential):
+
+def scan(atom, a, r_lo, r_hi, differential):
     rows = []
-    for R in np.logspace(math.log10(r_lo), math.log10(r_hi), n):
+    for R in np.logspace(math.log10(r_lo), math.log10(r_hi), POINTS):
         v = potential_numeric(float(R), a, atom).value
         if differential:
             v -= potential_inertial(float(R), atom).value
@@ -31,25 +32,21 @@ def scan(atom, a, r_lo, r_hi, n, differential):
     return rows, fit_slope(rows, "R", "V")
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--points", type=int, default=8)
-    args = ap.parse_args(argv)
+def main() -> int:
     atom = two_level(1.0, 1.0)
-    n = args.points
 
-    rows, fit = scan(atom, 0.0, 50.0, 500.0, n, differential=False)
+    rows, fit = scan(atom, 0.0, 50.0, 500.0, differential=False)
     c = rows[-1]["V"] * rows[-1]["R"] ** 7
     print(f"inertial far zone : slope {fit.slope:+.4f} (law -7), "
           f"R^7 V -> {c:.5f} (literature -23/4pi = {-23/(4*math.pi):.5f})")
 
-    rows, fit = scan(atom, 0.0, 1e-3, 1e-2, n, differential=False)
+    rows, fit = scan(atom, 0.0, 1e-3, 1e-2, differential=False)
     c = rows[0]["V"] * rows[0]["R"] ** 6
     print(f"inertial near zone: slope {fit.slope:+.4f} (law -6), "
           f"R^6 V -> {c:.5f} (London -3/4)")
 
     a = 1e-3
-    rows, fit = scan(atom, a, 50.0, 500.0, n, differential=True)
+    rows, fit = scan(atom, a, 50.0, 500.0, differential=True)
     k = float(np.exp(np.mean(np.log(
         [-r["V"] * r["R"] ** 5 / a**2 for r in rows]))))
     print(f"far-zone a^2 term : slope {fit.slope:+.4f} (law -5), "
@@ -61,7 +58,7 @@ def main(argv=None) -> int:
           f"{fit2.exponent_R:+.4f}) (laws +2, -6), K = {fit2.K:.5f}")
 
     a = 0.01
-    rows, fit = scan(atom, a, 50.0 / a, 200.0 / a, n, differential=False)
+    rows, fit = scan(atom, a, 50.0 / a, 200.0 / a, differential=False)
     ratio = rows[0]["V"] / high_aR(rows[0]["R"], a, atom)
     print(f"large aR/c^2      : slope {fit.slope:+.4f} "
           f"(printed law -6; the a^3/R^4 origin term gives -4), "

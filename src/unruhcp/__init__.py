@@ -39,7 +39,7 @@ from .kinematics import (
     classify_regime,
     validity_check,
 )
-from .occupation import OccupationValue, bose_poles, mode_occupation, occupation_highacc
+from .occupation import OccupationValue, mode_occupation, occupation_highacc
 from .potential import (
     DEFAULT_QUAD,
     PotentialResult,

@@ -199,21 +199,15 @@ def potential_high_acc(R: float, a: float, atom_a: AtomSpec, atom_b: AtomSpec,
 
 
 def _high_acc_bracket(x):
-    # unchecked, for the laws of _rounded
+    # retardation bracket 1 + 1/x^2 + 3/x^4 (>= 1), a step of the laws of _rounded
     x2 = x**2
     return 1 + 1 / x2 + 3 / (x2 * x2)
 
 
-def high_acc_bracket(x: float) -> float:
-    """Retardation bracket 1 + 1/x^2 + 3/x^4 of the high-acceleration law (>= 1)."""
-    if x == 0.0:
-        raise DomainError("bracket is singular at x = 0")
-    return _rounded(lambda restore, x: _high_acc_bracket(x), x)
-
-
 def closed_form_slope(law: str, R: float, a: float, atom: AtomSpec,
                       units: UnitSystem | str | None = None) -> float:
-    """Exact d ln|V| / d ln R of a closed-form law at (R, a)."""
+    """Exact d ln|V| / d ln R of a closed-form law at (R, a), with the
+    domain checks of the law's value."""
     u = units_for(atom, units)
     if law == "far-low":
         def slope(restore, *args):
@@ -221,9 +215,14 @@ def closed_form_slope(law: str, R: float, a: float, atom: AtomSpec,
             return (-7 * t7 - 5 * t5) / (t7 + t5)
 
         return _rounded(slope, *_far_low_args(R, a, atom, u), units=u)
-    if law in ("high-ar", "near"):
+    check_domain("separation", R)
+    if law == "near":
+        return -6.0
+    if law == "high-ar":
+        check_domain("acceleration", a, strict=False)
         return -6.0
     if law == "high-acc":
+        check_domain("acceleration", a)
         def slope(restore, Rt):
             x2 = Rt * Rt  # k_A = 1 in reduced units
             return -2 + (-2 / x2 - 12 / (x2 * x2)) / _high_acc_bracket(Rt)
@@ -244,11 +243,10 @@ class A2FitResult:
 
 
 def fit_a2_near_coefficient(atom: AtomSpec, quad: QuadratureSpec = DEFAULT_QUAD,
-                            units: UnitSystem | str | None = None,
-                            n_a: int = 4, n_R: int = 4) -> A2FitResult:
+                            units: UnitSystem | str | None = None) -> A2FitResult:
     """Extract the near-zone coefficient K of the a^2/R^6 correction.
 
-    Runs the contour evaluator, in one potential_grid call, on a log grid
+    Runs the contour evaluator, in one potential_grid call, on a 4 x 4 log grid
     a in [1e-5, 1e-3] omega0 c and R in [1e-3, 1e-2] c/omega0, subtracts the inertial value, and fits
     |dV| = K a^2 R^-6.  The fitted exponents must match (2, -6) within
     0.05 or InconsistentRegimeError is raised.
@@ -256,8 +254,8 @@ def fit_a2_near_coefficient(atom: AtomSpec, quad: QuadratureSpec = DEFAULT_QUAD,
     u = units_for(atom, units)
     a_scale = u.restore_acceleration(1.0)
     R_scale = u.restore_length(1.0)
-    a_grid = np.logspace(-5, -3, n_a) * a_scale
-    R_grid = np.logspace(-3, -2, n_R) * R_scale
+    a_grid = np.logspace(-5, -3, 4) * a_scale
+    R_grid = np.logspace(-3, -2, 4) * R_scale
 
     inertial, *accel = potential_grid(R_grid, [0.0, *a_grid], atom, quad, units=u)
     rows = []

@@ -23,6 +23,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import DomainError, InputError
+from .units import UnitSystem
 
 DEFAULT_DAMPING_FRACTION = 1e-6  # gamma = fraction * lowest transition frequency
 MAX_DAMPING_FRACTION = 1e-3
@@ -116,28 +117,27 @@ def alpha_imag(xi: float, atom: AtomSpec, c: float = 1.0, hbar: float = 1.0) -> 
                           [t.omega for t in atom.transitions])
 
 
-def alpha_real(k: float, atom: AtomSpec, c: float = 1.0, hbar: float = 1.0,
-               damping: float | None = None) -> complex:
+def alpha_real(k: float, atom: AtomSpec, c: float = 1.0, hbar: float = 1.0) -> complex:
     """Complex dynamic polarizability at real wavenumber k.
 
-    The linewidth shifts the resonance poles below the real axis; pass
-    damping=0.0 only when k is known to be away from every resonance.
+    The atom's linewidth shifts the resonance poles below the real axis.
     """
     if k < 0.0:
         raise DomainError(f"wavenumber must be >= 0, got {k}")
-    gamma = atom.damping if damping is None else damping
-    z2 = (c * k) ** 2 + 1j * gamma * c * k
+    z2 = (c * k) ** 2 + 1j * atom.damping * c * k
     return oscillator_sum(z2, oscillator_weights(atom, hbar), [t.omega for t in atom.transitions])
 
 
-def load_atom(source) -> AtomSpec:
+def load_atom(source, units: str = "natural") -> AtomSpec:
     """Build an AtomSpec from a JSON file path, file object or dict.
 
     Accepts either the explicit form
         {"transitions": [{"omega": ..., "mu_sq": ...}, ...], "damping": ...}
     or the two-level shorthand
         {"two_level": {"omega0": ..., "alpha0": ...}, "damping": ...}
-    which expands to one transition with mu^2 = 3 hbar omega0 alpha0 / 2.
+    which expands to one transition with mu^2 = 3 hbar omega0 alpha0 / 2,
+    hbar being that of the unit mode `units` ("natural" or "si", where
+    alpha0 is in cm^3 and mu^2 in erg cm^3).
     """
     if isinstance(source, dict):
         doc = source
@@ -155,7 +155,8 @@ def load_atom(source) -> AtomSpec:
     if "two_level" in doc:
         tl = doc["two_level"]
         try:
-            return two_level(float(tl["omega0"]), float(tl["alpha0"]), damping=damping)
+            return two_level(float(tl["omega0"]), float(tl["alpha0"]),
+                             hbar=UnitSystem(mode=units).hbar_atomic, damping=damping)
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad two_level shorthand: {exc}") from exc
     try:

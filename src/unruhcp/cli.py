@@ -12,6 +12,7 @@ import sys
 
 from .asymptotics import (
     closed_form_slope,
+    far_low_acc,
     far_low_acc_parts,
     high_aR,
     near_zone_value,
@@ -72,7 +73,7 @@ def _cmd_occupation(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    atom = load_atom(args.atom)
+    atom = load_atom(args.atom, units=args.units)
     quad = _load_quad(args.quad)
     doc = {"R": args.R, "a": args.accel, "units": args.units, "method": args.method}
     results = {}
@@ -94,14 +95,14 @@ def _cmd_eval(args) -> int:
 def _cmd_asymptotic(args) -> int:
     if args.law == "high-acc" and args.atom_b is None:
         raise InputError("--law high-acc needs --atom-b, the atom that responds to atom A")
-    atom = load_atom(args.atom)
-    atom_b = load_atom(args.atom_b) if args.atom_b else None
+    atom = load_atom(args.atom, units=args.units)
+    atom_b = load_atom(args.atom_b, units=args.units) if args.atom_b else None
     doc = {"law": args.law, "R": args.R, "a": args.accel, "units": args.units}
     if args.law == "near":
         doc["value"] = near_zone_value(args.R, atom, units=args.units)
     elif args.law == "far-low":
         t7, t5 = far_low_acc_parts(args.R, args.accel, atom, units=args.units)
-        doc["value"] = t7 + t5
+        doc["value"] = far_low_acc(args.R, args.accel, atom, units=args.units)
         doc["parts"] = {"inertial_R7": t7, "acceleration_R5": t5}
     elif args.law == "high-ar":
         doc["value"] = high_aR(args.R, args.accel, atom, units=args.units)

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InputError, check_domain
+from .errors import DomainError, check_domain
 
 EXP_OVERFLOW = 700.0  # beyond this the Bose factor underflows double precision
-DEFAULT_POLE_CAP = 100_000  # default length of the bose_poles list
 
 
 @dataclass(frozen=True)
@@ -94,18 +93,3 @@ def occupation_highacc(omega: float, a: float, c: float = 1.0) -> float:
         return 0.0
     return a**3 / (2.0 * math.pi * (c * omega) ** 3)
 
-
-def bose_poles(a: float, n_max: int = DEFAULT_POLE_CAP, c: float = 1.0) -> list[float]:
-    """Imaginary-axis wavenumber magnitudes k_n = n a / c^2 of the Bose factor.
-
-    These are the discrete points whose residues build the pole-sum part of
-    the accelerated potential; their spacing times R is the regime
-    parameter a R / c^2.  At a = 0 the pole ladder degenerates and the list
-    is empty.
-    """
-    check_domain("acceleration", a, strict=False)
-    if n_max < 1:
-        raise InputError(f"n_max must be >= 1, got {n_max}")
-    if a == 0.0:
-        return []
-    return [n * a / c**2 for n in range(1, n_max + 1)]

@@ -20,8 +20,12 @@ evaluated two independent ways:
   where it is dense, in one batched kernel per grid (_pole_ladder).  For
   a <= SWITCH_A and a R / c^2 <= SWITCH_AR the third piece is instead the
   exactly equivalent Bose-weighted real-axis integral of the imaginary part,
-  which needs a below the lowest resonance.  ``potential_numeric`` (one
-  point) and ``potential_inertial`` (a = 0) are 1 x 1 grids.
+  which needs a below the lowest resonance.  V does not need this route:
+  the ladder gives the same V there within the two error estimates.  It
+  exists to resolve the thermal (Unruh) part residue_sum below SWITCH_A,
+  which the ladder forms as V less the other two parts, resolved only to
+  about the rounding of |V|.  ``potential_numeric`` (one point) and
+  ``potential_inertial`` (a = 0) are 1 x 1 grids.
 * ``potential_oracle_grid`` - an independent check on the same grid: the raw
   integrand is integrated over a deformed first-quadrant path (real segment
   plus a tilted ray, exact by Cauchy's theorem), undamped.  It shares no
@@ -108,7 +112,6 @@ from .occupation import EXP_OVERFLOW, _bose, mode_occupation
 from .retardation import (
     SERIES_SWITCH,
     osc_imag_part,
-    osc_real_part,
     quartic_weight,
     u_factor,
     u_numerator,
@@ -578,7 +581,9 @@ def _grid(name: str, route, R, a, atom: AtomSpec, quad: QuadratureSpec, units):
                 row.append(NumericalFailure(
                     f"{name} quadrature missed its tolerance at R={R_i!r}, a={a_j!r}: "
                     f"error estimate {error:.3e} exceeds 10 rel_tol |V| = "
-                    f"{u.restore_energy(bound):.3e}",
+                    f"{u.restore_energy(bound):.3e}" if math.isfinite(vt) else
+                    f"{name} evaluation has no finite value at R={R_i!r}, a={a_j!r} "
+                    f"(V = {value})",
                     partial=value, error_estimate=error))
                 continue
             row.append(PotentialResult(
@@ -894,7 +899,4 @@ __all__ = [
     "potential_numeric",
     "potential_oracle",
     "potential_oracle_grid",
-    "u_factor",
-    "osc_imag_part",
-    "osc_real_part",
 ]

@@ -16,13 +16,12 @@ coefficients both follow from it.  The sign-free coefficient pattern
 {1,2,5,6,3} belongs to the imaginary axis only; placing it on the real axis
 breaks the oscillatory cancellation at the origin and the far-zone law.
 
-osc_imag_part / osc_real_part evaluate Im / Re of e^{2ix} u_factor(x)
-without catastrophic cancellation (series branch below |x| = 1/2);
-osc_imag_part also takes numpy arrays.
+osc_imag_part evaluates Im[e^{2ix} u_factor(x)], the only part the potential
+takes, without catastrophic cancellation (series branch below |x| = 1/2),
+at a float or elementwise on a numpy array.
 """
 from __future__ import annotations
 
-import math
 from math import factorial
 
 import numpy as np
@@ -50,9 +49,8 @@ def _exp_numer_coeffs(n: int = _NTERMS) -> list[complex]:
 
 _EXP_NUMER = _exp_numer_coeffs()
 # e^{2ix} u(x) = 3/x^4 + 1/x^2 + 1 + (22/15) i x + ...; all coefficients of
-# x^{-4}..x^{0} are real, so Im[e^{2ix} u(x)] = O(x) and Re = O(x^-4).
+# x^{-4}..x^{0} are real, so Im[e^{2ix} u(x)] = O(x).
 _SIGMA = [c.imag for c in _EXP_NUMER]
-_RHO = [c.real for c in _EXP_NUMER]
 # Im[e^{2ix} u(x)] is odd in x, x * sum_j _SIGMA[5 + 2j] x^{2j}; osc_imag_part
 # keeps the terms that still count in double precision at the switch
 _SIGMA_EVEN_ARRAY = np.array([c for j, c in enumerate(_SIGMA[5::2])
@@ -110,37 +108,12 @@ def osc_imag_part(x):
     return out if out.ndim else float(out)
 
 
-def osc_real_part(x: float) -> float:
-    """Re[e^{2ix} u_factor(x)] for real x > 0 (3/x^4 + 1/x^2 + 1 + O(x^2) as x->0)."""
-    if x > SERIES_SWITCH:
-        A = 1.0 - 5.0 / (x * x) + 3.0 / x**4
-        B = 2.0 / x - 6.0 / x**3
-        return math.cos(2.0 * x) * A - math.sin(2.0 * x) * B
-    s = 0.0
-    for m in range(len(_RHO) - 1, 4, -1):
-        s = s * x + _RHO[m]
-    return s * x + 1.0 + 1.0 / (x * x) + 3.0 / x**4
-
-
-def osc_complex(x: float) -> complex:
-    """e^{2ix} u_factor(x) for real x > 0 via the stable split."""
-    return complex(osc_real_part(x), osc_imag_part(x))
-
-
-def leading_imag_slope() -> float:
-    """Coefficient of x in Im[e^{2ix} u_factor(x)] (equals 22/15)."""
-    return _SIGMA[5]
-
-
 __all__ = [
     "u_factor",
     "u_numerator",
     "imag_axis_weight",
     "quartic_weight",
     "osc_imag_part",
-    "osc_real_part",
-    "osc_complex",
-    "leading_imag_slope",
 ]
 
 

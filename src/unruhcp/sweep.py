@@ -123,7 +123,8 @@ class SweepConfig:
             atom_source = doc["atom"]
         except KeyError as exc:
             raise InputError("sweep config needs an 'atom' entry") from exc
-        atom = load_atom(atom_source)
+        units = doc.get("units", "natural")
+        atom = load_atom(atom_source, units=units)
         methods = doc.get("methods", ["contour"])
         if not isinstance(methods, list):
             raise InputError(f"sweep config 'methods' must be a list, got {methods!r}")
@@ -141,7 +142,7 @@ class SweepConfig:
             a_grid=GridSpec.from_obj(doc.get("a_grid", {"value": 0.0})),
             methods=tuple(methods),
             quad=quad,
-            units=doc.get("units", "natural"),
+            units=units,
             output_path=output_path,
             atom_source=atom_source,
         )

@@ -21,7 +21,7 @@ from unruhcp import (
     two_level,
 )
 from unruhcp import asymptotics
-from unruhcp.asymptotics import closed_form_slope, high_acc_bracket
+from unruhcp.asymptotics import _high_acc_bracket, closed_form_slope
 from unruhcp.potential import DEFAULT_QUAD
 from unruhcp.sweep import _section_near_a2
 
@@ -160,8 +160,17 @@ def test_closed_form_domain_errors(atom, highacc_atoms):
             if bad != 0.0:
                 with pytest.raises(DomainError):
                     law(1.0, bad, atom)
-    with pytest.raises(DomainError):
-        high_acc(1.0, 0.0, atom)
+        # the slope checks what its law's value checks; at R = -1 it once
+        # returned -6.0 (near, high-ar) and -4.8 (high-acc)
+        for law in ("near", "far-low", "high-ar", "high-acc"):
+            with pytest.raises(DomainError):
+                closed_form_slope(law, bad, 20.0, atom)
+            if bad != 0.0 and law != "near":
+                with pytest.raises(DomainError):
+                    closed_form_slope(law, 1.0, bad, atom)
+    for law in (high_acc, lambda R, a, atom: closed_form_slope("high-acc", R, a, atom)):
+        with pytest.raises(DomainError):
+            law(1.0, 0.0, atom)
     # beyond the range of a double: a value that overflows is a DomainError,
     # one that underflows is -0.0 (each once a bare OverflowError or
     # ZeroDivisionError)
@@ -180,7 +189,7 @@ def test_closed_form_domain_errors(atom, highacc_atoms):
 @given(st.floats(min_value=1e-2, max_value=1e3))
 @settings(max_examples=50, deadline=None)
 def test_high_acc_bracket_floor(x):
-    assert high_acc_bracket(x) >= 1.0
+    assert _high_acc_bracket(x) >= 1.0
 
 
 def test_closed_form_slopes(atom):
@@ -193,7 +202,7 @@ def test_closed_form_slopes(atom):
 
 
 def test_fit_a2_near_coefficient_smoke(atom):
-    fit = fit_a2_near_coefficient(atom, n_a=3, n_R=3)
+    fit = fit_a2_near_coefficient(atom)
     assert fit.exponent_a == pytest.approx(2.0, abs=0.05)
     assert fit.exponent_R == pytest.approx(-6.0, abs=0.05)
     assert fit.K > 0
@@ -213,7 +222,7 @@ def test_fit_a2_near_coefficient_raises_grid_failure(atom, monkeypatch):
 
     monkeypatch.setattr(asymptotics, "potential_grid", failing_grid)
     with pytest.raises(NumericalFailure) as info:
-        fit_a2_near_coefficient(atom, n_a=3, n_R=3)
+        fit_a2_near_coefficient(atom)
     assert info.value is failure
     section = _section_near_a2(atom, DEFAULT_QUAD, "natural")
     assert section == {"pass": False, "error": str(failure)}

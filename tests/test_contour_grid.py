@@ -129,6 +129,9 @@ def test_non_finite_value_is_a_failure():
     # as a result, since its estimate inf was within 10 rel_tol |V| = inf
     for entry in potential_grid([1e-60], [0.0, 0.13], two_level(1.0, 1.0)):
         assert isinstance(entry[0], NumericalFailure)
+    # the message of a point without a value names that, not a tolerance miss
+    (entry,), = potential_grid([1e100], [0.01], two_level(1.0, 1.0))
+    assert str(entry) == "contour evaluation has no finite value at R=1e+100, a=0.01 (V = nan)"
     # where powers of R leave the range of doubles the contour grid once
     # raised OverflowError (R = 1e100) or ZeroDivisionError (1e-100, 1e-300),
     # and both grids leaked numpy warnings: each entry is now a failure or a

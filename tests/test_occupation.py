@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unruhcp import DomainError, InputError, bose_poles, mode_occupation, occupation_highacc
+from unruhcp import DomainError, mode_occupation, occupation_highacc
 from unruhcp.occupation import EXP_OVERFLOW, _bose, _occupation_parts
 
 
@@ -118,25 +118,6 @@ def test_highacc_bound_and_limit():
 def test_highacc_zero_acceleration_warns():
     with pytest.warns(RuntimeWarning):
         assert occupation_highacc(1.0, 0.0) == 0.0
-
-
-def test_bose_poles():
-    assert bose_poles(1.0, 3) == pytest.approx([1.0, 2.0, 3.0])
-    assert bose_poles(0.5, 2) == pytest.approx([0.5, 1.0])
-    assert bose_poles(0.0, 5) == []
-    with pytest.raises(InputError):
-        bose_poles(1.0, 0)
-    with pytest.raises(DomainError):
-        bose_poles(-1.0, 3)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(DomainError):
-            bose_poles(bad, 3)
-
-
-def test_bose_pole_spacing_is_regime_parameter():
-    a, R = 0.37, 4.0
-    poles = bose_poles(a, 2)
-    assert (poles[1] - poles[0]) * R == pytest.approx(a * R, rel=1e-15)
 
 
 def test_occupation_kernel_on_arrays_matches_scalar():

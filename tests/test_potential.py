@@ -144,6 +144,23 @@ def test_mode_switch_consistency(atom, monkeypatch):
         assert v1 == pytest.approx(v2, rel=1e-9)
 
 
+@pytest.mark.parametrize("atom_name", ["atom", "atom3"])
+def test_bose_route_gives_the_ladder_value_next_to_the_switch(atom_name, request,
+                                                              monkeypatch):
+    # the Bose real-axis route is there to resolve the thermal (Unruh) part
+    # below SWITCH_A; V is the same on the forced pole ladder, within the sum
+    # of the two error estimates
+    atom = request.getfixturevalue(atom_name)
+    aRs = np.logspace(-3, math.log10(0.499), 8)
+    bose = {a: potential_grid((aRs / a).tolist(), [a], atom)[0]
+            for a in (0.1, 0.12, 0.124, 0.125)}
+    assert all(a <= potmod.SWITCH_A and aRs[-1] <= potmod.SWITCH_AR for a in bose)
+    monkeypatch.setattr(potmod, "SWITCH_A", -1.0)
+    for a, row in bose.items():
+        for b, p in zip(row, potential_grid((aRs / a).tolist(), [a], atom)[0]):
+            assert abs(b.value - p.value) <= b.error_estimate + p.error_estimate
+
+
 def test_acceleration_continuity_slope(atom):
     import numpy as np
 

@@ -18,7 +18,8 @@ from unruhcp import (
     run_sweep,
     two_level,
 )
-from unruhcp import cli
+from unruhcp import cli, load_atom
+from unruhcp.constants import HBAR_CGS
 from unruhcp.sweep import read_rows_csv
 
 
@@ -348,11 +349,35 @@ def test_cli_asymptotic(atom_file):
     assert doc["value"] == 0.0 and doc["slope"] == -7.0
     proc = _cli("asymptotic", "--law", "near", "--R", "1e-60", "--atom", atom_file)
     assert proc.returncode == 1 and proc.stdout == ""
+    # the far-low value is far_low_acc's: a sum of the two parts beyond the
+    # largest double is an error, where it once printed "value": -Infinity
+    proc = _cli("asymptotic", "--law", "far-low", "--R", "1.2508705599405717e-44",
+                "--accel", "6.7955792741606375e+44", "--atom", atom_file)
+    assert proc.returncode == 1 and proc.stdout == ""
     # the high-acceleration law needs atom B: an input error, not a traceback
     proc = _cli("asymptotic", "--law", "high-acc", "--R", "1.0", "--accel", "50",
                 "--atom", atom_file)
     assert proc.returncode == 1 and proc.stdout == ""
     assert "--atom-b" in proc.stderr
+
+
+def test_si_two_level_shorthand_equals_its_explicit_transition(tmp_path):
+    # in si mode the shorthand's alpha0 is in cm^3, so mu^2 = 1.5 hbar_cgs
+    # omega0 alpha0; it was once expanded with hbar = 1, 9.5e26 times too large
+    omega0, alpha0 = 4e15, 1e-24
+    short = {"two_level": {"omega0": omega0, "alpha0": alpha0}}
+    explicit = {"transitions": [{"omega": omega0, "mu_sq": 1.5 * HBAR_CGS * omega0 * alpha0}]}
+    paths = []
+    for name, doc in (("short", short), ("explicit", explicit)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(doc))
+    for argv in (("eval", "--R", "1e-7", "--accel", "1e22"),
+                 ("asymptotic", "--law", "near", "--R", "1e-9"),
+                 ("asymptotic", "--law", "far-low", "--R", "1e-5", "--accel", "1e22")):
+        procs = [_cli(*argv, "--atom", str(path), "--units", "si") for path in paths]
+        assert procs[0].returncode == 0 and procs[0].stdout == procs[1].stdout
+    config = SweepConfig.from_dict({"atom": short, "units": "si"})
+    assert config.atom == load_atom(explicit) != load_atom(short)
 
 
 def test_cli_sweep_and_fit(atom_file, config_file, tmp_path):
