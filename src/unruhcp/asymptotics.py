@@ -137,14 +137,10 @@ def far_low_acc(R: float, a: float, atom: AtomSpec,
 
 def high_aR(R: float, a: float, atom: AtomSpec,
             units: UnitSystem | str | None = None) -> float:
-    """Printed large-aR law, linear in a and falling as R^-6."""
+    """Printed large-aR law, linear in a > 0 and falling as R^-6."""
     u = units_for(atom, units)
     check_domain("separation", R)
-    check_domain("acceleration", a, strict=False)
-    if a == 0.0:
-        _warnings.warn("large-aR law requested at a = 0; regime inapplicable",
-                       RuntimeWarning, stacklevel=2)
-        return 0.0
+    check_domain("acceleration", a)
     alpha0 = u.reduce_alpha(alpha_static(atom, hbar=u.hbar_atomic))
     return _rounded(
         lambda restore, Rt, at, alpha0, pi, k: restore(-(6 * at * alpha0**2 / (pi * Rt**6)) * k),
@@ -219,7 +215,7 @@ def closed_form_slope(law: str, R: float, a: float, atom: AtomSpec,
     if law == "near":
         return -6.0
     if law == "high-ar":
-        check_domain("acceleration", a, strict=False)
+        check_domain("acceleration", a)
         return -6.0
     if law == "high-acc":
         check_domain("acceleration", a)

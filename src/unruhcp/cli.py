@@ -28,6 +28,7 @@ from .sweep import (
     default_config,
     fit_slope,
     read_rows_csv,
+    relative_difference,
     rows_to_csv,
     run_sweep,
 )
@@ -85,9 +86,7 @@ def _cmd_eval(args) -> int:
                                              units=args.units).as_dict()
     doc.update(results)
     if len(results) == 2:
-        v1 = results["contour"]["value"]
-        v2 = results["oracle"]["value"]
-        doc["rel_diff"] = abs(v1 - v2) / max(abs(v1), abs(v2))
+        doc["rel_diff"] = relative_difference([r["value"] for r in results.values()])
     _print_json(doc)
     return 0
 

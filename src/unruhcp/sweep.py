@@ -200,6 +200,13 @@ def _asymptotic_value(R: float, a: float, regime, config: SweepConfig, units: Un
     return None, "no closed form applies for crossover aR/c^2"
 
 
+def relative_difference(values) -> float:
+    """(max - min) / max |v| of two or more values of one quantity; 0.0 when
+    every value is zero."""
+    scale = max(abs(v) for v in values)
+    return (max(values) - min(values)) / scale if scale > 0 else 0.0
+
+
 def _eval_point(R: float, a: float, contour, oracle, config: SweepConfig, units: UnitSystem):
     """The row of one grid point from its contour and oracle outcomes (each a
     PotentialResult, the error it raised, or None when not requested) and the
@@ -231,10 +238,7 @@ def _eval_point(R: float, a: float, contour, oracle, config: SweepConfig, units:
             warnings.append(f"asymptotic: {exc}")
 
     present = [v for v in (v_contour, v_oracle, v_asymptotic) if v is not None]
-    rel_diff = None
-    if len(present) >= 2:
-        scale = max(abs(v) for v in present)
-        rel_diff = (max(present) - min(present)) / scale if scale > 0 else 0.0
+    rel_diff = relative_difference(present) if len(present) >= 2 else None
 
     return SweepRow(
         R=R, a=a, regime=regime.tag(),

@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import pathlib
+import re
+import runpy
 import subprocess
 import sys
 
@@ -20,7 +23,7 @@ from unruhcp import (
 )
 from unruhcp import cli, load_atom
 from unruhcp.constants import HBAR_CGS
-from unruhcp.sweep import read_rows_csv
+from unruhcp.sweep import CSV_COLUMNS, read_rows_csv
 
 
 def _config(atom=None, **kw):
@@ -298,6 +301,12 @@ def test_cli_eval_exit_codes(atom_file, tmp_path):
         far = _cli("eval", "--R", "1e100", "--accel", "0.01", "--atom", atom_file,
                    "--method", method)
         assert far.returncode in (0, 3)
+    # both values underflow to -0.0: their relative difference is 0, as in a
+    # sweep row, where the CLI once divided by zero
+    zero = _cli("eval", "--R", "1e50", "--accel", "0.0", "--atom", atom_file,
+                "--method", "both")
+    assert zero.returncode == 0
+    assert json.loads(zero.stdout)["rel_diff"] == 0.0
 
 
 def test_cli_rejects_non_finite_arguments(atom_file, tmp_path, capsys):
@@ -488,3 +497,34 @@ def test_cli_report_default_flags_discrepancies(tmp_path):
     assert "far_zone_a2.coefficient" in doc["flagged_discrepancies"]
     assert "high_aR" in doc["flagged_discrepancies"]
     assert doc["overall_pass"] is True
+
+
+def test_run_report_script(tmp_path, capsys):
+    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_report.py"
+    main = runpy.run_path(str(script))["main"]
+    assert main(["--out-dir", str(tmp_path)]) == 4
+    assert (tmp_path / "sweep.csv").read_text().startswith(",".join(CSV_COLUMNS) + "\n")
+    report = json.loads((tmp_path / "report.json").read_text())
+    lines = capsys.readouterr().out.splitlines()
+    # one status line per section, far_zone_a2 (no single pass flag) included
+    sections = [k for k, v in report.items() if isinstance(v, dict) and k != "config"]
+    assert [line.split()[0] for line in lines[:len(sections)]] == sections
+    assert "far_zone_a2        slope PASS, coefficient FAIL" in lines
+    # each measured law carries its report section's numbers as printed
+    far, near, far_a2 = report["inertial_far"], report["inertial_near"], report["far_zone_a2"]
+    near_a2, high = report["near_zone_a2"], report["high_aR"]
+    laws = {
+        "inertial far zone": [f"{far['slope']:+.4f}", f"{far['limit_estimate']:.5f}",
+                              f"{far['literature_with_4pi']:.5f}"],
+        "inertial near zone": [f"{near['ratio_to_C6_law'][0]:.5f}", "0.01",
+                               f"{near['C6']:.5f}"],
+        "far-zone a^2 term": [f"{far_a2['slope']:+.4f}", f"{far_a2['K_measured']:.5f}",
+                              f"{far_a2['ratio_to_printed_with_4pi']:.3f}"],
+        "near-zone a^2 term": [f"{near_a2['exponent_a']:+.4f}", f"{near_a2['exponent_R']:+.4f}",
+                               f"{near_a2['K']:.5f}"],
+        "large aR/c^2": [f"{high['slope_measured']:+.4f}",
+                         f"{high['points'][0]['ratio_to_closed_form']:.1f}"],
+    }
+    for prefix, numbers in laws.items():
+        (line,) = [line for line in lines if line.startswith(prefix)]
+        assert re.findall(r"[-+]?\d+\.\d+", line) == numbers
