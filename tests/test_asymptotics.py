@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -102,6 +103,17 @@ def test_high_aR_linear_in_a(atom):
     assert high_aR(3.0, 2.0, atom) == pytest.approx(2.0 * high_aR(3.0, 1.0, atom), rel=1e-14)
 
 
+def test_high_aR_zero_acceleration_warns(atom):
+    # a = 0 lies outside the a R >> 1 law: high_aR once warned and returned
+    # 0.0 there; it now refuses the input, without a warning, like high_acc
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            high_aR(1.0, 0.0, atom)
+        with pytest.raises(DomainError):
+            closed_form_slope("high-ar", 1.0, 0.0, atom)
+
+
 @pytest.fixture(scope="module")
 def highacc_atoms():
     # atom A: mu_A^2 = 1 at omega0 = 1; atom B tuned so alpha_B(1) = 1 exactly
@@ -163,11 +175,10 @@ def test_closed_form_domain_errors(atom, highacc_atoms):
             if bad != 0.0 and law != "near":
                 with pytest.raises(DomainError):
                     closed_form_slope(law, 1.0, bad, atom)
-    # both acceleration laws need a > 0; high_aR once warned and returned 0.0
-    # at a = 0, with slope -6.0
-    for law in (high_acc, high_aR,
-                lambda R, a, atom: closed_form_slope("high-acc", R, a, atom),
-                lambda R, a, atom: closed_form_slope("high-ar", R, a, atom)):
+    # the high-acceleration law needs a > 0 (high_aR: see
+    # test_high_aR_zero_acceleration_warns)
+    for law in (high_acc,
+                lambda R, a, atom: closed_form_slope("high-acc", R, a, atom)):
         with pytest.raises(DomainError):
             law(1.0, 0.0, atom)
     # beyond the range of a double: a value that overflows is a DomainError,
