@@ -41,9 +41,7 @@ from .kinematics import (
 )
 from .occupation import OccupationValue, mode_occupation, occupation_highacc
 from .potential import (
-    DEFAULT_QUAD,
     PotentialResult,
-    QuadratureSpec,
     integrand,
     potential_grid,
     potential_inertial,

@@ -36,7 +36,7 @@ import numpy as np
 
 from .atoms import AtomSpec, alpha_static, oscillator_sum
 from .errors import DomainError, InconsistentRegimeError, check_domain
-from .potential import DEFAULT_QUAD, QuadratureSpec, _reduce_atom, _result, potential_grid
+from .potential import _reduce_atom, _result, potential_grid
 from .units import NATURAL, UnitSystem, units_for
 
 EXPONENT_TOL = 0.05
@@ -238,7 +238,7 @@ class A2FitResult:
     n_points: int
 
 
-def fit_a2_near_coefficient(atom: AtomSpec, quad: QuadratureSpec = DEFAULT_QUAD,
+def fit_a2_near_coefficient(atom: AtomSpec,
                             units: UnitSystem | str | None = None) -> A2FitResult:
     """Extract the near-zone coefficient K of the a^2/R^6 correction.
 
@@ -253,7 +253,7 @@ def fit_a2_near_coefficient(atom: AtomSpec, quad: QuadratureSpec = DEFAULT_QUAD,
     a_grid = np.logspace(-5, -3, 4) * a_scale
     R_grid = np.logspace(-3, -2, 4) * R_scale
 
-    inertial, *accel = potential_grid(R_grid, [0.0, *a_grid], atom, quad, units=u)
+    inertial, *accel = potential_grid(R_grid, [0.0, *a_grid], atom, units=u)
     rows = []
     for i, R in enumerate(R_grid):
         v0 = _result(inertial[i]).value

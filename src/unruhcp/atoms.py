@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, check_domain
 from .units import UnitSystem
 
 DEFAULT_DAMPING_FRACTION = 1e-6  # gamma = fraction * lowest transition frequency
@@ -37,10 +37,8 @@ class Transition:
     mu_sq: float
 
     def __post_init__(self):
-        if not self.omega > 0.0:
-            raise InputError(f"transition frequency must be positive, got {self.omega}")
-        if self.mu_sq < 0.0:
-            raise InputError(f"squared dipole element must be >= 0, got {self.mu_sq}")
+        check_domain("transition frequency", self.omega, error=InputError)
+        check_domain("squared dipole element", self.mu_sq, strict=False, error=InputError)
 
 
 @dataclass(frozen=True)
@@ -151,19 +149,23 @@ def load_atom(source, units: str = "natural") -> AtomSpec:
             raise InputError(f"cannot read atom file {source!r}: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError("atom document must be a JSON object")
-    damping = float(doc.get("damping", -1.0))
+    # the numbers are converted apart from the checks of Transition and
+    # AtomSpec, whose InputError is a ValueError too
+    try:
+        damping = float(doc.get("damping", -1.0))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"bad damping: {exc}") from exc
     if "two_level" in doc:
         tl = doc["two_level"]
         try:
-            return two_level(float(tl["omega0"]), float(tl["alpha0"]),
-                             hbar=UnitSystem(mode=units).hbar_atomic, damping=damping)
-        except (KeyError, TypeError) as exc:
+            omega0, alpha0 = float(tl["omega0"]), float(tl["alpha0"])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"bad two_level shorthand: {exc}") from exc
+        return two_level(omega0, alpha0, hbar=UnitSystem(mode=units).hbar_atomic,
+                         damping=damping)
     try:
-        transitions = tuple(
-            Transition(omega=float(t["omega"]), mu_sq=float(t["mu_sq"]))
-            for t in doc["transitions"]
-        )
-    except (KeyError, TypeError) as exc:
+        lines = [(float(t["omega"]), float(t["mu_sq"])) for t in doc["transitions"]]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"bad transitions list: {exc}") from exc
-    return AtomSpec(transitions=transitions, damping=damping)
+    return AtomSpec(transitions=tuple(Transition(omega=o, mu_sq=m) for o, m in lines),
+                    damping=damping)

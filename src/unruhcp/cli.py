@@ -19,9 +19,9 @@ from .asymptotics import (
     potential_high_acc,
 )
 from .atoms import load_atom
-from .errors import InputError, NumericalFailure, RegimeError, UnruhCPError
+from .errors import InputError, NumericalFailure, RegimeError, UnruhCPError, check_domain
 from .occupation import mode_occupation
-from .potential import QuadratureSpec, potential_numeric, potential_oracle
+from .potential import potential_numeric, potential_oracle
 from .sweep import (
     SweepConfig,
     compare_report,
@@ -53,17 +53,6 @@ def _write_output(path: str | None, text: str) -> None:
         raise InputError(f"cannot write {path!r}: {exc}") from exc
 
 
-def _load_quad(path: str | None) -> QuadratureSpec:
-    if path is None:
-        return QuadratureSpec()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        return QuadratureSpec(**doc)
-    except (OSError, json.JSONDecodeError, TypeError) as exc:
-        raise InputError(f"cannot read quadrature spec {path!r}: {exc}") from exc
-
-
 def _cmd_occupation(args) -> int:
     c = UnitSystem(mode=args.units, omega0=args.omega if args.units == "si" else 1.0).c
     occ = mode_occupation(args.omega, args.accel, c=c)
@@ -75,14 +64,13 @@ def _cmd_occupation(args) -> int:
 
 def _cmd_eval(args) -> int:
     atom = load_atom(args.atom, units=args.units)
-    quad = _load_quad(args.quad)
     doc = {"R": args.R, "a": args.accel, "units": args.units, "method": args.method}
     results = {}
     if args.method in ("contour", "both"):
-        results["contour"] = potential_numeric(args.R, args.accel, atom, quad,
+        results["contour"] = potential_numeric(args.R, args.accel, atom,
                                                units=args.units).as_dict()
     if args.method in ("oracle", "both"):
-        results["oracle"] = potential_oracle(args.R, args.accel, atom, quad,
+        results["oracle"] = potential_oracle(args.R, args.accel, atom,
                                              units=args.units).as_dict()
     doc.update(results)
     if len(results) == 2:
@@ -94,6 +82,8 @@ def _cmd_eval(args) -> int:
 def _cmd_asymptotic(args) -> int:
     if args.law == "high-acc" and args.atom_b is None:
         raise InputError("--law high-acc needs --atom-b, the atom that responds to atom A")
+    # checked for every law: the near law does not use it but echoes it
+    check_domain("acceleration", args.accel, strict=False)
     atom = load_atom(args.atom, units=args.units)
     atom_b = load_atom(args.atom_b, units=args.units) if args.atom_b else None
     doc = {"law": args.law, "R": args.R, "a": args.accel, "units": args.units}
@@ -167,7 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--method", choices=("contour", "oracle", "both"),
                     default="contour")
     sp.add_argument("--units", choices=("natural", "si"), default="natural")
-    sp.add_argument("--quad", default=None)
     sp.set_defaults(func=_cmd_eval)
 
     sp = sub.add_parser("asymptotic", help="closed-form regime laws")

@@ -37,8 +37,9 @@ domain checks, units, validity check, regime tag and entries, so both give
 a RegimeError for a/(omega0 c) >= 10 and the "marginal validity window"
 warning for 0.1 < a/(omega0 c) < 10.  It is also the one acceptance gate:
 each route returns per point its value V and error estimate, and a point is
-a PotentialResult iff that estimate is within 10 rel_tol |V|, otherwise a
-NumericalFailure carrying the partial value and its estimate.
+a PotentialResult iff that estimate is within 10 rel_tol |V|, rel_tol
+being the fixed REL_TOL = 1e-6, otherwise a NumericalFailure carrying the
+partial value and its estimate.
 
 Quadrature of the contour evaluator.  The three integrals are numpy array
 expressions on fixed composite Gauss-Legendre rules with GL_ORDER nodes per
@@ -70,7 +71,7 @@ Each rule is nested: its value with the panels as given is compared with
 its value with every panel halved; the finer value is returned and the
 difference is its error estimate.  A row (one separation, or one (R, a)
 pair of the Bose piece or the ladder remainder) whose estimate exceeds
-max(1e-13, min(1e-8, rel_tol * 1e-2)) of its value is compared again one
+max(1e-13, min(1e-8, REL_TOL * 1e-2)) of its value is compared again one
 halving finer, up to MAX_REFINE times.  A point's error estimate is the sum
 of the estimates of the imaginary-axis pieces and of its Bose piece or pole
 ladder.  No scalar adaptive quadrature remains in this evaluator.
@@ -90,11 +91,10 @@ split again, up to MAX_REFINE times.  A point's error estimate is the sum
 over the three occupation pieces.  No scalar adaptive quadrature remains,
 and the package needs numpy alone.
 
-Every contour and oracle value is a function of (R, a, atom,
-QuadratureSpec) alone: the arithmetic of one point never involves another,
-so a grid returns bit for bit what point-by-point calls return.  All
-evaluators are pure functions, deterministic for a fixed QuadratureSpec,
-and safe for concurrent use.
+Every contour and oracle value is a function of (R, a, atom) alone: the
+arithmetic of one point never involves another, so a grid returns bit for
+bit what point-by-point calls return.  All evaluators are pure functions,
+deterministic and safe for concurrent use.
 """
 from __future__ import annotations
 
@@ -140,25 +140,7 @@ ORACLE_TILT = math.pi / 4
 ORACLE_PANEL_RAD = 1.0      # widest oracle segment panel, in radians of 2kR
 ORACLE_RAY_DOUBLINGS = 6    # oracle ray panels end at 2^6 decay lengths
 ORACLE_BLOCK = 256          # oracle panels evaluated per array pass
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """The accuracy asked of both evaluators: the single field rel_tol.
-
-    Every rule refines toward max(1e-13, min(1e-8, rel_tol/100)) of its
-    value, and a point is returned only when its whole error estimate (of
-    its quadratures and of a direct pole ladder's tail) is within
-    10 rel_tol |V|; otherwise it is a NumericalFailure.
-    """
-
-    rel_tol: float = 1e-6
-
-    def __post_init__(self):
-        check_domain("rel_tol", self.rel_tol)
-
-
-DEFAULT_QUAD = QuadratureSpec()
+REL_TOL = 1e-6        # accuracy of both evaluators' rules and gate (module docstring)
 
 
 @dataclass(frozen=True)
@@ -242,9 +224,9 @@ def _alpha2_real0(k, ra: _ReducedAtom):
     return s * s
 
 
-def _target(quad: QuadratureSpec) -> float:
+def _target() -> float:
     """Relative accuracy every quadrature aims for."""
-    return max(1e-13, min(1e-8, quad.rel_tol * 1e-2))
+    return max(1e-13, min(1e-8, REL_TOL * 1e-2))
 
 
 # --------------------------------------------------------------------------
@@ -309,7 +291,7 @@ def _bose_rule(parts: int, order: int):
     return _frozen(offsets, np.tile(weights / parts, parts))
 
 
-def _nested(evaluate, n: int, quad: QuadratureSpec, floor=0.0):
+def _nested(evaluate, n: int, floor=0.0):
     """Values and error estimates of n rows of a nested rule.
 
     evaluate(rows, level) returns an array (pieces, len(rows)) from the rule
@@ -319,7 +301,7 @@ def _nested(evaluate, n: int, quad: QuadratureSpec, floor=0.0):
     difference plus `floor`, the error the rule cannot reduce.  Each row's
     result depends on that row alone.
     """
-    target = _target(quad)
+    target = _target()
     rows = np.arange(n)
     coarse = evaluate(rows, 0)
     value = np.empty_like(coarse)
@@ -370,7 +352,7 @@ def _origin_subtracted_integral(Rt: np.ndarray, ra: _ReducedAtom, level: int,
     return (integrand * wx).sum(axis=1) - end - 3.0 * a0 * a0 / X_CUT
 
 
-def _imag_axis_pieces(Rt: np.ndarray, ra: _ReducedAtom, quad: QuadratureSpec):
+def _imag_axis_pieces(Rt: np.ndarray, ra: _ReducedAtom):
     """(inertial, origin-subtracted) x-integrals per separation: value and error
     arrays of shape (2, len(Rt))."""
     # Taylor coefficients of g about x = 0: g = 3 alpha0^2 - g2 x^2 + g4 x^4
@@ -394,7 +376,7 @@ def _imag_axis_pieces(Rt: np.ndarray, ra: _ReducedAtom, quad: QuadratureSpec):
         return np.stack([inertial, _origin_subtracted_integral(
             r, ra, level, alpha, beta, end_origin[rows])])
 
-    return _nested(evaluate, len(Rt), quad, floor)
+    return _nested(evaluate, len(Rt), floor)
 
 
 def _origin_coefficient(Rt: float, at: float, ra: _ReducedAtom) -> float:
@@ -427,8 +409,7 @@ def _panel_rule(edges: tuple[float, ...], level: int):
     return _frozen((lo + width * offsets).ravel(), (width * weights).ravel())
 
 
-def _pole_ladder(Rt: np.ndarray, at: np.ndarray, ra: _ReducedAtom, quad: QuadratureSpec,
-                 fp: np.ndarray):
+def _pole_ladder(Rt: np.ndarray, at: np.ndarray, ra: _ReducedAtom, fp: np.ndarray):
     """R^4 sum_{n>=2} g(n) over the Bose poles (n = 1 is killed by the zero of
     1 + a^2/k^2 at k = i a), per point of the arrays Rt, at: values and error
     estimates.  fp is R^4 FP int_0^inf g per point, from the imaginary-axis
@@ -484,14 +465,13 @@ def _pole_ladder(Rt: np.ndarray, at: np.ndarray, ra: _ReducedAtom, quad: Quadrat
             corr = (g.imag * (wt / np.expm1(2.0 * math.pi * t))).sum(axis=1)
             return (const[rows] - (h * wx).sum(axis=1) - 2.0 * corr)[None, :]
 
-        v, e = _nested(evaluate, len(rest), quad)
+        v, e = _nested(evaluate, len(rest))
         value[rest] = fp[rest] + v[0]
         error[rest] = e[0]
     return value, error
 
 
-def _bose_real_axis_integral(Rt: np.ndarray, at: np.ndarray, ra: _ReducedAtom,
-                             quad: QuadratureSpec):
+def _bose_real_axis_integral(Rt: np.ndarray, at: np.ndarray, ra: _ReducedAtom):
     """Bose piece as -(2a/pi R^2) int_0^T ImW(a t)(1 + 1/t^2)/(e^{2 pi t}-1) dt,
     per (R, a) pair of the arrays Rt, at: value and error arrays.
 
@@ -515,7 +495,7 @@ def _bose_real_axis_integral(Rt: np.ndarray, at: np.ndarray, ra: _ReducedAtom,
              * (1.0 + 1.0 / (t * t)) / np.expm1(2.0 * math.pi * t))
         return (f * w).sum(axis=1)[None, :]
 
-    value, error = _nested(evaluate, len(at), quad)
+    value, error = _nested(evaluate, len(at))
     scale = 2.0 * at / (math.pi * Rt * Rt)
     return -scale * value[0], scale * error[0]
 
@@ -536,14 +516,15 @@ def integrand(k: float, R: float, a: float, atom: AtomSpec,
         * u_factor(k * R) * alpha * alpha
 
 
-def _grid(name: str, route, R, a, atom: AtomSpec, quad: QuadratureSpec, units):
+def _grid(name: str, route, R, a, atom: AtomSpec, units):
     """The entries of potential_grid's contract, with the values of `route`.
 
-    route(Rt, At, ra, quad) takes the reduced separations and non-excited
+    route(Rt, At, ra) takes the reduced separations and non-excited
     accelerations and returns, per point of their product grid in a-major
     order, the reduced (total, vacuum, nonthermal_a2, residue_sum, error,
     warnings); `name` labels its NumericalFailure messages.  This is the one
-    acceptance gate: a point is a result iff error <= 10 rel_tol |total|.
+    acceptance gate: a point is a result iff error <= 10 REL_TOL |total|,
+    REL_TOL read at call time.
     """
     u = units_for(atom, units)
     Rs = [float(r) for r in R]
@@ -562,7 +543,7 @@ def _grid(name: str, route, R, a, atom: AtomSpec, quad: QuadratureSpec, units):
     with np.errstate(all="ignore"):
         points = iter(route(np.array([u.reduce_length(r) for r in Rs]),
                             np.array([u.reduce_acceleration(x) for x in live]),
-                            _reduce_atom(atom, u), quad) if live and Rs else ())
+                            _reduce_atom(atom, u)) if live and Rs else ())
     grid = []
     for a_j, report in zip(As, reports):
         if report.excited:
@@ -576,7 +557,7 @@ def _grid(name: str, route, R, a, atom: AtomSpec, quad: QuadratureSpec, units):
         for R_i, (vt, vac, nonth, res, err, warnings) in zip(Rs, points):
             value = u.restore_energy(vt)
             error = u.restore_energy(err)
-            bound = 10.0 * quad.rel_tol * abs(vt)
+            bound = 10.0 * REL_TOL * abs(vt)
             if not (math.isfinite(vt) and err <= bound):
                 row.append(NumericalFailure(
                     f"{name} quadrature missed its tolerance at R={R_i!r}, a={a_j!r}: "
@@ -599,17 +580,17 @@ def _grid(name: str, route, R, a, atom: AtomSpec, quad: QuadratureSpec, units):
     return grid
 
 
-def _contour_points(Rt: np.ndarray, At: np.ndarray, ra: _ReducedAtom, quad: QuadratureSpec):
+def _contour_points(Rt: np.ndarray, At: np.ndarray, ra: _ReducedAtom):
     """The contour evaluator's route for _grid."""
     rts, ats = Rt.tolist(), At.tolist()
-    pieces, e_pieces = _imag_axis_pieces(Rt, ra, quad)
+    pieces, e_pieces = _imag_axis_pieces(Rt, ra)
     imag, e_imag = pieces.tolist(), e_pieces.tolist()
 
     # the Bose real-axis piece, batched over every (R, a) pair that takes it
     bose = [(j, i) for j, at in enumerate(ats) if 0.0 < at <= SWITCH_A
             for i, rt in enumerate(rts) if at * rt <= SWITCH_AR]
     b_val, b_err = (arr.tolist() for arr in _bose_real_axis_integral(
-        np.array([rts[i] for _, i in bose]), np.array([ats[j] for j, _ in bose]), ra, quad)
+        np.array([rts[i] for _, i in bose]), np.array([ats[j] for j, _ in bose]), ra)
     ) if bose else ((), ())
     bose_of = {pair: (v, e) for pair, v, e in zip(bose, b_val, b_err)}
 
@@ -619,7 +600,7 @@ def _contour_points(Rt: np.ndarray, At: np.ndarray, ra: _ReducedAtom, quad: Quad
     ri = np.array([i for _, i in ladder], dtype=np.int64)
     rl, al = Rt[ri], At[[j for j, _ in ladder]]
     fp = pieces[0, ri] / (al * rl) - al * rl * pieces[1, ri]
-    l_val, l_err = (arr.tolist() for arr in _pole_ladder(rl, al, ra, quad, fp)
+    l_val, l_err = (arr.tolist() for arr in _pole_ladder(rl, al, ra, fp)
                     ) if ladder else ((), ())
     ladder_of = {pair: (v, e) for pair, v, e in zip(ladder, l_val, l_err)}
 
@@ -659,8 +640,7 @@ def _contour_points(Rt: np.ndarray, At: np.ndarray, ra: _ReducedAtom, quad: Quad
     return points
 
 
-def potential_grid(R, a, atom: AtomSpec, quad: QuadratureSpec = DEFAULT_QUAD,
-                   units: UnitSystem | str | None = None
+def potential_grid(R, a, atom: AtomSpec, units: UnitSystem | str | None = None
                    ) -> list[list[PotentialResult | UnruhCPError]]:
     """Contour evaluation on the product grid of separations R and accelerations a.
 
@@ -669,7 +649,7 @@ def potential_grid(R, a, atom: AtomSpec, quad: QuadratureSpec = DEFAULT_QUAD,
     RegimeError (spontaneously excited regime, a/(omega0 c) >= 10; use
     potential_high_acc) or NumericalFailure that point raises.  A point is a
     NumericalFailure, carrying the partial value and its error estimate,
-    when that estimate exceeds 10 rel_tol |V|; on the pole-ladder branch the
+    when that estimate exceeds 10 REL_TOL |V|; on the pole-ladder branch the
     estimate includes the ladder's: the tail of a direct sum or the nested
     rule of its Abel-Plana remainder.  A point on a dense ladder (aR/c^2
     < 1e-3) carries the "dense pole ladder" advisory.  A result in
@@ -682,7 +662,7 @@ def potential_grid(R, a, atom: AtomSpec, quad: QuadratureSpec = DEFAULT_QUAD,
     entry equals what potential_numeric returns (or raises) for its point
     alone.
     """
-    return _grid("contour", _contour_points, R, a, atom, quad, units)
+    return _grid("contour", _contour_points, R, a, atom, units)
 
 
 def _result(entry) -> PotentialResult:
@@ -692,14 +672,13 @@ def _result(entry) -> PotentialResult:
     return entry
 
 
-def potential_inertial(R: float, atom: AtomSpec, quad: QuadratureSpec = DEFAULT_QUAD,
+def potential_inertial(R: float, atom: AtomSpec,
                        units: UnitSystem | str | None = None) -> PotentialResult:
     """Ground-state dispersion potential of the inertial pair (a = 0)."""
-    return _result(potential_grid([R], [0.0], atom, quad, units)[0][0])
+    return _result(potential_grid([R], [0.0], atom, units)[0][0])
 
 
 def potential_numeric(R: float, a: float, atom: AtomSpec,
-                      quad: QuadratureSpec = DEFAULT_QUAD,
                       units: UnitSystem | str | None = None) -> PotentialResult:
     """Accelerated-pair potential by the contour decomposition.
 
@@ -707,7 +686,7 @@ def potential_numeric(R: float, a: float, atom: AtomSpec,
     Raises RegimeError when the validity check reports the spontaneously
     excited regime (use potential_high_acc there).
     """
-    return _result(potential_grid([R], [a], atom, quad, units)[0][0])
+    return _result(potential_grid([R], [a], atom, units)[0][0])
 
 
 # --------------------------------------------------------------------------
@@ -721,7 +700,7 @@ def _occupation_pieces(k, at, inv):
     return np.stack([np.full(k.shape, 0.5), 0.5 * x2, (1.0 + x2) * _bose(k * inv)])
 
 
-def _path_integrals(lo, hi, pt, n: int, integrand, quad: QuadratureSpec):
+def _path_integrals(lo, hi, pt, n: int, integrand):
     """Integrals of `integrand` over the panels [lo, hi] of one path part of
     n points; panel i belongs to point pt[i].
 
@@ -729,7 +708,7 @@ def _path_integrals(lo, hi, pt, n: int, integrand, quad: QuadratureSpec):
     offset off, with its point index p (1-d arrays), and returns an array
     (integrals, len(lo)).  Each panel's GL_ORDER-node sum is compared with
     the sum over its two halves; a panel whose difference exceeds both its
-    share of the target, _target(quad) times its own magnitude, and the
+    share of the target, _target() times its own magnitude, and the
     rounding floor of its point's sum is split at its midpoint and compared
     again, up to MAX_REFINE times.  Returns the values and error estimates
     (the summed panel differences), arrays (integrals, n).  np.bincount sums
@@ -759,7 +738,7 @@ def _path_integrals(lo, hi, pt, n: int, integrand, quad: QuadratureSpec):
     coarse, halves = first[:, :m], first[:, m:]
     # differences below the rounding of the point's whole sum cannot shrink
     floor = 4.0 * np.finfo(float).eps * per_point(np.abs(halves[:, :m] + halves[:, m:]), pt)
-    target = _target(quad)
+    target = _target()
     value = error = 0.0
     for level in range(MAX_REFINE + 1):
         left, right = halves[:, :m], halves[:, m:]
@@ -780,7 +759,7 @@ def _path_integrals(lo, hi, pt, n: int, integrand, quad: QuadratureSpec):
     return value, error
 
 
-def _oracle_piece(Rt: np.ndarray, at: np.ndarray, ra: _ReducedAtom, quad: QuadratureSpec):
+def _oracle_piece(Rt: np.ndarray, at: np.ndarray, ra: _ReducedAtom):
     """The undamped integrals of the three occupation pieces over the R-scaled
     path of each reduced point (Rt, at) of the arrays, on the oracle's rules
     (module docstring).  Returns values and error estimates, arrays
@@ -841,39 +820,37 @@ def _oracle_piece(Rt: np.ndarray, at: np.ndarray, ra: _ReducedAtom, quad: Quadra
             part[0].extend(e[:-1])
             part[1].extend(e[1:])
             part[2].extend([p] * (len(e) - 1))
-    v_seg, e_seg = _path_integrals(*map(np.array, seg), n, f_seg, quad)
+    v_seg, e_seg = _path_integrals(*map(np.array, seg), n, f_seg)
     v_ray, e_ray = _path_integrals(*map(np.array, ray), n,
-                                   lambda t, dt, p: f_ray_complex(t, dt, p).imag, quad)
+                                   lambda t, dt, p: f_ray_complex(t, dt, p).imag)
     e_ray = e_ray + td * np.abs(f_ray_complex(ray_end, np.zeros(n), np.arange(n)))
 
     scale = -2.0 / (math.pi * Rt * Rt)
     return scale * (v_seg + v_ray), np.abs(scale) * (e_seg + e_ray)
 
 
-def _oracle_points(Rt: np.ndarray, At: np.ndarray, ra: _ReducedAtom, quad: QuadratureSpec):
+def _oracle_points(Rt: np.ndarray, At: np.ndarray, ra: _ReducedAtom):
     """The oracle's route for _grid: _oracle_piece on the tiled grid."""
     values, errors = (arr.tolist() for arr in _oracle_piece(
-        np.tile(Rt, len(At)), np.repeat(At, len(Rt)), ra, quad))
+        np.tile(Rt, len(At)), np.repeat(At, len(Rt)), ra))
     return [(vac + nonth + bose, vac, nonth, bose, e_vac + e_nonth + e_bose, ())
             for vac, nonth, bose, e_vac, e_nonth, e_bose in zip(*values, *errors)]
 
 
-def potential_oracle_grid(R, a, atom: AtomSpec, quad: QuadratureSpec = DEFAULT_QUAD,
-                          units: UnitSystem | str | None = None
+def potential_oracle_grid(R, a, atom: AtomSpec, units: UnitSystem | str | None = None
                           ) -> list[list[PotentialResult | UnruhCPError]]:
     """Oracle evaluation on the product grid of separations R and accelerations a.
 
     Same domain, layout, entries and acceptance gate as potential_grid
     (RegimeError, marginal-window warning, NumericalFailure when the error
     estimate, summed over the three occupation pieces, exceeds
-    10 rel_tol |V|).  Every entry equals what potential_oracle returns (or raises) for its
-    point alone.
+    10 REL_TOL |V|).  Every entry equals what potential_oracle returns (or
+    raises) for its point alone.
     """
-    return _grid("oracle", _oracle_points, R, a, atom, quad, units)
+    return _grid("oracle", _oracle_points, R, a, atom, units)
 
 
 def potential_oracle(R: float, a: float, atom: AtomSpec,
-                     quad: QuadratureSpec = DEFAULT_QUAD,
                      units: UnitSystem | str | None = None) -> PotentialResult:
     """Independent evaluation of the accelerated-pair potential: the undamped
     deformed-path integral of the module docstring, on the domain of
@@ -882,17 +859,15 @@ def potential_oracle(R: float, a: float, atom: AtomSpec,
     The 1 x 1 call of potential_oracle_grid.  The error estimate is the sum
     of the quadrature error estimates of the three occupation pieces; the
     call raises NumericalFailure, carrying the partial value, when that sum
-    exceeds 10 rel_tol |V|.  Like potential_numeric it raises
+    exceeds 10 REL_TOL |V|.  Like potential_numeric it raises
     RegimeError in the spontaneously excited regime and warns in the
     marginal validity window.
     """
-    return _result(potential_oracle_grid([R], [a], atom, quad, units)[0][0])
+    return _result(potential_oracle_grid([R], [a], atom, units)[0][0])
 
 
 __all__ = [
-    "QuadratureSpec",
     "PotentialResult",
-    "DEFAULT_QUAD",
     "integrand",
     "potential_grid",
     "potential_inertial",

@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,14 +34,7 @@ from .errors import (
 )
 from .kinematics import classify_regime, validity_check
 from .occupation import _occupation_parts, mode_occupation, occupation_highacc
-from .potential import (
-    DEFAULT_QUAD,
-    PotentialResult,
-    QuadratureSpec,
-    _result,
-    potential_grid,
-    potential_oracle_grid,
-)
+from .potential import PotentialResult, _result, potential_grid, potential_oracle_grid
 from .units import UnitSystem, units_for
 
 CSV_COLUMNS = ("R", "a", "regime", "V_contour", "V_oracle", "V_asymptotic",
@@ -103,7 +97,6 @@ class SweepConfig:
     R_grid: GridSpec
     a_grid: GridSpec
     methods: tuple[str, ...] = ("contour",)
-    quad: QuadratureSpec = DEFAULT_QUAD
     units: str = "natural"
     output_path: str | None = None
     atom_source: dict | str | None = None
@@ -131,17 +124,14 @@ class SweepConfig:
         output_path = doc.get("output_path")
         if output_path is not None and not isinstance(output_path, str):
             raise InputError(f"sweep config 'output_path' must be a string, got {output_path!r}")
-        quad_doc = doc.get("quad")
-        try:
-            quad = QuadratureSpec(**quad_doc) if quad_doc else DEFAULT_QUAD
-        except TypeError as exc:
-            raise InputError(f"bad quadrature spec {quad_doc!r}: {exc}") from exc
+        if "quad" in doc:
+            raise InputError("sweep config 'quad' is not an option: both evaluators "
+                             "work to the fixed accuracy potential.REL_TOL")
         return cls(
             atom=atom,
             R_grid=GridSpec.from_obj(doc.get("R_grid", {"value": 1.0})),
             a_grid=GridSpec.from_obj(doc.get("a_grid", {"value": 0.0})),
             methods=tuple(methods),
-            quad=quad,
             units=units,
             output_path=output_path,
             atom_source=atom_source,
@@ -253,9 +243,9 @@ def _eval_batch(Rs: list[float], config: SweepConfig, units: UnitSystem) -> list
     """Rows of the separations Rs at every acceleration, one list per acceleration."""
     As = config.a_grid.points()
     absent = [[None] * len(Rs) for _ in As]
-    contour = (potential_grid(Rs, As, config.atom, config.quad, units=units)
+    contour = (potential_grid(Rs, As, config.atom, units=units)
                if "contour" in config.methods else absent)
-    oracle = (potential_oracle_grid(Rs, As, config.atom, config.quad, units=units)
+    oracle = (potential_oracle_grid(Rs, As, config.atom, units=units)
               if "oracle" in config.methods else absent)
     return [[_eval_point(R, a, c, o, config, units) for R, c, o in zip(Rs, c_row, o_row)]
             for a, c_row, o_row in zip(As, contour, oracle)]
@@ -329,15 +319,21 @@ def fit_slope(rows, x_field: str, y_field: str,
     """Ordinary least squares of log|y| against log x.
 
     rows may be SweepRow objects or dicts.  Points with a missing or zero x
-    or y are dropped; a non-finite value, a negative x, fewer than three
-    usable points, fewer than two distinct x or a sign change inside the
-    window is an error (the logarithm or the slope would be undefined).
+    or y are dropped; a value that is not a number (a text column), is not
+    finite or is a negative x, fewer than three usable points, fewer than
+    two distinct x or a sign change inside the window is an error (the
+    logarithm or the slope would be undefined).
     """
     xs, ys = [], []
     for row in rows:
         get = row.get if isinstance(row, dict) else lambda k, _r=row: getattr(_r, k)
         x, y = get(x_field), get(y_field)
-        if x is None or y is None or x == 0.0 or y == 0.0:
+        if x is None or y is None:
+            continue
+        for name, v in ((x_field, x), (y_field, y)):
+            if not isinstance(v, numbers.Real):
+                raise InputError(f"{name} is not a numeric field: {v!r}")
+        if x == 0.0 or y == 0.0:
             continue
         if not (math.isfinite(x) and math.isfinite(y)):
             raise InputError(f"non-finite value in the fit: {x_field}={x}, {y_field}={y}")
@@ -376,20 +372,19 @@ def default_config() -> SweepConfig:
         R_grid=GridSpec(min=0.1, max=100.0, count=5),
         a_grid=GridSpec(min=1e-3, max=0.1, count=5),
         methods=METHODS,
-        quad=DEFAULT_QUAD,
         units="natural",
         atom_source={"two_level": {"omega0": 1.0, "alpha0": 1.0}},
     )
 
 
-def _section_inertial_far(atom, quad, units):
+def _section_inertial_far(atom, units):
     u = units_for(atom, units)
     alpha0 = u.reduce_alpha(alpha_static(atom, hbar=u.hbar_atomic))
     lit = -23.0 * alpha0**2 / (4.0 * math.pi)
     printed = -23.0 * alpha0**2 / 4.0
     R_scale = u.restore_length(1.0)
     grid = [50.0, 100.0, 200.0]
-    (row,) = potential_grid([Rt * R_scale for Rt in grid], [0.0], atom, quad, units=units)
+    (row,) = potential_grid([Rt * R_scale for Rt in grid], [0.0], atom, units=units)
     vals = []
     rows = []
     for Rt, entry in zip(grid, row):
@@ -412,10 +407,10 @@ def _section_inertial_far(atom, quad, units):
     }
 
 
-def _section_inertial_near(atom, quad, units):
+def _section_inertial_near(atom, units):
     u = units_for(atom, units)
     Rs = [Rt * u.restore_length(1.0) for Rt in (0.01, 0.005)]
-    (row,) = potential_grid(Rs, [0.0], atom, quad, units=units)
+    (row,) = potential_grid(Rs, [0.0], atom, units=units)
     vals = [_result(entry).value / asymptotics.near_zone_value(R, atom, units=units)
             for R, entry in zip(Rs, row)]
     return {
@@ -425,13 +420,12 @@ def _section_inertial_near(atom, quad, units):
     }
 
 
-def _section_far_a2(atom, quad, units):
+def _section_far_a2(atom, units):
     u = units_for(atom, units)
     a = 1e-3 * u.restore_acceleration(1.0)
     R_scale = u.restore_length(1.0)
     grid = list(np.logspace(math.log10(50.0), math.log10(500.0), 8))
-    inertial, accel = potential_grid([Rt * R_scale for Rt in grid], [0.0, a], atom, quad,
-                                     units=units)
+    inertial, accel = potential_grid([Rt * R_scale for Rt in grid], [0.0, a], atom, units=units)
     rows = [{"R": Rt, "dV": u.reduce_energy(_result(e).value - _result(e0).value)}
             for Rt, e0, e in zip(grid, inertial, accel)]
     fit = fit_slope(rows, "R", "dV")
@@ -461,9 +455,9 @@ def _section_far_a2(atom, quad, units):
     }
 
 
-def _section_near_a2(atom, quad, units):
+def _section_near_a2(atom, units):
     try:
-        fit = asymptotics.fit_a2_near_coefficient(atom, quad, units=units)
+        fit = asymptotics.fit_a2_near_coefficient(atom, units=units)
     except UnruhCPError as exc:
         return {"pass": False, "error": str(exc)}
     return {
@@ -475,12 +469,12 @@ def _section_near_a2(atom, quad, units):
     }
 
 
-def _section_high_aR(atom, quad, units):
+def _section_high_aR(atom, units):
     u = units_for(atom, units)
     a = 0.01 * u.restore_acceleration(1.0)
     aRs = (50.0, 100.0, 200.0)
     Rs = [aR / 0.01 * u.restore_length(1.0) for aR in aRs]
-    (row,) = potential_grid(Rs, [a], atom, quad, units=units)
+    (row,) = potential_grid(Rs, [a], atom, units=units)
     points = []
     rows = []
     ok = True
@@ -560,14 +554,14 @@ def _section_occupation():
     }
 
 
-def _section_dual_method(atom, quad, units):
+def _section_dual_method(atom, units):
     u = units_for(atom, units)
     R_scale = u.restore_length(1.0)
     a_scale = u.restore_acceleration(1.0)
     Rs = np.logspace(-1, 2, 5) * R_scale
     As = np.logspace(-3, -1, 5) * a_scale
-    contour = potential_grid(Rs, As, atom, quad, units=units)
-    oracle = potential_oracle_grid(Rs, As, atom, quad, units=units)
+    contour = potential_grid(Rs, As, atom, units=units)
+    oracle = potential_oracle_grid(Rs, As, atom, units=units)
     worst = 0.0
     failures = []
     for a, c_row, o_row in zip(As, contour, oracle):
@@ -589,7 +583,7 @@ def _section_determinism(config: SweepConfig):
     small = SweepConfig(atom=config.atom,
                         R_grid=GridSpec(min=0.5, max=5.0, count=3),
                         a_grid=GridSpec(min=1e-3, max=1e-2, count=2),
-                        methods=("contour",), quad=config.quad, units=config.units)
+                        methods=("contour",), units=config.units)
     csv1 = rows_to_csv(run_sweep(small, max_workers=1))
     csv2 = rows_to_csv(run_sweep(small, max_workers=1))
     csv4 = rows_to_csv(run_sweep(small, max_workers=4))
@@ -604,7 +598,7 @@ def compare_report(config: SweepConfig) -> dict:
     Sections that need a nonzero acceleration are marked skipped when the
     configuration restricts the sweep to a = 0.
     """
-    atom, quad, units = config.atom, config.quad, config.units
+    atom, units = config.atom, config.units
     a_points = config.a_grid.points()
     has_acceleration = any(a > 0.0 for a in a_points)
 
@@ -615,17 +609,17 @@ def compare_report(config: SweepConfig) -> dict:
         "methods": list(config.methods),
         "units": config.units,
     }}
-    report["inertial_far"] = _section_inertial_far(atom, quad, units)
-    report["inertial_near"] = _section_inertial_near(atom, quad, units)
+    report["inertial_far"] = _section_inertial_far(atom, units)
+    report["inertial_near"] = _section_inertial_near(atom, units)
     skipped = {"status": "skipped", "reason": "configuration restricts a to 0"}
     if has_acceleration:
-        report["far_zone_a2"] = _section_far_a2(atom, quad, units)
-        report["near_zone_a2"] = _section_near_a2(atom, quad, units)
-        report["high_aR"] = _section_high_aR(atom, quad, units)
+        report["far_zone_a2"] = _section_far_a2(atom, units)
+        report["near_zone_a2"] = _section_near_a2(atom, units)
+        report["high_aR"] = _section_high_aR(atom, units)
         report["high_acc"] = _section_high_acc()
         report["occupation"] = _section_occupation()
         if "oracle" in config.methods:
-            report["dual_method"] = _section_dual_method(atom, quad, units)
+            report["dual_method"] = _section_dual_method(atom, units)
         else:
             report["dual_method"] = {"status": "skipped", "reason": "oracle not requested"}
     else:

@@ -22,7 +22,6 @@ numbers as flagged discrepancies.
 import pytest
 
 from unruhcp import UnitSystem, alpha_static
-from unruhcp.potential import DEFAULT_QUAD
 from unruhcp.sweep import _section_inertial_near, compare_report, default_config
 
 
@@ -53,7 +52,7 @@ def test_criterion_1_inertial_far_zone(report):
 def test_criterion_2_inertial_near_zone(report, atom3):
     sec = report["inertial_near"]
     ok_two = sec["C6"] == 0.75 and abs(sec["ratio_to_C6_law"][0] - 1.0) <= 0.005
-    sec3 = _section_inertial_near(atom3, DEFAULT_QUAD, "natural")
+    sec3 = _section_inertial_near(atom3, "natural")
     ratio3 = sec3["ratio_to_C6_law"][-1]  # R = 0.005
     ok_three = abs(ratio3 - 1.0) <= 0.005
     _line(2, "inertial near zone", ok_two and ok_three,

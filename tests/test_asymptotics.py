@@ -23,7 +23,6 @@ from unruhcp import (
 )
 from unruhcp import asymptotics
 from unruhcp.asymptotics import _high_acc_bracket, closed_form_slope
-from unruhcp.potential import DEFAULT_QUAD
 from unruhcp.sweep import _section_near_a2
 
 
@@ -234,5 +233,5 @@ def test_fit_a2_near_coefficient_raises_grid_failure(atom, monkeypatch):
     with pytest.raises(NumericalFailure) as info:
         fit_a2_near_coefficient(atom)
     assert info.value is failure
-    section = _section_near_a2(atom, DEFAULT_QUAD, "natural")
+    section = _section_near_a2(atom, "natural")
     assert section == {"pass": False, "error": str(failure)}

@@ -121,6 +121,10 @@ def test_atom_validation():
         AtomSpec(transitions=(Transition(1.0, 1.0),), damping=1e-2)  # > 1e-3 omega0
     with pytest.raises(InputError):
         AtomSpec(transitions=(Transition(1.0, 0.0),))  # alpha(0) = 0
+    # an infinite or nan line once passed, and eval then exited 3 with V = nan
+    for omega, mu_sq in ((math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan)):
+        with pytest.raises(InputError):
+            Transition(omega=omega, mu_sq=mu_sq)
 
 
 def test_default_damping_fraction(atom):
@@ -157,6 +161,17 @@ def test_load_atom_errors(tmp_path):
     bad.write_text(json.dumps({"transitions": [{"omega": 1.0}]}))
     with pytest.raises(InputError):
         load_atom(str(bad))
+    # malformed numbers once escaped as a bare ValueError or TypeError, and
+    # infinite ones as an atom whose potential is nan
+    two = {"two_level": {"omega0": 1.0, "alpha0": 1.0}}
+    line = {"omega": 1.0, "mu_sq": 1.0}
+    for doc in ({**two, "damping": "x"}, {**two, "damping": None},
+                {"two_level": {"omega0": "x", "alpha0": 1.0}},
+                {"transitions": [{"omega": "x", "mu_sq": 1.0}]},
+                {"transitions": [line, {"omega": 2.0, "mu_sq": "inf"}]},
+                {"transitions": [line, {"omega": "inf", "mu_sq": 1.0}]}):
+        with pytest.raises(InputError):
+            load_atom(doc)
 
 
 def test_omega0_is_lowest(atom3):

@@ -11,7 +11,6 @@ from unruhcp import (
     AtomSpec,
     GridSpec,
     NumericalFailure,
-    QuadratureSpec,
     RegimeError,
     SweepConfig,
     Transition,
@@ -98,26 +97,26 @@ def test_missed_tolerance_raises_with_partial(monkeypatch):
     reference = potential_numeric(1.0, 0.01, atom).value
     monkeypatch.setattr(potmod, "IMAG_PANELS", 2)
     monkeypatch.setattr(potmod, "MAX_REFINE", 0)
-    strict = QuadratureSpec(rel_tol=1e-12)
+    monkeypatch.setattr(potmod, "REL_TOL", 1e-12)
     with pytest.raises(NumericalFailure) as exc_info:
-        potential_numeric(1.0, 0.01, atom, strict)
+        potential_numeric(1.0, 0.01, atom)
     exc = exc_info.value
     assert exc.partial == pytest.approx(reference, rel=0.1)
     assert exc.error_estimate > 1e-11 * abs(exc.partial)
-    row = run_sweep(SweepConfig(atom=atom, R_grid=GridSpec(value=1.0), a_grid=GridSpec(value=0.01),
-                                quad=strict))[0]
+    row = run_sweep(SweepConfig(atom=atom, R_grid=GridSpec(value=1.0),
+                                a_grid=GridSpec(value=0.01)))[0]
     assert row.V_contour is None
     assert any(w.startswith("contour: numerical failure") for w in row.warnings)
 
 
-def test_failure_message_states_the_gate():
+def test_failure_message_states_the_gate(monkeypatch):
     # no estimate meets a tolerance this small; the message once blamed
     # "4 refinements"
-    strict = QuadratureSpec(rel_tol=1e-300)
+    monkeypatch.setattr(potmod, "REL_TOL", 1e-300)
     with pytest.raises(NumericalFailure) as exc_info:
-        potential_numeric(1e-9, 0.13, two_level(1.0, 1.0), strict)
+        potential_numeric(1e-9, 0.13, two_level(1.0, 1.0))
     exc = exc_info.value
-    bound = 10.0 * strict.rel_tol * abs(exc.partial)
+    bound = 10.0 * potmod.REL_TOL * abs(exc.partial)
     assert exc.error_estimate > bound
     assert str(exc) == (
         "contour quadrature missed its tolerance at R=1e-09, a=0.13: "
@@ -154,9 +153,8 @@ def _ladder(R, a, atom):
     imaginary-axis integrals as _contour_points passes it."""
     ra = potmod._reduce_atom(atom, units_for(atom))
     Rt, at = np.array([R]), np.array([a])
-    (inertial, origin), _ = potmod._imag_axis_pieces(Rt, ra, potmod.DEFAULT_QUAD)
-    value, error = potmod._pole_ladder(Rt, at, ra, potmod.DEFAULT_QUAD,
-                                       inertial / (at * Rt) - at * Rt * origin)
+    (inertial, origin), _ = potmod._imag_axis_pieces(Rt, ra)
+    value, error = potmod._pole_ladder(Rt, at, ra, inertial / (at * Rt) - at * Rt * origin)
     return value[0], error[0], ra
 
 

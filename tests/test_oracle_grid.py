@@ -11,7 +11,6 @@ from unruhcp import (
     AtomSpec,
     NumericalFailure,
     PotentialResult,
-    QuadratureSpec,
     RegimeError,
     Transition,
     potential_numeric,
@@ -21,9 +20,9 @@ from unruhcp import (
 )
 
 
-def _outcome(R, a, atom, quad):
+def _outcome(R, a, atom):
     try:
-        return potential_oracle(R, a, atom, quad)
+        return potential_oracle(R, a, atom)
     except (NumericalFailure, RegimeError) as exc:
         return exc
 
@@ -32,15 +31,15 @@ def test_grid_entries_equal_single_points(monkeypatch):
     # without refinement this tolerance fails the R = 1e3 points at a <= 1e-3
     # and passes the rest; a = 0.5 is marginal and a = 20 excited
     monkeypatch.setattr(potmod, "MAX_REFINE", 0)
+    monkeypatch.setattr(potmod, "REL_TOL", 1e-9)
     atom = two_level(1.0, 1.0)
-    quad = QuadratureSpec(rel_tol=1e-9)
     Rs, As = [0.1, 1.0, 1e3], [0.0, 1e-3, 0.05, 0.5, 20.0]
-    grid = potential_oracle_grid(Rs, As, atom, quad)
+    grid = potential_oracle_grid(Rs, As, atom)
     assert len(grid) == len(As) and all(len(row) == len(Rs) for row in grid)
     kinds = set()
     for a, row in zip(As, grid):
         for R, entry in zip(Rs, row):
-            point = _outcome(R, a, atom, quad)
+            point = _outcome(R, a, atom)
             assert type(entry) is type(point)
             kinds.add(type(entry))
             if isinstance(entry, PotentialResult):

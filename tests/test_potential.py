@@ -11,7 +11,6 @@ from unruhcp import (
     AtomSpec,
     DomainError,
     NumericalFailure,
-    QuadratureSpec,
     RegimeError,
     Transition,
     alpha_static,
@@ -41,22 +40,6 @@ GROUND_TRUTH = {
     (1e-3, 0.2): -8.3999976037e+17,    # dense pole ladder, aR = 2e-4
     (0.05, 0.08): -4.8884577319e+07,
 }
-
-
-def test_quadrature_spec_validation():
-    QuadratureSpec()
-    with pytest.raises(DomainError):
-        QuadratureSpec(rel_tol=-1.0)
-    # rel_tol is the only field: the undamped oracle has no damping
-    # schedule, and the absolute tolerance and pole-sum knobs are gone
-    for removed in ({"damping_schedule": (1e-2, 3e-3, 1e-3)}, {"abs_tol": 1e-30},
-                    {"matsubara_rel_cutoff": 1e-12}, {"matsubara_hard_cap": 50}):
-        with pytest.raises(TypeError):
-            QuadratureSpec(**removed)
-    # an infinite tolerance once switched every tolerance gate off
-    for bad in (math.inf, math.nan):
-        with pytest.raises(DomainError):
-            QuadratureSpec(rel_tol=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -372,14 +355,14 @@ def test_quadrature_non_convergence_carries_partial(monkeypatch, atom):
     reference = potential_oracle(10.0, 0.01, atom).value
     monkeypatch.setattr(potmod, "ORACLE_PANEL_RAD", 64.0)
     monkeypatch.setattr(potmod, "MAX_REFINE", 0)
-    strict = QuadratureSpec(rel_tol=1e-12)
+    monkeypatch.setattr(potmod, "REL_TOL", 1e-12)
     with pytest.raises(NumericalFailure) as exc_info:
-        potential_oracle(10.0, 0.01, atom, strict)
+        potential_oracle(10.0, 0.01, atom)
     exc = exc_info.value
     assert exc.partial == pytest.approx(reference, rel=0.1)
     assert exc.error_estimate > 1e-11 * abs(exc.partial)
     row = run_sweep(SweepConfig(atom=atom, R_grid=GridSpec(value=10.0), a_grid=GridSpec(value=0.01),
-                                methods=("oracle",), quad=strict))[0]
+                                methods=("oracle",)))[0]
     assert row.V_oracle is None
     assert any(w.startswith("oracle: oracle quadrature missed") for w in row.warnings)
 
@@ -404,7 +387,7 @@ def test_every_result_meets_its_gate(mu_sq, lines, Rs, As):
     # pole-ladder estimate included, is within 10 rel_tol |V|
     atom = AtomSpec(transitions=(Transition(omega=1.0, mu_sq=mu_sq),
                                  *(Transition(omega=o, mu_sq=m) for o, m in lines)))
-    tol = 10.0 * potmod.DEFAULT_QUAD.rel_tol
+    tol = 10.0 * potmod.REL_TOL
     for grid in (potential_grid, potential_oracle_grid):
         for row in grid(Rs, As, atom):
             for entry in row:
@@ -414,11 +397,11 @@ def test_every_result_meets_its_gate(mu_sq, lines, Rs, As):
                     assert entry.error_estimate <= tol * abs(entry.value)
 
 
-def test_oracle_unreliable_carries_partial(atom):
+def test_oracle_unreliable_carries_partial(monkeypatch, atom):
     # no error estimate meets this tolerance; the total gate declines the point
-    distrustful = QuadratureSpec(rel_tol=1e-300)
+    monkeypatch.setattr(potmod, "REL_TOL", 1e-300)
     with pytest.raises(NumericalFailure) as exc_info:
-        potential_oracle(1.0, 0.05, atom, distrustful)
+        potential_oracle(1.0, 0.05, atom)
     assert exc_info.value.partial == pytest.approx(-0.65741392, rel=1e-6)
     assert exc_info.value.error_estimate > 0.0
 

@@ -67,10 +67,11 @@ def test_sweep_config_validation():
     with pytest.raises(InputError, match="list"):   # not split into characters
         SweepConfig.from_dict({"atom": {"two_level": {"omega0": 1.0, "alpha0": 1.0}},
                                "methods": "contour"})
-    # not QuadratureSpec fields
+    # the accuracy is the fixed potential.REL_TOL: a quad entry is refused
     for dropped in ({"origin_cutoff": 1e-3}, {"max_subdivisions": 200},
                     {"damping_schedule": [1e-2, 3e-3, 1e-3]}, {"abs_tol": 1e-30},
-                    {"matsubara_rel_cutoff": 1e-12}, {"matsubara_hard_cap": 50_000}):
+                    {"matsubara_rel_cutoff": 1e-12}, {"matsubara_hard_cap": 50_000},
+                    {"rel_tol": 1e-6}):
         with pytest.raises(InputError):
             SweepConfig.from_dict({"atom": {"two_level": {"omega0": 1.0, "alpha0": 1.0}},
                                    "quad": dropped})
@@ -317,13 +318,18 @@ def test_cli_rejects_non_finite_arguments(atom_file, tmp_path, capsys):
     assert cli.main(["occupation", "--omega", "1", "--accel", "inf"]) == 1
     # an occupation beyond a double once printed Infinity, which is not JSON
     assert cli.main(["occupation", "--omega", "1e-160", "--accel", "1e160"]) == 1
+    # the near law once printed "a": NaN, which is not JSON, and took a < 0
+    for accel in ("nan", "-1"):
+        assert cli.main(["asymptotic", "--law", "near", "--R", "0.01", "--accel", accel,
+                         "--atom", atom_file]) == 1
     # an asymptotic-only sweep once ran a nan acceleration through
     cfg = tmp_path / "nan.json"
     cfg.write_text(json.dumps({"atom": atom_file, "a_grid": {"value": math.nan},
                                "methods": ["asymptotic"]}))
     assert cli.main(["sweep", "--config", str(cfg)]) == 1
-    # an infinite tolerance once exited 0 with every tolerance gate off; a
-    # malformed grid once escaped as a traceback and a fractional count was truncated
+    # an infinite tolerance once exited 0 with every tolerance gate off, and a
+    # quad entry is now refused whatever it holds; a malformed grid once
+    # escaped as a traceback and a fractional count was truncated
     for doc in ({"atom": atom_file, "quad": {"rel_tol": math.inf}},
                 {"atom": atom_file, "R_grid": {"min": 1, "max": 2, "count": "x"}},
                 {"atom": atom_file, "R_grid": {"min": 1, "max": 2, "count": 2.9}}):
@@ -422,18 +428,24 @@ def test_cli_fit_bad_window(atom_file, config_file, tmp_path):
                 "--window", "oops").returncode == 1
 
 
-@pytest.mark.parametrize("body", [
-    b"R,V\n1,abc\n2,3\n3,4\n",          # non-numeric field: once a ValueError traceback
-    b"R,V\n0,1\n1,2\n2,3\n",            # x = 0 is dropped: once a LinAlgError traceback
-    b"R,V\n1,1\n2,\xff\xfe\n3,2\n",     # not UTF-8: once a UnicodeDecodeError traceback
-    b"R,V\n2,1\n2,2\n2,3\n",            # one distinct x: once slope 0.0 and exit 0
-    b"R,V\n1,inf\n2,2\n3,3\n",          # non-finite value: once a nan fit and exit 0
-    b"R,V\n-1,1\n2,0.25\n-4,0.0625\n",  # negative x: once a fit of log|x|, slope -2.0
-], ids=["non_numeric", "zero_x", "not_utf8", "equal_x", "non_finite", "negative_x"])
-def test_cli_fit_bad_csv_is_an_input_error(tmp_path, body):
+_TEXT_COLUMNS = b"R,regime,V,warnings\n1,near,1,\n2,near,2,\n3,near,3,\n"
+
+
+@pytest.mark.parametrize("body, x, y", [
+    (b"R,V\n1,abc\n2,3\n3,4\n", "R", "V"),          # non-numeric field: once a ValueError traceback
+    (b"R,V\n0,1\n1,2\n2,3\n", "R", "V"),            # x = 0 is dropped: once a LinAlgError traceback
+    (b"R,V\n1,1\n2,\xff\xfe\n3,2\n", "R", "V"),     # not UTF-8: once a UnicodeDecodeError traceback
+    (b"R,V\n2,1\n2,2\n2,3\n", "R", "V"),            # one distinct x: once slope 0.0 and exit 0
+    (b"R,V\n1,inf\n2,2\n3,3\n", "R", "V"),          # non-finite value: once a nan fit and exit 0
+    (b"R,V\n-1,1\n2,0.25\n-4,0.0625\n", "R", "V"),  # negative x: once a fit of log|x|, slope -2.0
+    (_TEXT_COLUMNS, "R", "regime"),                   # text columns of a sweep CSV: once
+    (_TEXT_COLUMNS, "warnings", "V"),                 # a TypeError traceback
+], ids=["non_numeric", "zero_x", "not_utf8", "equal_x", "non_finite", "negative_x",
+        "text_y", "text_x"])
+def test_cli_fit_bad_csv_is_an_input_error(tmp_path, body, x, y):
     path = tmp_path / "rows.csv"
     path.write_bytes(body)
-    proc = _cli("fit", "--input", str(path), "--x", "R", "--y", "V")
+    proc = _cli("fit", "--input", str(path), "--x", x, "--y", y)
     assert proc.returncode == 1
     assert proc.stdout == "" and proc.stderr.startswith("input error")
 
@@ -454,18 +466,16 @@ def test_cli_report_inertial_config_passes(config_file, tmp_path):
     assert doc["far_zone_a2"]["status"] == "skipped"
 
 
-def test_cli_eval_custom_quad(atom_file, tmp_path):
+def test_cli_eval_custom_quad(atom_file, tmp_path, capsys):
+    # the accuracy is the fixed potential.REL_TOL: --quad is an unknown flag
     quad_file = tmp_path / "quad.json"
     quad_file.write_text(json.dumps({"rel_tol": 1e-5}))
-    proc = _cli("eval", "--R", "1.0", "--accel", "0.01", "--atom", atom_file,
-                "--quad", str(quad_file), "--method", "both")
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["rel_diff"] < 1e-4
-    # a removed QuadratureSpec field is an input error, not silently ignored
-    quad_file.write_text(json.dumps({"rel_tol": 1e-5, "matsubara_hard_cap": 50_000}))
-    proc = _cli("eval", "--R", "1.0", "--accel", "0.01", "--atom", atom_file,
-                "--quad", str(quad_file))
-    assert proc.returncode == 1 and "input error" in proc.stderr
+    with pytest.raises(SystemExit) as exc_info:
+        cli.main(["eval", "--R", "1.0", "--accel", "0.01", "--atom", atom_file,
+                  "--quad", str(quad_file), "--method", "both"])
+    assert exc_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --quad" in captured.err
 
 
 def test_cli_eval_si_units(tmp_path):
