@@ -61,7 +61,7 @@ from .sweep import (
     rows_to_csv,
     run_sweep,
 )
-from .units import NATURAL, UnitSystem, units_for
+from .units import UnitSystem, units_for
 
 __version__ = "0.1.0"
 

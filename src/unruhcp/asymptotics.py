@@ -37,12 +37,12 @@ import numpy as np
 from .atoms import AtomSpec, alpha_static, oscillator_sum
 from .errors import DomainError, InconsistentRegimeError, check_domain
 from .potential import _reduce_atom, _result, potential_grid
-from .units import NATURAL, UnitSystem, units_for
+from .units import UnitSystem, units_for
 
 EXPONENT_TOL = 0.05
 
 
-def _rounded(law, *args, units: UnitSystem = NATURAL):
+def _rounded(law, *args, units: UnitSystem):
     """law(restore, *args), restore being units.restore_energy, in doubles.
 
     Where a double step of it under- or overflows, or a value is not
@@ -94,8 +94,7 @@ def _reduced_c6(atom: AtomSpec, u: UnitSystem) -> float:
     return _c6([1.5 * o * w for w, o in zip(ra.weights, ra.omegas)], ra.omegas, 1.0)
 
 
-def near_zone_value(R: float, atom: AtomSpec,
-                    units: UnitSystem | str | None = None) -> float:
+def near_zone_value(R: float, atom: AtomSpec, units: str = "natural") -> float:
     """-C6 / R^6 evaluated in the caller's units via the reduced system."""
     u = units_for(atom, units)
     check_domain("separation", R)
@@ -118,14 +117,13 @@ def _far_low_args(R: float, a: float, atom: AtomSpec, u: UnitSystem) -> tuple:
 
 
 def far_low_acc_parts(R: float, a: float, atom: AtomSpec,
-                      units: UnitSystem | str | None = None) -> tuple[float, float]:
+                      units: str = "natural") -> tuple[float, float]:
     """(inertial R^-7 term, acceleration R^-5 term) of the printed far-zone law."""
     u = units_for(atom, units)
     return _rounded(_far_low_terms, *_far_low_args(R, a, atom, u), units=u)
 
 
-def far_low_acc(R: float, a: float, atom: AtomSpec,
-                units: UnitSystem | str | None = None) -> float:
+def far_low_acc(R: float, a: float, atom: AtomSpec, units: str = "natural") -> float:
     """Printed far-zone low-acceleration law (both terms, as printed)."""
     def law(restore, *args):
         t7, t5 = _far_low_terms(restore, *args)
@@ -135,8 +133,7 @@ def far_low_acc(R: float, a: float, atom: AtomSpec,
     return _rounded(law, *_far_low_args(R, a, atom, u), units=u)
 
 
-def high_aR(R: float, a: float, atom: AtomSpec,
-            units: UnitSystem | str | None = None) -> float:
+def high_aR(R: float, a: float, atom: AtomSpec, units: str = "natural") -> float:
     """Printed large-aR law, linear in a > 0 and falling as R^-6."""
     u = units_for(atom, units)
     check_domain("separation", R)
@@ -171,7 +168,7 @@ def _alpha_b_at_resonance(atom_b: AtomSpec, k_a: float, u: UnitSystem):
 
 
 def potential_high_acc(R: float, a: float, atom_a: AtomSpec, atom_b: AtomSpec,
-                       units: UnitSystem | str | None = None) -> float:
+                       units: str = "natural") -> float:
     """Closed-form potential in the spontaneously excited regime (a >> omega0 c).
 
     Atom A emits at its dominant transition k_A = omega0/c with squared
@@ -201,7 +198,7 @@ def _high_acc_bracket(x):
 
 
 def closed_form_slope(law: str, R: float, a: float, atom: AtomSpec,
-                      units: UnitSystem | str | None = None) -> float:
+                      units: str = "natural") -> float:
     """Exact d ln|V| / d ln R of a closed-form law at (R, a), with the
     domain checks of the law's value."""
     u = units_for(atom, units)
@@ -223,7 +220,7 @@ def closed_form_slope(law: str, R: float, a: float, atom: AtomSpec,
             x2 = Rt * Rt  # k_A = 1 in reduced units
             return -2 + (-2 / x2 - 12 / (x2 * x2)) / _high_acc_bracket(Rt)
 
-        return _rounded(slope, u.reduce_length(float(R)))
+        return _rounded(slope, u.reduce_length(float(R)), units=u)
     raise DomainError(f"unknown law {law!r}")
 
 
@@ -238,8 +235,7 @@ class A2FitResult:
     n_points: int
 
 
-def fit_a2_near_coefficient(atom: AtomSpec,
-                            units: UnitSystem | str | None = None) -> A2FitResult:
+def fit_a2_near_coefficient(atom: AtomSpec, units: str = "natural") -> A2FitResult:
     """Extract the near-zone coefficient K of the a^2/R^6 correction.
 
     Runs the contour evaluator, in one potential_grid call, on a 4 x 4 log grid
@@ -253,7 +249,7 @@ def fit_a2_near_coefficient(atom: AtomSpec,
     a_grid = np.logspace(-5, -3, 4) * a_scale
     R_grid = np.logspace(-3, -2, 4) * R_scale
 
-    inertial, *accel = potential_grid(R_grid, [0.0, *a_grid], atom, units=u)
+    inertial, *accel = potential_grid(R_grid, [0.0, *a_grid], atom, units=units)
     rows = []
     for i, R in enumerate(R_grid):
         v0 = _result(inertial[i]).value

@@ -20,9 +20,9 @@ which fuses alpha(iu) with a second sum over the same denominators.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import DomainError, InputError, check_domain
+from .errors import DomainError, InputError, check_domain, read_real
 from .units import UnitSystem
 
 DEFAULT_DAMPING_FRACTION = 1e-6  # gamma = fraction * lowest transition frequency
@@ -46,7 +46,7 @@ class AtomSpec:
     """Ordered transitions plus the linewidth used for real-axis evaluation."""
 
     transitions: tuple[Transition, ...]
-    damping: float = field(default=-1.0)  # sentinel: default to fraction of omega0
+    damping: float | None = None  # None: DEFAULT_DAMPING_FRACTION * omega0
 
     def __post_init__(self):
         if not self.transitions:
@@ -54,7 +54,7 @@ class AtomSpec:
         transitions = tuple(self.transitions)
         object.__setattr__(self, "transitions", transitions)
         omega0 = min(t.omega for t in transitions)
-        if self.damping < 0.0:
+        if self.damping is None:
             object.__setattr__(self, "damping", DEFAULT_DAMPING_FRACTION * omega0)
         if not 0.0 < self.damping <= MAX_DAMPING_FRACTION * omega0:
             raise InputError(
@@ -76,7 +76,7 @@ class AtomSpec:
 
 
 def two_level(omega0: float = 1.0, alpha0: float = 1.0, hbar: float = 1.0,
-              damping: float = -1.0) -> AtomSpec:
+              damping: float | None = None) -> AtomSpec:
     """Single-transition atom with prescribed static polarizability."""
     mu_sq = 1.5 * hbar * omega0 * alpha0
     return AtomSpec(transitions=(Transition(omega=omega0, mu_sq=mu_sq),), damping=damping)
@@ -135,8 +135,10 @@ def load_atom(source, units: str = "natural") -> AtomSpec:
         {"two_level": {"omega0": ..., "alpha0": ...}, "damping": ...}
     which expands to one transition with mu^2 = 3 hbar omega0 alpha0 / 2,
     hbar being that of the unit mode `units` ("natural" or "si", where
-    alpha0 is in cm^3 and mu^2 in erg cm^3).
+    alpha0 is in cm^3 and mu^2 in erg cm^3).  A damping left out is the
+    default linewidth.
     """
+    hbar = UnitSystem(mode=units).hbar_atomic
     if isinstance(source, dict):
         doc = source
     elif hasattr(source, "read"):
@@ -152,19 +154,18 @@ def load_atom(source, units: str = "natural") -> AtomSpec:
     # the numbers are converted apart from the checks of Transition and
     # AtomSpec, whose InputError is a ValueError too
     try:
-        damping = float(doc.get("damping", -1.0))
+        damping = read_real(doc["damping"]) if "damping" in doc else None
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"bad damping: {exc}") from exc
     if "two_level" in doc:
         tl = doc["two_level"]
         try:
-            omega0, alpha0 = float(tl["omega0"]), float(tl["alpha0"])
+            omega0, alpha0 = read_real(tl["omega0"]), read_real(tl["alpha0"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"bad two_level shorthand: {exc}") from exc
-        return two_level(omega0, alpha0, hbar=UnitSystem(mode=units).hbar_atomic,
-                         damping=damping)
+        return two_level(omega0, alpha0, hbar=hbar, damping=damping)
     try:
-        lines = [(float(t["omega"]), float(t["mu_sq"])) for t in doc["transitions"]]
+        lines = [(read_real(t["omega"]), read_real(t["mu_sq"])) for t in doc["transitions"]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"bad transitions list: {exc}") from exc
     return AtomSpec(transitions=tuple(Transition(omega=o, mu_sq=m) for o, m in lines),

@@ -54,8 +54,7 @@ def _write_output(path: str | None, text: str) -> None:
 
 
 def _cmd_occupation(args) -> int:
-    c = UnitSystem(mode=args.units, omega0=args.omega if args.units == "si" else 1.0).c
-    occ = mode_occupation(args.omega, args.accel, c=c)
+    occ = mode_occupation(args.omega, args.accel, c=UnitSystem(mode=args.units).c)
     doc = {"omega": args.omega, "accel": args.accel, "units": args.units}
     doc.update(occ.as_dict())
     _print_json(doc)

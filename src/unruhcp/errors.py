@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all modules, and the one domain check."""
+"""Exception hierarchy shared by all modules, the one domain check and the
+one reader of JSON numbers."""
 import math
 
 
@@ -20,6 +21,14 @@ def check_domain(name: str, value: float, strict: bool = True,
     if not (math.isfinite(value) and (value > 0.0 if strict else value >= 0.0)):
         bound = "> 0" if strict else ">= 0"
         raise error(f"{name} must be finite and {bound}, got {value}")
+
+
+def read_real(x) -> float:
+    """float(x) for a JSON number or numeric string; JSON true and false are a
+    TypeError, not 1.0 and 0.0."""
+    if isinstance(x, bool):
+        raise TypeError(f"{x!r} is not a number")
+    return float(x)
 
 
 class RegimeError(UnruhCPError):

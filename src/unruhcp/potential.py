@@ -503,8 +503,7 @@ def _bose_real_axis_integral(Rt: np.ndarray, at: np.ndarray, ra: _ReducedAtom):
 # --------------------------------------------------------------------------
 # public evaluators
 # --------------------------------------------------------------------------
-def integrand(k: float, R: float, a: float, atom: AtomSpec,
-              units: UnitSystem | str | None = None) -> complex:
+def integrand(k: float, R: float, a: float, atom: AtomSpec, units: str = "natural") -> complex:
     """Raw integrand k^4 <n(ck)>_a e^{2ikR} u_factor(kR) alpha^2(k)."""
     u = units_for(atom, units)
     check_domain("wavenumber", k)
@@ -640,7 +639,7 @@ def _contour_points(Rt: np.ndarray, At: np.ndarray, ra: _ReducedAtom):
     return points
 
 
-def potential_grid(R, a, atom: AtomSpec, units: UnitSystem | str | None = None
+def potential_grid(R, a, atom: AtomSpec, units: str = "natural"
                    ) -> list[list[PotentialResult | UnruhCPError]]:
     """Contour evaluation on the product grid of separations R and accelerations a.
 
@@ -672,14 +671,13 @@ def _result(entry) -> PotentialResult:
     return entry
 
 
-def potential_inertial(R: float, atom: AtomSpec,
-                       units: UnitSystem | str | None = None) -> PotentialResult:
+def potential_inertial(R: float, atom: AtomSpec, units: str = "natural") -> PotentialResult:
     """Ground-state dispersion potential of the inertial pair (a = 0)."""
     return _result(potential_grid([R], [0.0], atom, units)[0][0])
 
 
 def potential_numeric(R: float, a: float, atom: AtomSpec,
-                      units: UnitSystem | str | None = None) -> PotentialResult:
+                      units: str = "natural") -> PotentialResult:
     """Accelerated-pair potential by the contour decomposition.
 
     Value and the additive parts {vacuum, nonthermal_a2, residue_sum}.
@@ -837,7 +835,7 @@ def _oracle_points(Rt: np.ndarray, At: np.ndarray, ra: _ReducedAtom):
             for vac, nonth, bose, e_vac, e_nonth, e_bose in zip(*values, *errors)]
 
 
-def potential_oracle_grid(R, a, atom: AtomSpec, units: UnitSystem | str | None = None
+def potential_oracle_grid(R, a, atom: AtomSpec, units: str = "natural"
                           ) -> list[list[PotentialResult | UnruhCPError]]:
     """Oracle evaluation on the product grid of separations R and accelerations a.
 
@@ -851,7 +849,7 @@ def potential_oracle_grid(R, a, atom: AtomSpec, units: UnitSystem | str | None =
 
 
 def potential_oracle(R: float, a: float, atom: AtomSpec,
-                     units: UnitSystem | str | None = None) -> PotentialResult:
+                     units: str = "natural") -> PotentialResult:
     """Independent evaluation of the accelerated-pair potential: the undamped
     deformed-path integral of the module docstring, on the domain of
     potential_numeric.

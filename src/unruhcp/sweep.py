@@ -31,6 +31,7 @@ from .errors import (
     NumericalFailure,
     RegimeError,
     UnruhCPError,
+    read_real,
 )
 from .kinematics import classify_regime, validity_check
 from .occupation import _occupation_parts, mode_occupation, occupation_highacc
@@ -56,21 +57,16 @@ class GridSpec:
 
     @classmethod
     def from_obj(cls, obj) -> "GridSpec":
-        def real(x) -> float:   # refuses JSON true/false
-            if isinstance(x, bool):
-                raise TypeError(f"{x!r} is not a number")
-            return float(x)
-
         try:
             if isinstance(obj, dict) and "value" in obj:
-                g = cls(value=real(obj["value"]))
+                g = cls(value=read_real(obj["value"]))
             elif isinstance(obj, (int, float)):
-                g = cls(value=real(obj))
+                g = cls(value=read_real(obj))
             else:
                 count = obj["count"]
-                if int(count) != real(count):
+                if int(count) != read_real(count):
                     raise ValueError(f"count {count!r} is not an integer")
-                g = cls(min=real(obj["min"]), max=real(obj["max"]), count=int(count))
+                g = cls(min=read_real(obj["min"]), max=read_real(obj["max"]), count=int(count))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"bad grid spec {obj!r}: {exc}") from exc
         if g.value is None and (g.count < 2 or not 0.0 < g.min < g.max):
@@ -174,10 +170,10 @@ class SweepRow:
 # --------------------------------------------------------------------------
 # sweep execution
 # --------------------------------------------------------------------------
-def _asymptotic_value(R: float, a: float, regime, config: SweepConfig, units: UnitSystem):
+def _asymptotic_value(R: float, a: float, regime, config: SweepConfig, c: float):
     """Closed-form value for the regime at (R, a), or (None, warning)."""
-    atom = config.atom
-    if a > 0.0 and validity_check(a, atom, c=units.c).excited:
+    atom, units = config.atom, config.units
+    if a > 0.0 and validity_check(a, atom, c=c).excited:
         return None, "the high-acceleration law needs atom B"
     if a == 0.0 or regime.aR_class == "small":
         if regime.zone == "near":
@@ -197,10 +193,11 @@ def relative_difference(values) -> float:
     return (max(values) - min(values)) / scale if scale > 0 else 0.0
 
 
-def _eval_point(R: float, a: float, contour, oracle, config: SweepConfig, units: UnitSystem):
+def _eval_point(R: float, a: float, contour, oracle, config: SweepConfig, c: float):
     """The row of one grid point from its contour and oracle outcomes (each a
     PotentialResult, the error it raised, or None when not requested) and the
-    closed form of its regime, whose error becomes an "asymptotic: ..." warning."""
+    closed form of its regime, whose error becomes an "asymptotic: ..." warning;
+    c is the speed of light of the config's unit mode."""
     warnings: list[str] = []
     v_contour = v_oracle = v_asymptotic = None
     parts = {}
@@ -208,7 +205,7 @@ def _eval_point(R: float, a: float, contour, oracle, config: SweepConfig, units:
         regime, v_contour, parts = contour.regime, contour.value, contour.parts
         warnings.extend(contour.warnings)
     else:
-        regime = classify_regime(R, a, config.atom, c=units.c)
+        regime = classify_regime(R, a, config.atom, c=c)
         if isinstance(contour, RegimeError):
             warnings.append(f"contour: regime error: {contour}")
         elif isinstance(contour, NumericalFailure):
@@ -221,7 +218,7 @@ def _eval_point(R: float, a: float, contour, oracle, config: SweepConfig, units:
 
     if "asymptotic" in config.methods:
         try:
-            v_asymptotic, note = _asymptotic_value(R, a, regime, config, units)
+            v_asymptotic, note = _asymptotic_value(R, a, regime, config, c)
             if note:
                 warnings.append(f"asymptotic: {note}")
         except UnruhCPError as exc:
@@ -239,16 +236,16 @@ def _eval_point(R: float, a: float, contour, oracle, config: SweepConfig, units:
     )
 
 
-def _eval_batch(Rs: list[float], config: SweepConfig, units: UnitSystem) -> list[list[SweepRow]]:
+def _eval_batch(Rs: list[float], config: SweepConfig, c: float) -> list[list[SweepRow]]:
     """Rows of the separations Rs at every acceleration, one list per acceleration."""
     As = config.a_grid.points()
     absent = [[None] * len(Rs) for _ in As]
-    contour = (potential_grid(Rs, As, config.atom, units=units)
+    contour = (potential_grid(Rs, As, config.atom, units=config.units)
                if "contour" in config.methods else absent)
-    oracle = (potential_oracle_grid(Rs, As, config.atom, units=units)
+    oracle = (potential_oracle_grid(Rs, As, config.atom, units=config.units)
               if "oracle" in config.methods else absent)
-    return [[_eval_point(R, a, c, o, config, units) for R, c, o in zip(Rs, c_row, o_row)]
-            for a, c_row, o_row in zip(As, contour, oracle)]
+    return [[_eval_point(R, a, v, o, config, c) for R, v, o in zip(Rs, v_row, o_row)]
+            for a, v_row, o_row in zip(As, contour, oracle)]
 
 
 def run_sweep(config: SweepConfig, max_workers: int = 1) -> list[SweepRow]:
@@ -260,15 +257,15 @@ def run_sweep(config: SweepConfig, max_workers: int = 1) -> list[SweepRow]:
     point only, so the output is independent of the split.  Per-point
     failures become row warnings and never abort the sweep.
     """
-    units = units_for(config.atom, config.units)
+    c = UnitSystem(mode=config.units).c
     Rs = config.R_grid.points()
     n = max(1, min(max_workers, len(Rs)))
     batches = [Rs[k * len(Rs) // n:(k + 1) * len(Rs) // n] for k in range(n)]
     if n == 1:
-        done = [_eval_batch(Rs, config, units)]
+        done = [_eval_batch(Rs, config, c)]
     else:
         with concurrent.futures.ThreadPoolExecutor(max_workers=n) as pool:
-            done = list(pool.map(lambda batch: _eval_batch(batch, config, units), batches))
+            done = list(pool.map(lambda batch: _eval_batch(batch, config, c), batches))
     return [row for j in range(len(done[0])) for rows in done for row in rows[j]]
 
 

@@ -86,14 +86,7 @@ class UnitSystem:
         return value * self.hbar * self.omega0
 
 
-NATURAL = UnitSystem()
-
-
-def units_for(atom, units: UnitSystem | str | None = None) -> UnitSystem:
-    """Unit system anchored on an atom's lowest transition frequency.
-
-    units is a mode name ("natural" when None) or a UnitSystem, returned as is.
-    """
-    if isinstance(units, UnitSystem):
-        return units
-    return UnitSystem(mode="natural" if units is None else units, omega0=atom.omega0)
+def units_for(atom, units: str = "natural") -> UnitSystem:
+    """The unit system of mode `units` ("natural" or "si") anchored on the
+    atom's lowest transition frequency, the anchor every evaluator assumes."""
+    return UnitSystem(mode=units, omega0=atom.omega0)

@@ -169,7 +169,14 @@ def test_load_atom_errors(tmp_path):
                 {"two_level": {"omega0": "x", "alpha0": 1.0}},
                 {"transitions": [{"omega": "x", "mu_sq": 1.0}]},
                 {"transitions": [line, {"omega": 2.0, "mu_sq": "inf"}]},
-                {"transitions": [line, {"omega": "inf", "mu_sq": 1.0}]}):
+                {"transitions": [line, {"omega": "inf", "mu_sq": 1.0}]},
+                # JSON booleans once loaded as 1.0 and 0.0, and a negative
+                # damping as the default linewidth
+                {"transitions": [{"omega": True, "mu_sq": 1.0}]},
+                {"transitions": [{"omega": 1.0, "mu_sq": False}]},
+                {"two_level": {"omega0": 1.0, "alpha0": True}},
+                {**two, "damping": True},
+                {**two, "damping": -5}, {"transitions": [line], "damping": -1e-7}):
         with pytest.raises(InputError):
             load_atom(doc)
 

@@ -78,6 +78,11 @@ def test_sweep_config_validation():
     with pytest.raises(InputError, match="output_path"):   # once wrote to fd 2 and closed it
         SweepConfig.from_dict({"atom": {"two_level": {"omega0": 1.0, "alpha0": 1.0}},
                                "output_path": 2})
+    # units is a mode name: null once meant "natural" with explicit transitions
+    for atom in ({"two_level": {"omega0": 1.0, "alpha0": 1.0}},
+                 {"transitions": [{"omega": 1.0, "mu_sq": 1.5}]}):
+        with pytest.raises(InputError, match="unknown unit mode"):
+            SweepConfig.from_dict({"atom": atom, "units": None})
     with pytest.raises(InputError):   # no contour run to catch the nan
         SweepConfig.from_dict({"atom": {"two_level": {"omega0": 1.0, "alpha0": 1.0}},
                                "a_grid": {"value": math.nan},
@@ -336,6 +341,12 @@ def test_cli_rejects_non_finite_arguments(atom_file, tmp_path, capsys):
         cfg.write_text(json.dumps(doc))
         assert cli.main(["sweep", "--config", str(cfg)]) == 1
     assert capsys.readouterr().out == ""
+    # a negative frequency is the occupation's domain error in both unit
+    # modes; in si mode it was once refused as a unit anchor
+    for units in ("natural", "si"):
+        assert cli.main(["occupation", "--omega", "-1", "--accel", "1", "--units", units]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "mode frequency" in captured.err
 
 
 def test_cli_eval_both(atom_file):

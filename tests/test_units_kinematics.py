@@ -8,6 +8,10 @@ from unruhcp import (
     InputError,
     UnitSystem,
     classify_regime,
+    potential_high_acc,
+    potential_numeric,
+    potential_oracle,
+    two_level,
     units_for,
     validity_check,
 )
@@ -90,10 +94,30 @@ def test_regime_consistency_with_ratios(atom):
 def test_units_for(atom):
     u = units_for(atom, "natural")
     assert u.omega0 == atom.omega0 == 1.0
-    assert units_for(atom) == units_for(atom, None) == u
+    assert units_for(atom) == u
     assert units_for(atom, "si") == UnitSystem(mode="si", omega0=atom.omega0)
-    given_units = UnitSystem(mode="si", omega0=2.45e15)
-    assert units_for(atom, given_units) is given_units
+    # the anchor is the atom's lowest line: units is a mode name, never a
+    # caller's UnitSystem, and None does not stand for "natural"
+    for units in (UnitSystem(mode="si", omega0=2.45e15), UnitSystem(), None):
+        with pytest.raises(InputError):
+            units_for(atom, units)
+
+
+@pytest.mark.parametrize("evaluate, args, units", [
+    # alpha_B read at reduced k = 1, which is omega = 2 above atom B's line
+    # at 1.7: the high-acceleration law with the wrong sign
+    (potential_high_acc, (1.0, 20.0), UnitSystem(omega0=2.0)),
+    # the Bose route's cut crosses the line: off by 3e-7 with an estimate of 1.7e-7
+    (potential_numeric, (1.0, 0.3), UnitSystem(omega0=3.0)),
+    # a NumericalFailure at a point the oracle evaluates
+    (potential_oracle, (1.0, 0.3), UnitSystem(omega0=3.0)),
+    # once silently "natural"
+    (potential_numeric, (1.0, 0.3), None),
+], ids=["high_acc_anchor", "contour_anchor", "oracle_anchor", "none"])
+def test_evaluators_refuse_anything_but_a_mode_name(atom, evaluate, args, units):
+    atoms = (atom, two_level(1.7)) if evaluate is potential_high_acc else (atom,)
+    with pytest.raises(InputError, match="unknown unit mode"):
+        evaluate(*args, *atoms, units=units)
 
 
 def test_si_and_natural_describe_same_physics(atom):
