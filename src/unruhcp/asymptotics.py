@@ -30,13 +30,12 @@ from __future__ import annotations
 import math
 import warnings as _warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .atoms import AtomSpec, alpha_static, oscillator_sum
+from .atoms import AtomSpec, _c6, _reduce_atom, oscillator_sum
 from .errors import DomainError, InconsistentRegimeError, check_domain
-from .potential import _reduce_atom, _result, potential_grid
+from .potential import _result, potential_grid
 from .units import UnitSystem, units_for
 
 EXPONENT_TOL = 0.05
@@ -71,27 +70,9 @@ def _rounded(law, *args, units: UnitSystem):
         raise DomainError("the closed-form value lies beyond the range of a double") from exc
 
 
-def _c6(mu_sq, omegas, hbar: float) -> float:
-    """(2/3) sum_{r,s} mu_r^2 mu_s^2 / (hbar (omega_r + omega_s)), the exact
-    double sum over transitions."""
-    c6 = 0.0
-    for mr, o_r in zip(mu_sq, omegas):
-        for ms, o_s in zip(mu_sq, omegas):
-            c6 += mr * ms / (hbar * (o_r + o_s))
-    return 2.0 / 3.0 * c6
-
-
 def near_zone_inertial(atom: AtomSpec, hbar: float = 1.0) -> float:
     """London coefficient C6 >= 0 with V(R) = -C6 / R^6 in the near zone."""
     return _c6([t.mu_sq for t in atom.transitions], [t.omega for t in atom.transitions], hbar)
-
-
-@lru_cache(maxsize=64)
-def _reduced_c6(atom: AtomSpec, u: UnitSystem) -> float:
-    """C6 in the reduced system, where mu_r^2 = 1.5 omega_r w_r (w_r the
-    oscillator strengths) and hbar = 1; cached, so a sweep sums it once."""
-    ra = _reduce_atom(atom, u)
-    return _c6([1.5 * o * w for w, o in zip(ra.weights, ra.omegas)], ra.omegas, 1.0)
 
 
 def near_zone_value(R: float, atom: AtomSpec, units: str = "natural") -> float:
@@ -99,7 +80,7 @@ def near_zone_value(R: float, atom: AtomSpec, units: str = "natural") -> float:
     u = units_for(atom, units)
     check_domain("separation", R)
     return _rounded(lambda restore, c6, Rt: restore(-c6 / Rt**6),
-                    _reduced_c6(atom, u), u.reduce_length(float(R)), units=u)
+                    _reduce_atom(atom, u).c6, u.reduce_length(float(R)), units=u)
 
 
 def _far_low_terms(restore, Rt, at, alpha0, pi):
@@ -112,8 +93,8 @@ def _far_low_args(R: float, a: float, atom: AtomSpec, u: UnitSystem) -> tuple:
     """The arguments of _far_low_terms after the domain checks."""
     check_domain("separation", R)
     check_domain("acceleration", a, strict=False)
-    alpha0 = u.reduce_alpha(alpha_static(atom, hbar=u.hbar_atomic))
-    return u.reduce_length(float(R)), u.reduce_acceleration(float(a)), alpha0, math.pi
+    return (u.reduce_length(float(R)), u.reduce_acceleration(float(a)),
+            _reduce_atom(atom, u).alpha0, math.pi)
 
 
 def far_low_acc_parts(R: float, a: float, atom: AtomSpec,
@@ -138,11 +119,10 @@ def high_aR(R: float, a: float, atom: AtomSpec, units: str = "natural") -> float
     u = units_for(atom, units)
     check_domain("separation", R)
     check_domain("acceleration", a)
-    alpha0 = u.reduce_alpha(alpha_static(atom, hbar=u.hbar_atomic))
     return _rounded(
         lambda restore, Rt, at, alpha0, pi, k: restore(-(6 * at * alpha0**2 / (pi * Rt**6)) * k),
-        u.reduce_length(float(R)), u.reduce_acceleration(float(a)), alpha0, math.pi,
-        0.25 + math.pi**2 / 12.0, units=u)
+        u.reduce_length(float(R)), u.reduce_acceleration(float(a)), _reduce_atom(atom, u).alpha0,
+        math.pi, 0.25 + math.pi**2 / 12.0, units=u)
 
 
 def _alpha_b_at_resonance(atom_b: AtomSpec, k_a: float, u: UnitSystem):
@@ -181,8 +161,8 @@ def potential_high_acc(R: float, a: float, atom_a: AtomSpec, atom_b: AtomSpec,
     check_domain("separation", R)
     check_domain("acceleration", a)
     # the dominant transition of atom A anchors the reduced units: k_A = 1
-    mu_sq = 1.5 * u.reduce_alpha(
-        2.0 * atom_a.mu_sq_dominant / (3.0 * u.hbar_atomic * atom_a.omega0))
+    ra = _reduce_atom(atom_a, u)
+    mu_sq = 1.5 * ra.weights[ra.omegas.index(1.0)]
     alpha_b = _alpha_b_at_resonance(atom_b, 1.0, u)
     return _rounded(
         lambda restore, Rt, at, mu_sq, alpha_b, m, pi: restore(

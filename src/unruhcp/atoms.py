@@ -20,7 +20,9 @@ which fuses alpha(iu) with a second sum over the same denominators.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DomainError, InputError, check_domain, read_real
 from .units import UnitSystem
@@ -69,11 +71,6 @@ class AtomSpec:
         """Lowest transition frequency; anchors natural units and the zones."""
         return min(t.omega for t in self.transitions)
 
-    @property
-    def mu_sq_dominant(self) -> float:
-        """Squared dipole element of the lowest-frequency transition."""
-        return min(self.transitions, key=lambda t: t.omega).mu_sq
-
 
 def two_level(omega0: float = 1.0, alpha0: float = 1.0, hbar: float = 1.0,
               damping: float | None = None) -> AtomSpec:
@@ -90,6 +87,46 @@ def oscillator_weights(atom: AtomSpec, hbar: float = 1.0) -> list[float]:
 def alpha_static(atom: AtomSpec, hbar: float = 1.0) -> float:
     """Static polarizability alpha(0) = (2/3 hbar) sum_r mu_r^2 / omega_r."""
     return sum(oscillator_weights(atom, hbar))
+
+
+def _c6(mu_sq, omegas, hbar: float) -> float:
+    """(2/3) sum_{r,s} mu_r^2 mu_s^2 / (hbar (omega_r + omega_s)), the exact
+    double sum over transitions."""
+    c6 = 0.0
+    for mr, o_r in zip(mu_sq, omegas):
+        for ms, o_s in zip(mu_sq, omegas):
+            c6 += mr * ms / (hbar * (o_r + o_s))
+    return 2.0 / 3.0 * c6
+
+
+@dataclass(frozen=True)
+class _ReducedAtom:
+    omegas: tuple[float, ...]    # transition frequencies in omega0 (min = 1)
+    weights: tuple[float, ...]   # oscillator strengths alpha_r in (c/omega0)^3
+    alpha0: float                # static polarizability
+    alpha_curv: float            # k^2 coefficient of alpha^2(k) about k = 0
+    alpha_quart: float           # k^4 coefficient of alpha^2(k) about k = 0
+    alpha_sext: float            # k^6 coefficient of alpha^2(k) about k = 0
+    gamma: float                 # linewidth in omega0
+    c6: float                    # London coefficient, with mu_r^2 = 1.5 omega_r w_r
+
+
+@lru_cache(maxsize=64)
+def _reduce_atom(atom: AtomSpec, units: UnitSystem) -> _ReducedAtom:
+    """The atom in the reduced units, where every evaluator, closed form and
+    report section reads alpha0, C6 and the weights; cached."""
+    omegas = tuple(units.reduce_frequency(t.omega) for t in atom.transitions)
+    weights = tuple(units.reduce_alpha(w)
+                    for w in oscillator_weights(atom, hbar=units.hbar_atomic))
+    alpha0 = sum(weights)
+    s2 = sum(w / o**2 for w, o in zip(weights, omegas))
+    s4 = sum(w / o**4 for w, o in zip(weights, omegas))
+    s6 = sum(w / o**6 for w, o in zip(weights, omegas))
+    return _ReducedAtom(omegas=omegas, weights=weights, alpha0=alpha0,
+                        alpha_curv=2.0 * alpha0 * s2, alpha_quart=s2 * s2 + 2.0 * alpha0 * s4,
+                        alpha_sext=2.0 * (s2 * s4 + alpha0 * s6),
+                        gamma=units.reduce_frequency(atom.damping),
+                        c6=_c6([1.5 * o * w for w, o in zip(weights, omegas)], omegas, 1.0))
 
 
 def oscillator_sum(z2, weights, omegas):
@@ -127,7 +164,7 @@ def alpha_real(k: float, atom: AtomSpec, c: float = 1.0, hbar: float = 1.0) -> c
 
 
 def load_atom(source, units: str = "natural") -> AtomSpec:
-    """Build an AtomSpec from a JSON file path, file object or dict.
+    """Build an AtomSpec from a dict or the path of a JSON file.
 
     Accepts either the explicit form
         {"transitions": [{"omega": ..., "mu_sq": ...}, ...], "damping": ...}
@@ -141,8 +178,8 @@ def load_atom(source, units: str = "natural") -> AtomSpec:
     hbar = UnitSystem(mode=units).hbar_atomic
     if isinstance(source, dict):
         doc = source
-    elif hasattr(source, "read"):
-        doc = json.load(source)
+    elif not isinstance(source, (str, os.PathLike)):
+        raise InputError(f"an atom is a JSON object or a file path, got {source!r}")
     else:
         try:
             with open(source, "r", encoding="utf-8") as fh:

@@ -48,8 +48,9 @@ class NumericalFailure(UnruhCPError):
 
 
 class OracleUnreliableError(NumericalFailure):
-    """Kept for callers that catch it; nothing raises it any more.  The
-    undamped oracle has no eta -> 0 extrapolation to distrust."""
+    """Kept for callers that catch it, perfbench/checks.py's sweep_grid check
+    among them; nothing raises it any more.  The undamped oracle has no
+    eta -> 0 extrapolation to distrust."""
 
 
 class InconsistentRegimeError(UnruhCPError):

@@ -105,7 +105,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .atoms import AtomSpec, alpha_real, oscillator_sum, oscillator_weights
+from .atoms import AtomSpec, _reduce_atom, _ReducedAtom, alpha_real, oscillator_sum
 from .errors import NumericalFailure, RegimeError, UnruhCPError, check_domain
 from .kinematics import Regime, classify_regime, validity_check
 from .occupation import EXP_OVERFLOW, _bose, mode_occupation
@@ -116,7 +116,7 @@ from .retardation import (
     u_factor,
     u_numerator,
 )
-from .units import UnitSystem, units_for
+from .units import units_for
 
 # contour evaluator mode switch: below both thresholds the pole ladder is
 # replaced by the Bose-weighted real-axis integral
@@ -168,33 +168,8 @@ class PotentialResult:
 
 
 # --------------------------------------------------------------------------
-# reduced-unit atom and quadrature helpers
+# reduced-unit polarizability and quadrature helpers
 # --------------------------------------------------------------------------
-@dataclass(frozen=True)
-class _ReducedAtom:
-    omegas: tuple[float, ...]    # transition frequencies in omega0 (min = 1)
-    weights: tuple[float, ...]   # oscillator strengths alpha_r in (c/omega0)^3
-    alpha0: float                # static polarizability
-    alpha_curv: float            # k^2 coefficient of alpha^2(k) about k = 0
-    alpha_quart: float           # k^4 coefficient of alpha^2(k) about k = 0
-    alpha_sext: float            # k^6 coefficient of alpha^2(k) about k = 0
-    gamma: float                 # linewidth in omega0
-
-
-def _reduce_atom(atom: AtomSpec, units: UnitSystem) -> _ReducedAtom:
-    omegas = tuple(units.reduce_frequency(t.omega) for t in atom.transitions)
-    weights = tuple(units.reduce_alpha(w)
-                    for w in oscillator_weights(atom, hbar=units.hbar_atomic))
-    alpha0 = sum(weights)
-    s2 = sum(w / o**2 for w, o in zip(weights, omegas))
-    s4 = sum(w / o**4 for w, o in zip(weights, omegas))
-    s6 = sum(w / o**6 for w, o in zip(weights, omegas))
-    return _ReducedAtom(omegas=omegas, weights=weights, alpha0=alpha0,
-                        alpha_curv=2.0 * alpha0 * s2, alpha_quart=s2 * s2 + 2.0 * alpha0 * s4,
-                        alpha_sext=2.0 * (s2 * s4 + alpha0 * s6),
-                        gamma=units.reduce_frequency(atom.damping))
-
-
 def _alpha_iu(u, ra: _ReducedAtom):
     """alpha(iu) and beta = (alpha0 - alpha(iu))/u^2 = sum_r w_r/(o_r^2 + u^2).
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import asymptotics
-from .atoms import AtomSpec, Transition, alpha_static, load_atom, two_level
+from .atoms import AtomSpec, Transition, _reduce_atom, load_atom, two_level
 from .errors import (
     InputError,
     NumericalFailure,
@@ -376,7 +376,7 @@ def default_config() -> SweepConfig:
 
 def _section_inertial_far(atom, units):
     u = units_for(atom, units)
-    alpha0 = u.reduce_alpha(alpha_static(atom, hbar=u.hbar_atomic))
+    alpha0 = _reduce_atom(atom, u).alpha0
     lit = -23.0 * alpha0**2 / (4.0 * math.pi)
     printed = -23.0 * alpha0**2 / 4.0
     R_scale = u.restore_length(1.0)
@@ -427,7 +427,7 @@ def _section_far_a2(atom, units):
             for Rt, e0, e in zip(grid, inertial, accel)]
     fit = fit_slope(rows, "R", "dV")
     at = u.reduce_acceleration(a)
-    alpha0 = u.reduce_alpha(alpha_static(atom, hbar=u.hbar_atomic))
+    alpha0 = _reduce_atom(atom, u).alpha0
     k_meas = [-r["dV"] * r["R"] ** 5 / (at**2 * alpha0**2) for r in rows]
     k_mean = float(np.exp(np.mean(np.log(k_meas))))
     printed = 1.0 / (4.0 * math.pi)

@@ -52,7 +52,7 @@ def test_near_zone_value_bits_of_the_reduced_double_sum(units):
     # one C6 kernel for both laws: routing the reduced sum through it
     # (hbar = 1.0) keeps near_zone_value bit for bit
     from unruhcp import units_for
-    from unruhcp.potential import _reduce_atom
+    from unruhcp.atoms import _reduce_atom
 
     atom = AtomSpec(transitions=(Transition(1.3e15, 2.1e-58), Transition(2.9e15, 0.7e-58),
                                  Transition(5.3e15, 1.9e-58)))
@@ -70,6 +70,20 @@ def test_near_zone_value_bits_of_the_reduced_double_sum(units):
         c6 *= 2.0 / 3.0
         assert near_zone_value(R, atom, units=units) == u.restore_energy(
             -c6 / u.reduce_length(R)**6)
+
+
+def test_closed_forms_use_the_evaluators_alpha0():
+    # alpha0 is the sum of the reduced weights, as in the evaluators, not
+    # the reduced sum of the weights: the two differ in the last bits when
+    # omega0 != 1
+    from unruhcp import units_for
+    from unruhcp.atoms import _reduce_atom
+
+    atom = AtomSpec(transitions=(Transition(3.0, 1.0), Transition(4.5, 0.3),
+                                 Transition(11.0, 2.0)))
+    ra = _reduce_atom(atom, units_for(atom))
+    # R = 4 c/omega0 is Rt = 12, whose seventh power is exact
+    assert far_low_acc_parts(4.0, 0.0, atom)[0] == -23 * ra.alpha0**2 / (4 * 12.0**7) * 1.0 * 3.0
 
 
 def test_far_low_acc_frozen_values(atom):

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -161,6 +162,9 @@ def test_load_atom_errors(tmp_path):
     bad.write_text(json.dumps({"transitions": [{"omega": 1.0}]}))
     with pytest.raises(InputError):
         load_atom(str(bad))
+    # a file object is not a source: its JSON errors were never InputErrors
+    with pytest.raises(InputError, match="file path"):
+        load_atom(io.StringIO('{"two_level": {"omega0": 1.0, "alpha0": 1.0}}'))
     # malformed numbers once escaped as a bare ValueError or TypeError, and
     # infinite ones as an atom whose potential is nan
     two = {"two_level": {"omega0": 1.0, "alpha0": 1.0}}
@@ -183,4 +187,3 @@ def test_load_atom_errors(tmp_path):
 
 def test_omega0_is_lowest(atom3):
     assert atom3.omega0 == 1.0
-    assert atom3.mu_sq_dominant == 1.0

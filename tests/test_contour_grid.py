@@ -23,6 +23,7 @@ from unruhcp import (
     two_level,
     units_for,
 )
+from unruhcp.atoms import _reduce_atom
 
 
 @pytest.fixture(scope="module")
@@ -151,7 +152,7 @@ _TWO_LINES = AtomSpec(transitions=(Transition(omega=1.0, mu_sq=1.0),
 def _ladder(R, a, atom):
     """_pole_ladder at one reduced point, with its finite part from the
     imaginary-axis integrals as _contour_points passes it."""
-    ra = potmod._reduce_atom(atom, units_for(atom))
+    ra = _reduce_atom(atom, units_for(atom))
     Rt, at = np.array([R]), np.array([a])
     (inertial, origin), _ = potmod._imag_axis_pieces(Rt, ra)
     value, error = potmod._pole_ladder(Rt, at, ra, inertial / (at * Rt) - at * Rt * origin)

@@ -78,6 +78,11 @@ def test_sweep_config_validation():
     with pytest.raises(InputError, match="output_path"):   # once wrote to fd 2 and closed it
         SweepConfig.from_dict({"atom": {"two_level": {"omega0": 1.0, "alpha0": 1.0}},
                                "output_path": 2})
+    # an atom is an object or a path: these once ended in a TypeError (and an
+    # integer was taken for a file descriptor)
+    for atom in (None, 2.5, ["x"]):
+        with pytest.raises(InputError, match="file path"):
+            SweepConfig.from_dict({"atom": atom})
     # units is a mode name: null once meant "natural" with explicit transitions
     for atom in ({"two_level": {"omega0": 1.0, "alpha0": 1.0}},
                  {"transitions": [{"omega": 1.0, "mu_sq": 1.5}]}):
