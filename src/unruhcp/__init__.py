@@ -8,8 +8,6 @@ accelerated frame, and a deterministic sweep/report CLI.
 from .atoms import (
     AtomSpec,
     Transition,
-    alpha_imag,
-    alpha_real,
     alpha_static,
     load_atom,
     two_level,
@@ -42,14 +40,12 @@ from .kinematics import (
 from .occupation import OccupationValue, mode_occupation, occupation_highacc
 from .potential import (
     PotentialResult,
-    integrand,
     potential_grid,
-    potential_inertial,
     potential_numeric,
     potential_oracle,
     potential_oracle_grid,
 )
-from .retardation import imag_axis_weight, osc_imag_part, u_factor
+from .retardation import osc_imag_part, u_factor
 from .sweep import (
     GridSpec,
     SlopeFit,

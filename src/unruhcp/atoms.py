@@ -8,9 +8,9 @@ standard oscillator sum
     alpha(i u) = sum_r alpha_r * omega_r^2 / (omega_r^2 + c^2 u^2)
     alpha_r    = 2 mu_r^2 / (3 hbar omega_r)
 
-The damping gamma regularizes the resonance poles and is used only by
-real-axis evaluation; imaginary-axis quantities and closed forms take
-gamma = 0.
+The damping gamma regularizes the resonance poles.  It is read only by
+potential_high_acc, for alpha_B within a linewidth of k_A; the evaluators
+and every other closed form take gamma = 0.
 
 Both sums are oscillator_sum at z2 = (c k)^2 + i gamma c k or z2 = -(c u)^2
 (or their reduced-unit forms), the one oscillator sum of the package.  The
@@ -24,7 +24,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError, InputError, check_domain, read_real
+from .errors import InputError, check_domain, read_real
 from .units import UnitSystem
 
 DEFAULT_DAMPING_FRACTION = 1e-6  # gamma = fraction * lowest transition frequency
@@ -45,7 +45,7 @@ class Transition:
 
 @dataclass(frozen=True)
 class AtomSpec:
-    """Ordered transitions plus the linewidth used for real-axis evaluation."""
+    """Ordered transitions plus the linewidth gamma, read only by potential_high_acc."""
 
     transitions: tuple[Transition, ...]
     damping: float | None = None  # None: DEFAULT_DAMPING_FRACTION * omega0
@@ -138,29 +138,6 @@ def oscillator_sum(z2, weights, omegas):
     for w, o in zip(weights, omegas):
         s += w * o * o / (o * o - z2)
     return s
-
-
-def alpha_imag(xi: float, atom: AtomSpec, c: float = 1.0, hbar: float = 1.0) -> float:
-    """Polarizability at imaginary wavenumber, alpha(i xi).
-
-    Real, positive and strictly decreasing in xi; equals alpha_static at
-    xi = 0.  Raises DomainError for negative xi.
-    """
-    if xi < 0.0:
-        raise DomainError(f"imaginary-axis wavenumber must be >= 0, got {xi}")
-    return oscillator_sum(-(c * xi) ** 2, oscillator_weights(atom, hbar),
-                          [t.omega for t in atom.transitions])
-
-
-def alpha_real(k: float, atom: AtomSpec, c: float = 1.0, hbar: float = 1.0) -> complex:
-    """Complex dynamic polarizability at real wavenumber k.
-
-    The atom's linewidth shifts the resonance poles below the real axis.
-    """
-    if k < 0.0:
-        raise DomainError(f"wavenumber must be >= 0, got {k}")
-    z2 = (c * k) ** 2 + 1j * atom.damping * c * k
-    return oscillator_sum(z2, oscillator_weights(atom, hbar), [t.omega for t in atom.transitions])
 
 
 def load_atom(source, units: str = "natural") -> AtomSpec:

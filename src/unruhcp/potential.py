@@ -24,8 +24,8 @@ evaluated two independent ways:
   the ladder gives the same V there within the two error estimates.  It
   exists to resolve the thermal (Unruh) part residue_sum below SWITCH_A,
   which the ladder forms as V less the other two parts, resolved only to
-  about the rounding of |V|.  ``potential_numeric`` (one point) and
-  ``potential_inertial`` (a = 0) are 1 x 1 grids.
+  about the rounding of |V|.  ``potential_numeric`` (one point, a = 0
+  for the inertial pair) is its 1 x 1 grid.
 * ``potential_oracle_grid`` - an independent check on the same grid: the raw
   integrand is integrated over a deformed first-quadrant path (real segment
   plus a tilted ray, exact by Cauchy's theorem), undamped.  It shares no
@@ -105,15 +105,14 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .atoms import AtomSpec, _reduce_atom, _ReducedAtom, alpha_real, oscillator_sum
+from .atoms import AtomSpec, _reduce_atom, _ReducedAtom, oscillator_sum
 from .errors import NumericalFailure, RegimeError, UnruhCPError, check_domain
 from .kinematics import Regime, classify_regime, validity_check
-from .occupation import EXP_OVERFLOW, _bose, mode_occupation
+from .occupation import EXP_OVERFLOW, _bose
 from .retardation import (
     SERIES_SWITCH,
     osc_imag_part,
     quartic_weight,
-    u_factor,
     u_numerator,
 )
 from .units import units_for
@@ -478,18 +477,6 @@ def _bose_real_axis_integral(Rt: np.ndarray, at: np.ndarray, ra: _ReducedAtom):
 # --------------------------------------------------------------------------
 # public evaluators
 # --------------------------------------------------------------------------
-def integrand(k: float, R: float, a: float, atom: AtomSpec, units: str = "natural") -> complex:
-    """Raw integrand k^4 <n(ck)>_a e^{2ikR} u_factor(kR) alpha^2(k)."""
-    u = units_for(atom, units)
-    check_domain("wavenumber", k)
-    check_domain("separation", R)
-    c = u.c
-    occ = mode_occupation(c * k, a, c=c).value
-    alpha = alpha_real(k, atom, c=c, hbar=u.hbar_atomic)
-    return k**4 * occ * complex(math.cos(2 * k * R), math.sin(2 * k * R)) \
-        * u_factor(k * R) * alpha * alpha
-
-
 def _grid(name: str, route, R, a, atom: AtomSpec, units):
     """The entries of potential_grid's contract, with the values of `route`.
 
@@ -644,11 +631,6 @@ def _result(entry) -> PotentialResult:
     if isinstance(entry, UnruhCPError):
         raise entry
     return entry
-
-
-def potential_inertial(R: float, atom: AtomSpec, units: str = "natural") -> PotentialResult:
-    """Ground-state dispersion potential of the inertial pair (a = 0)."""
-    return _result(potential_grid([R], [0.0], atom, units)[0][0])
 
 
 def potential_numeric(R: float, a: float, atom: AtomSpec,
@@ -841,9 +823,7 @@ def potential_oracle(R: float, a: float, atom: AtomSpec,
 
 __all__ = [
     "PotentialResult",
-    "integrand",
     "potential_grid",
-    "potential_inertial",
     "potential_numeric",
     "potential_oracle",
     "potential_oracle_grid",

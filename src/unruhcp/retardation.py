@@ -8,7 +8,7 @@ is, with x = kR,
 On the positive imaginary axis (x -> i x) it collapses to the real, all-plus
 combination
 
-    imag_axis_weight(x) = 1 + 2/x + 5/x^2 + 6/x^3 + 3/x^4
+    u_factor(i x) = quartic_weight(x)/x^4 = 1 + 2/x + 5/x^2 + 6/x^3 + 3/x^4
 
 whose numerator x^4 + 2x^3 + 5x^2 + 6x + 3 is the familiar quartic of
 retarded dispersion forces; the far-zone 23/(4 pi) and the near-zone 3/4
@@ -62,7 +62,7 @@ def u_factor(x) -> complex:
     """Retardation weight at real or complex x (kR); x = 0 is excluded.
 
     For real x it satisfies u_factor(-x) = conj(u_factor(x)), and on the
-    imaginary axis u_factor(i x) = imag_axis_weight(x) is real.
+    imaginary axis u_factor(i x) = quartic_weight(x)/x^4 is real.
     """
     if x == 0:
         raise DomainError("u_factor is singular at x = 0")
@@ -75,13 +75,6 @@ def u_numerator(x):
     """Numerator x^4 u_factor(x) = x^4 + 2i x^3 - 5x^2 - 6i x + 3 in Horner
     form, at real or complex x, scalar or array."""
     return (((x + 2j) * x - 5.0) * x - 6j) * x + 3.0
-
-
-def imag_axis_weight(x: float) -> float:
-    """u_factor continued to the imaginary axis: 1 + 2/x + 5/x^2 + 6/x^3 + 3/x^4."""
-    if x == 0:
-        raise DomainError("imag_axis_weight is singular at x = 0")
-    return quartic_weight(x) / x**4
 
 
 def quartic_weight(x: float) -> float:
@@ -111,7 +104,6 @@ def osc_imag_part(x):
 __all__ = [
     "u_factor",
     "u_numerator",
-    "imag_axis_weight",
     "quartic_weight",
     "osc_imag_part",
 ]

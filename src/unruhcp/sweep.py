@@ -77,9 +77,12 @@ class GridSpec:
         return g
 
     def points(self) -> list[float]:
+        """The grid; a log-spaced one starts at min and ends at max exactly."""
         if self.value is not None:
             return [self.value]
-        return list(np.logspace(math.log10(self.min), math.log10(self.max), self.count))
+        pts = np.logspace(math.log10(self.min), math.log10(self.max), self.count)
+        pts[0], pts[-1] = self.min, self.max
+        return list(pts)
 
     def as_dict(self) -> dict:
         if self.value is not None:
@@ -279,18 +282,28 @@ def rows_to_csv(rows: list[SweepRow]) -> str:
 
 
 def read_rows_csv(path) -> list[dict]:
-    """Read a sweep CSV back into dicts with floats (empty fields -> None)."""
+    """Read a sweep CSV back into dicts with floats (empty fields -> None).
+
+    Blank lines are skipped.  A header that repeats a column, or a row whose
+    field count differs from the header's, is an InputError.
+    """
     out = []
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            for rec in csv.DictReader(fh):
-                row = {}
-                for key, raw in rec.items():
-                    if key in ("regime", "warnings"):
-                        row[key] = raw
-                    else:
-                        row[key] = float(raw) if raw not in ("", None) else None
-                out.append(row)
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            for key in header:
+                if header.count(key) > 1:
+                    raise ValueError(f"the header repeats the column {key!r}")
+            for rec in reader:
+                if not rec:
+                    continue
+                if len(rec) != len(header):
+                    raise ValueError(f"line {reader.line_num}: expected the header's "
+                                     f"{len(header)} fields, got {len(rec)}")
+                out.append({key: raw if key in ("regime", "warnings")
+                            else (float(raw) if raw else None)
+                            for key, raw in zip(header, rec)})
     except (OSError, ValueError, csv.Error) as exc:   # UnicodeDecodeError is a ValueError
         raise InputError(f"cannot read rows CSV {path!r}: {exc}") from exc
     return out
@@ -319,8 +332,13 @@ def fit_slope(rows, x_field: str, y_field: str,
     or y are dropped; a value that is not a number (a text column), is not
     finite or is a negative x, fewer than three usable points, fewer than
     two distinct x or a sign change inside the window is an error (the
-    logarithm or the slope would be undefined).
+    logarithm or the slope would be undefined), and so is a field that no
+    row has.
     """
+    for name in (x_field, y_field):
+        if rows and not any(name in row if isinstance(row, dict) else hasattr(row, name)
+                            for row in rows):
+            raise InputError(f"no row has the field {name!r}")
     xs, ys = [], []
     for row in rows:
         get = row.get if isinstance(row, dict) else lambda k, _r=row: getattr(_r, k)

@@ -10,7 +10,6 @@ from unruhcp import (
     DomainError,
     NumericalFailure,
     Transition,
-    alpha_real,
     far_low_acc,
     far_low_acc_parts,
     fit_a2_near_coefficient,
@@ -158,9 +157,13 @@ def test_potential_high_acc_self_resonant_raises(atom):
 def test_potential_high_acc_damped_value(atom):
     # atom B's line lies within its linewidth of k_A = 1, so alpha_B(k_A)
     # takes the damped value Re alpha_B(1)
-    atom_b = AtomSpec(transitions=(Transition(omega=1.0 + 5e-7, mu_sq=1.5),), damping=1e-6)
+    o, gamma = 1.0 + 5e-7, 1e-6
+    atom_b = AtomSpec(transitions=(Transition(omega=o, mu_sq=1.5),), damping=gamma)
     R, a = 2.0, 50.0
-    alpha_b = alpha_real(1.0, atom_b).real
+    # B's one line: alpha_r = 2 mu^2/(3 o) = 1/o, and
+    # Re alpha_B(1) = alpha_r o^2 (o^2 - 1)/((o^2 - 1)^2 + gamma^2)
+    d = o * o - 1.0
+    alpha_b = (1.0 / o) * o * o * d / (d * d + gamma * gamma)
     assert alpha_b != 0.0
     expect = -(2.0 / 3.0) * 1.5 * alpha_b * a**3 / (math.pi * R**2) * (1 + 1 / R**2 + 3 / R**4)
     with pytest.warns(RuntimeWarning):

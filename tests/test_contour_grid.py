@@ -15,7 +15,6 @@ from unruhcp import (
     SweepConfig,
     Transition,
     potential_grid,
-    potential_inertial,
     potential_numeric,
     potential_oracle_grid,
     rows_to_csv,
@@ -52,7 +51,7 @@ def test_sweep_rows_equal_point_evaluations(seeded_config):
         assert row.V_contour == res.value
         assert (row.part_vacuum, row.part_a2, row.part_residue) == (
             res.parts["vacuum"], res.parts["nonthermal_a2"], res.parts["residue_sum"])
-        assert res.parts["vacuum"] == potential_inertial(row.R, atom).value
+        assert res.parts["vacuum"] == potential_numeric(row.R, 0.0, atom).value
 
 
 def test_grid_csv_is_concatenation_of_per_acceleration_grids(seeded_config):

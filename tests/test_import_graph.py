@@ -50,3 +50,22 @@ def test_cli_loads_no_heavy_package(tmp_path):
         "sweep": [0, []],
         "fit": [0, []],
     }
+
+
+def test_public_surface():
+    # nothing but their own tests called integrand, alpha_real, alpha_imag,
+    # imag_axis_weight or potential_inertial; the package no longer exports them
+    assert sorted(unruhcp.__all__) == [
+        "A2FitResult", "AtomSpec", "DomainError", "GridSpec", "InconsistentRegimeError",
+        "InputError", "NumericalFailure", "OccupationValue", "OracleUnreliableError",
+        "PotentialResult", "Regime", "RegimeError", "SlopeFit", "SweepConfig", "SweepRow",
+        "Transition", "UnitSystem", "UnruhCPError", "ValidityReport", "alpha_static",
+        "asymptotics", "atoms", "classify_regime", "compare_report", "constants",
+        "default_config", "errors", "far_low_acc", "far_low_acc_parts",
+        "fit_a2_near_coefficient", "fit_slope", "high_aR", "kinematics", "load_atom",
+        "mode_occupation", "near_zone_inertial", "near_zone_value", "occupation",
+        "occupation_highacc", "osc_imag_part", "potential", "potential_grid",
+        "potential_high_acc", "potential_numeric", "potential_oracle",
+        "potential_oracle_grid", "retardation", "rows_to_csv", "run_sweep", "sweep",
+        "two_level", "u_factor", "units", "units_for", "validity_check",
+    ]

@@ -14,10 +14,8 @@ from unruhcp import (
     RegimeError,
     Transition,
     alpha_static,
-    integrand,
     mode_occupation,
     potential_grid,
-    potential_inertial,
     potential_numeric,
     potential_oracle,
     potential_oracle_grid,
@@ -46,25 +44,25 @@ GROUND_TRUTH = {
 # inertial evaluator
 # ---------------------------------------------------------------------------
 def test_inertial_far_zone_coefficient(atom):
-    v = potential_inertial(100.0, atom)
+    v = potential_numeric(100.0, 0.0, atom)
     assert v.value * 100.0**7 == pytest.approx(-23.0 / (4.0 * math.pi), rel=0.01)
     assert v.value < 0
 
 
 def test_inertial_near_zone_coefficient(atom):
-    v = potential_inertial(1e-3, atom)
+    v = potential_numeric(1e-3, 0.0, atom)
     assert v.value * 1e-18 == pytest.approx(-0.75, rel=0.01)
 
 
 def test_inertial_monotone(atom):
     grid = [0.05, 0.2, 1.0, 5.0, 20.0]
-    vals = [potential_inertial(R, atom).value for R in grid]
+    vals = [potential_numeric(R, 0.0, atom).value for R in grid]
     assert all(v < 0 for v in vals)
     assert all(a < b < 0 for a, b in zip(vals, vals[1:]))
 
 
 def test_inertial_parts(atom):
-    v = potential_inertial(2.0, atom)
+    v = potential_numeric(2.0, 0.0, atom)
     assert v.parts["vacuum"] == v.value
     assert v.parts["nonthermal_a2"] == 0.0
     assert v.parts["residue_sum"] == 0.0
@@ -75,7 +73,7 @@ def test_inertial_parts(atom):
 def test_inertial_rejects_bad_R(atom):
     for bad in (0.0, math.nan, math.inf):
         with pytest.raises(DomainError):
-            potential_inertial(bad, atom)
+            potential_numeric(bad, 0.0, atom)
     for R, a in [(1.0, math.nan), (1.0, math.inf), (math.inf, 0.01)]:
         with pytest.raises(DomainError):
             potential_numeric(R, a, atom)
@@ -84,13 +82,6 @@ def test_inertial_rejects_bad_R(atom):
 # ---------------------------------------------------------------------------
 # accelerated evaluator
 # ---------------------------------------------------------------------------
-def test_vacuum_reduction_bit_identical(atom):
-    vi = potential_inertial(3.0, atom)
-    vn = potential_numeric(3.0, 0.0, atom)
-    assert vn.value == vi.value
-    assert vn.parts == vi.parts
-
-
 def test_underflowing_acceleration_is_the_inertial_point():
     # a = 5e-324 reduces to a/(omega0 c) = 0 at omega0 = 2; the contour
     # evaluator once took its Bose branch and divided by that zero
@@ -148,7 +139,7 @@ def test_acceleration_continuity_slope(atom):
     import numpy as np
 
     R = 1.0
-    v0 = potential_inertial(R, atom).value
+    v0 = potential_numeric(R, 0.0, atom).value
     accs = np.logspace(-5, -3, 5)
     dvs = [abs(potential_numeric(R, float(a), atom).value - v0) for a in accs]
     slope = np.polyfit(np.log(accs), np.log(dvs), 1)[0]
@@ -185,29 +176,13 @@ def test_dense_pole_ladder_warning():
 
 def test_multi_transition_far_zone(atom3):
     a0 = alpha_static(atom3)
-    v = potential_inertial(300.0, atom3)
+    v = potential_numeric(300.0, 0.0, atom3)
     assert v.value * 300.0**7 == pytest.approx(-23.0 * a0**2 / (4.0 * math.pi), rel=0.01)
 
 
 # ---------------------------------------------------------------------------
 # raw integrand
 # ---------------------------------------------------------------------------
-def test_integrand_vacuum_reduction(atom):
-    k, R = 0.7, 2.0
-    got = integrand(k, R, 0.0, atom)
-    alpha = complex(1.0 / (1.0 - k * k - 1j * atom.damping * k))
-    expect = k**4 * 0.5 * complex(math.cos(2 * k * R), math.sin(2 * k * R)) \
-        * u_factor(k * R) * alpha * alpha
-    assert got == pytest.approx(expect, rel=1e-13)
-
-
-def test_integrand_occupation_factor(atom):
-    k, R, a = 0.7, 2.0, 0.4
-    ratio = integrand(k, R, a, atom) / integrand(k, R, 0.0, atom)
-    assert ratio.real == pytest.approx(mode_occupation(k, a).value / 0.5, rel=1e-13)
-    assert ratio.imag == pytest.approx(0.0, abs=1e-13)
-
-
 def test_integrand_reflection_symmetry(atom):
     # e^{2ikR} u(kR) conjugates under R -> -R at real k, so the imaginary
     # part of the integrand flips sign (zero-damping polarizability)
@@ -233,22 +208,11 @@ def test_integrand_small_k_quadratic_law(atom):
     assert v4 == pytest.approx(coeff * 1e-8, rel=1e-3)
 
 
-def test_integrand_domain_errors(atom):
-    with pytest.raises(DomainError):
-        integrand(0.0, 1.0, 0.0, atom)
-    with pytest.raises(DomainError):
-        integrand(1.0, -1.0, 0.0, atom)
-    for bad in (math.nan, math.inf):
-        for k, R, a in [(bad, 1.0, 0.0), (1.0, bad, 0.0), (1.0, 1.0, bad)]:
-            with pytest.raises(DomainError):
-                integrand(k, R, a, atom)
-
-
 # ---------------------------------------------------------------------------
 # oracle
 # ---------------------------------------------------------------------------
 def test_oracle_inertial_crossover(atom):
-    vi = potential_inertial(1.0, atom)
+    vi = potential_numeric(1.0, 0.0, atom)
     vo = potential_oracle(1.0, 0.0, atom)
     assert abs(vo.value - vi.value) / abs(vi.value) < 1e-4
 

@@ -57,6 +57,16 @@ def test_grid_spec_validation():
     assert g.points() == pytest.approx([1.0, 10.0, 100.0])
 
 
+def test_grid_spec_points_end_at_min_and_max():
+    # np.logspace once gave 49.99999999999999 ... 499.99999999999994 here, so
+    # a fit window of 50,500 held 7 of the 8 points
+    pts = GridSpec.from_obj({"min": 50.0, "max": 500.0, "count": 8}).points()
+    assert len(pts) == 8 and pts[0] == 50.0 and pts[-1] == 500.0
+    assert all(a < b for a, b in zip(pts, pts[1:]))
+    rows = [{"R": R, "V": R**-7} for R in pts]
+    assert fit_slope(rows, "R", "V", window=(50.0, 500.0)).n_points == 8
+
+
 def test_sweep_config_validation():
     with pytest.raises(InputError):
         _config(methods=("contour", "sorcery"))
@@ -204,6 +214,17 @@ def test_fit_slope_errors():
     rows = [{"x": x, "y": y} for x, y in [(1.0, 1.0), (2.0, -0.5), (3.0, 0.1)]]
     with pytest.raises(InputError):
         fit_slope(rows, "x", "y")
+
+
+def test_fit_slope_names_a_missing_field():
+    # a typo was once an AttributeError on sweep rows; the missing_column case
+    # of test_cli_fit_bad_csv_is_an_input_error covers the dicts of a CSV
+    with pytest.raises(InputError, match="no row has the field 'V_contuor'"):
+        fit_slope(run_sweep(_config()), "R", "V_contuor")
+    # a column that exists but is empty everywhere keeps its message
+    empty = [{"x": x, "y": None} for x in (1.0, 2.0, 4.0)]
+    with pytest.raises(InputError, match="needs >= 3 usable points, got 0"):
+        fit_slope(empty, "x", "y")
 
 
 def test_fit_slope_window_and_missing():
@@ -447,23 +468,43 @@ def test_cli_fit_bad_window(atom_file, config_file, tmp_path):
 _TEXT_COLUMNS = b"R,regime,V,warnings\n1,near,1,\n2,near,2,\n3,near,3,\n"
 
 
-@pytest.mark.parametrize("body, x, y", [
-    (b"R,V\n1,abc\n2,3\n3,4\n", "R", "V"),          # non-numeric field: once a ValueError traceback
-    (b"R,V\n0,1\n1,2\n2,3\n", "R", "V"),            # x = 0 is dropped: once a LinAlgError traceback
-    (b"R,V\n1,1\n2,\xff\xfe\n3,2\n", "R", "V"),     # not UTF-8: once a UnicodeDecodeError traceback
-    (b"R,V\n2,1\n2,2\n2,3\n", "R", "V"),            # one distinct x: once slope 0.0 and exit 0
-    (b"R,V\n1,inf\n2,2\n3,3\n", "R", "V"),          # non-finite value: once a nan fit and exit 0
-    (b"R,V\n-1,1\n2,0.25\n-4,0.0625\n", "R", "V"),  # negative x: once a fit of log|x|, slope -2.0
-    (_TEXT_COLUMNS, "R", "regime"),                   # text columns of a sweep CSV: once
-    (_TEXT_COLUMNS, "warnings", "V"),                 # a TypeError traceback
+@pytest.mark.parametrize("body, x, y, message", [
+    # non-numeric field: once a ValueError traceback
+    (b"R,V\n1,abc\n2,3\n3,4\n", "R", "V", "could not convert string to float: 'abc'"),
+    # x = 0 is dropped: once a LinAlgError traceback
+    (b"R,V\n0,1\n1,2\n2,3\n", "R", "V", "needs >= 3 usable points, got 2"),
+    # not UTF-8: once a UnicodeDecodeError traceback
+    (b"R,V\n1,1\n2,\xff\xfe\n3,2\n", "R", "V", "can't decode byte 0xff"),
+    # one distinct x: once slope 0.0 and exit 0
+    (b"R,V\n2,1\n2,2\n2,3\n", "R", "V", "needs >= 2 distinct R values"),
+    # non-finite value: once a nan fit and exit 0
+    (b"R,V\n1,inf\n2,2\n3,3\n", "R", "V", "non-finite value in the fit"),
+    # negative x: once a fit of log|x|, slope -2.0
+    (b"R,V\n-1,1\n2,0.25\n-4,0.0625\n", "R", "V", "negative R = -1.0"),
+    # text columns of a sweep CSV: once a TypeError traceback
+    (_TEXT_COLUMNS, "R", "regime", "regime is not a numeric field"),
+    (_TEXT_COLUMNS, "warnings", "V", "warnings is not a numeric field"),
+    # a row longer than the header: once a TypeError traceback from float(list)
+    (b"R,V\n1,1\n2,0.015625,7\n4,0.000244140625\n", "R", "V",
+     "line 3: expected the header's 2 fields, got 3"),
+    # a row shorter than the header: once dropped from the fit without a word
+    (b"R,V\n1,1\n2\n4,0.000244140625\n8,3.814697265625e-06\n", "R", "V",
+     "line 3: expected the header's 2 fields, got 1"),
+    # a repeated column: the last one was once fitted, exit 0
+    (b"R,V,V\n1,1,1\n2,0.015625,2\n4,0.000244140625,3\n", "R", "V",
+     "the header repeats the column 'V'"),
+    # a typo in a column name: once "needs >= 3 usable points, got 0"
+    (b"R,V\n1,1\n2,0.015625\n4,0.000244140625\n", "R", "V_contuor",
+     "no row has the field 'V_contuor'"),
 ], ids=["non_numeric", "zero_x", "not_utf8", "equal_x", "non_finite", "negative_x",
-        "text_y", "text_x"])
-def test_cli_fit_bad_csv_is_an_input_error(tmp_path, body, x, y):
+        "text_y", "text_x", "long_row", "short_row", "repeated_column", "missing_column"])
+def test_cli_fit_bad_csv_is_an_input_error(tmp_path, body, x, y, message):
     path = tmp_path / "rows.csv"
     path.write_bytes(body)
     proc = _cli("fit", "--input", str(path), "--x", x, "--y", y)
     assert proc.returncode == 1
     assert proc.stdout == "" and proc.stderr.startswith("input error")
+    assert message in proc.stderr
 
 
 def test_fit_slope_drops_zero_x():
