@@ -20,10 +20,14 @@ aR/c^2 >> 1 an additional a^3/R^4 origin term dominates the printed law.
 The near-zone a^2 term has no printed closed form; its coefficient is
 extracted numerically by fit_a2_near_coefficient.
 
-Each law is evaluated in doubles.  Where one of its steps under- or
-overflows, as at R = 1e-60 or 1e50 c/omega0, it is evaluated again exactly
-and rounded once (_rounded): a value that underflows is -0.0, and one beyond
-the largest double is a DomainError.
+Each law is evaluated in doubles (_rounded).  When every argument, hbar and
+omega0 is 0 or lies in [2^-60, 2^60], no step of a law can under- or
+overflow and it runs on Python floats, without numpy; the closed-form CLI
+subcommands start without importing numpy.  Otherwise it runs on numpy
+doubles that raise on under- and overflow, and where a step does, as at
+R = 1e-60 or 1e50 c/omega0, it is evaluated again exactly and rounded once:
+a value that underflows is -0.0, and one beyond the largest double is a
+DomainError.
 """
 from __future__ import annotations
 
@@ -31,28 +35,43 @@ import math
 import warnings as _warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .atoms import AtomSpec, _c6, _reduce_atom, oscillator_sum
 from .errors import DomainError, InconsistentRegimeError, check_domain
-from .potential import _result, potential_grid
 from .units import UnitSystem, units_for
 
 EXPONENT_TOL = 0.05
+# Python floats are safe for a law when every input is 0 or has a magnitude
+# in [FLOAT_MIN, FLOAT_MAX]: with hbar and omega0, a law has total degree at
+# most 15 in its inputs (potential_high_acc), so each step stays near
+# 2^(+-15 * 60) = 2^(+-900), inside the normal range [2^-1022, 2^1024).
+FLOAT_MIN, FLOAT_MAX = 2.0**-60, 2.0**60
 
 
 def _rounded(law, *args, units: UnitSystem):
     """law(restore, *args), restore being units.restore_energy, in doubles.
 
-    Where a double step of it under- or overflows, or a value is not
-    finite, the law is evaluated again exactly, in rationals, and rounded
-    once: a value that underflows is a zero of its sign, and one beyond the
-    largest double is a DomainError.  law is built from +, -, *, / and
-    integer powers of its arguments, so a float constant it needs is one of
-    args; it returns a value or a tuple of values.
+    When every argument, units.hbar and units.omega0 is 0 or lies in
+    [FLOAT_MIN, FLOAT_MAX], no step can under- or overflow: the law runs on
+    Python floats and gives the bits of the numpy path, unless it divides
+    by a zero argument.  Otherwise it runs on np.float64 under
+    np.errstate(all="raise"), numpy being imported only then, and where a
+    step under- or overflows, or a value is not finite, the law is
+    evaluated again exactly, in rationals, and rounded once: a value that
+    underflows is a zero of its sign, and one beyond the largest double is
+    a DomainError.  law is built from +, -, *, / and integer powers of its
+    arguments, so a float constant it needs is one of args; it returns a
+    value or a tuple of values.
     """
     def rounded(out):
         return tuple(map(float, out)) if isinstance(out, tuple) else float(out)
+
+    if all(x == 0.0 or FLOAT_MIN <= abs(x) <= FLOAT_MAX
+           for x in (*args, units.hbar, units.omega0)):
+        try:
+            return rounded(law(units.restore_energy, *args))
+        except ZeroDivisionError:   # a zero divisor: the paths below raise DomainError
+            pass
+    import numpy as np
 
     try:
         with np.errstate(all="raise"):
@@ -223,6 +242,10 @@ def fit_a2_near_coefficient(atom: AtomSpec, units: str = "natural") -> A2FitResu
     |dV| = K a^2 R^-6.  The fitted exponents must match (2, -6) within
     0.05 or InconsistentRegimeError is raised.
     """
+    import numpy as np
+
+    from .potential import _result, potential_grid
+
     u = units_for(atom, units)
     a_scale = u.restore_acceleration(1.0)
     R_scale = u.restore_length(1.0)

@@ -3,11 +3,16 @@
 Subcommands: occupation, eval, asymptotic, sweep, fit, report.
 Exit codes: 0 success, 1 input error, 2 regime error, 3 numerical failure,
 4 acceptance-check failure (report).
+
+occupation and asymptotic run without numpy; the other subcommands import
+the numpy modules (potential, sweep) when they run, and main() pins
+OpenBLAS to one thread unless OPENBLAS_NUM_THREADS is set.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .asymptotics import (
@@ -21,17 +26,6 @@ from .asymptotics import (
 from .atoms import load_atom
 from .errors import InputError, NumericalFailure, RegimeError, UnruhCPError, check_domain
 from .occupation import mode_occupation
-from .potential import potential_numeric, potential_oracle
-from .sweep import (
-    SweepConfig,
-    compare_report,
-    default_config,
-    fit_slope,
-    read_rows_csv,
-    relative_difference,
-    rows_to_csv,
-    run_sweep,
-)
 from .units import UnitSystem
 
 LAWS = ("near", "far-low", "high-ar", "high-acc")
@@ -62,6 +56,9 @@ def _cmd_occupation(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from .potential import potential_numeric, potential_oracle
+    from .sweep import relative_difference
+
     atom = load_atom(args.atom, units=args.units)
     doc = {"R": args.R, "a": args.accel, "units": args.units, "method": args.method}
     results = {}
@@ -102,13 +99,17 @@ def _cmd_asymptotic(args) -> int:
     return 0
 
 
-def _resolve_config(path: str) -> SweepConfig:
+def _resolve_config(path: str):
+    from .sweep import SweepConfig, default_config
+
     if path == "default":
         return default_config()
     return SweepConfig.from_json(path)
 
 
 def _cmd_sweep(args) -> int:
+    from .sweep import rows_to_csv, run_sweep
+
     config = _resolve_config(args.config)
     rows = run_sweep(config, max_workers=args.workers)
     _write_output(args.out or config.output_path, rows_to_csv(rows))
@@ -116,6 +117,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    from .sweep import fit_slope, read_rows_csv
+
     rows = read_rows_csv(args.input)
     window = None
     if args.window:
@@ -131,6 +134,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .sweep import compare_report
+
     config = _resolve_config(args.config)
     report = compare_report(config)
     _write_output(args.out, json.dumps(report, indent=2) + "\n")
@@ -188,6 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # the package does no BLAS work worth a thread; a spare OpenBLAS worker
+    # only spins while numpy loads.  A value the user set still wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

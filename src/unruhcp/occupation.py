@@ -14,8 +14,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, check_domain
 
 EXP_OVERFLOW = 700.0  # beyond this the Bose factor underflows double precision
@@ -48,14 +46,15 @@ def _bose(t):
     Re t > EXP_OVERFLOW.
 
     expm1 keeps t accurate down to t -> 0; the cut-off entries are never
-    exponentiated, so no overflow is raised or warned about.
+    exponentiated, so no overflow is raised or warned about.  Only the array
+    branch imports numpy, so the occupation CLI starts without it.
     """
-    if isinstance(t, np.ndarray):
-        cut = t.real > EXP_OVERFLOW
-        return np.where(cut, 0.0, 1.0 / np.expm1(np.where(cut, 1.0, t)))
-    if t > EXP_OVERFLOW:
-        return 0.0
-    return 1.0 / math.expm1(t)
+    if isinstance(t, float):
+        return 0.0 if t > EXP_OVERFLOW else 1.0 / math.expm1(t)
+    import numpy as np
+
+    cut = t.real > EXP_OVERFLOW
+    return np.where(cut, 0.0, 1.0 / np.expm1(np.where(cut, 1.0, t)))
 
 
 def _occupation_parts(omega, a, c: float = 1.0):

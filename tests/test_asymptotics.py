@@ -1,6 +1,9 @@
 import math
+import random
 import warnings
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,8 +23,8 @@ from unruhcp import (
     potential_high_acc,
     two_level,
 )
-from unruhcp import asymptotics
-from unruhcp.asymptotics import _high_acc_bracket, closed_form_slope
+from unruhcp import asymptotics, potential
+from unruhcp.asymptotics import FLOAT_MAX, FLOAT_MIN, _high_acc_bracket, closed_form_slope
 from unruhcp.sweep import _section_near_a2
 
 
@@ -212,6 +215,97 @@ def test_closed_form_domain_errors(atom, highacc_atoms):
     assert closed_form_slope("far-low", 1e50, 0.0, atom) == -7.0
 
 
+def _tuple_or_float(out):
+    return tuple(map(float, out)) if isinstance(out, tuple) else float(out)
+
+
+def _numpy_rounded(law, args, units):
+    """The reference: _rounded as it was before its float path, with
+    np.float64 steps under np.errstate(all="raise") and, where one under- or
+    overflows, the exact value rounded once; DomainError stands for the error."""
+    try:
+        with np.errstate(all="raise"):
+            out = _tuple_or_float(law(units.restore_energy, *map(np.float64, args)))
+        if all(map(math.isfinite, out if isinstance(out, tuple) else (out,))):
+            return out
+    except FloatingPointError:
+        pass
+    scale = Fraction(units.hbar) * Fraction(units.omega0)
+    try:
+        return _tuple_or_float(law(lambda v: v * scale, *map(Fraction, args)))
+    except (OverflowError, ValueError, ZeroDivisionError):
+        return DomainError
+
+
+def _bits(out):
+    if out is DomainError:
+        return out
+    return tuple(v.hex() for v in out) if isinstance(out, tuple) else out.hex()
+
+
+def test_rounded_float_path_bits_of_the_numpy_path(monkeypatch):
+    # every law of _rounded on a seeded sample of inputs: inside the float
+    # range the numpy path raises nothing and the float path has its bits;
+    # elsewhere the value or the DomainError is the reference's
+    calls = []
+    rounded = asymptotics._rounded
+
+    def recording(law, *args, units):
+        calls.append((law, args, units))
+        return rounded(law, *args, units=units)
+
+    monkeypatch.setattr(asymptotics, "_rounded", recording)
+    rng = random.Random(22)
+    lo, hi = math.log2(FLOAT_MIN), math.log2(FLOAT_MAX)
+    edges = (FLOAT_MIN, FLOAT_MAX, math.nextafter(FLOAT_MIN, 0.0),
+             math.nextafter(FLOAT_MAX, math.inf), 1e-60, 1e50)
+
+    def magnitude():
+        pick = rng.random()
+        if pick < 0.6:
+            return 2.0 ** rng.uniform(lo, hi)
+        if pick < 0.8:
+            return rng.choice(edges)
+        return 2.0 ** rng.choice((rng.uniform(lo - 20, lo), rng.uniform(hi, hi + 20)))
+
+    seen = {}
+    for _ in range(400):
+        omega0 = 1.0 if rng.random() < 0.7 else magnitude()
+        units = "si" if rng.random() < 0.1 else "natural"
+        atom, atom_b = two_level(omega0, magnitude()), two_level(2.0 * omega0, magnitude())
+        R, a = magnitude(), 0.0 if rng.random() < 0.1 else magnitude()
+        for name, call in (
+                ("near", lambda: near_zone_value(R, atom, units)),
+                ("far-low terms", lambda: far_low_acc_parts(R, a, atom, units)),
+                ("far-low", lambda: far_low_acc(R, a, atom, units)),
+                ("far-low slope", lambda: closed_form_slope("far-low", R, a, atom, units)),
+                ("high_aR", lambda: high_aR(R, a, atom, units)),
+                ("high_acc", lambda: potential_high_acc(R, a, atom, atom_b, units)),
+                ("high_acc slope", lambda: closed_form_slope("high-acc", R, a, atom, units))):
+            calls.clear()
+            try:
+                out = call()
+            except DomainError:
+                out = DomainError
+            if not calls:   # refused by the law's domain check (a = 0)
+                continue
+            [(law, args, u)] = calls
+            inside = all(x == 0.0 or FLOAT_MIN <= abs(x) <= FLOAT_MAX
+                         for x in (*args, u.hbar, u.omega0))
+            if inside:
+                with np.errstate(all="raise"):
+                    want = _tuple_or_float(law(u.restore_energy, *map(np.float64, args)))
+            else:
+                want = _numpy_rounded(law, args, u)
+            assert _bits(out) == _bits(want), (name, args, u)
+            seen.setdefault(name, [0, 0])[not inside] += 1
+    assert len(seen) == 7
+    assert all(min(counts) >= 20 for counts in seen.values()), seen
+    # a zero divisor (R * omega0 underflows to 0) leaves the float path
+    with pytest.raises(DomainError):
+        near_zone_value(5e-324, two_level(0.5, 1.0))
+
+
 @given(st.floats(min_value=1e-2, max_value=1e3))
 @settings(max_examples=50, deadline=None)
 def test_high_acc_bracket_floor(x):
@@ -246,7 +340,8 @@ def test_fit_a2_near_coefficient_raises_grid_failure(atom, monkeypatch):
         grid[1][2] = failure
         return grid
 
-    monkeypatch.setattr(asymptotics, "potential_grid", failing_grid)
+    # fit_a2_near_coefficient imports potential_grid when it runs
+    monkeypatch.setattr(potential, "potential_grid", failing_grid)
     with pytest.raises(NumericalFailure) as info:
         fit_a2_near_coefficient(atom)
     assert info.value is failure
