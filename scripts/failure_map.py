@@ -5,7 +5,9 @@ Evaluates a two-level and a 3-line atom on the product grid of POINTS
 log-spaced separations R in [1e-10, 1e5] c/omega0 and a = 0 plus POINTS
 log-spaced accelerations in [1e-6, 9.9] omega0 c (the whole non-excited
 domain), one potential_grid call per atom, and prints each atom's count of
-results and numerical failures with every failing (R, a).  Natural units.
+results and numerical failures with every failing (R, a), and the largest
+error_estimate/|V| among the results with its (R, a): the margin of the
+contour rules' fixed nested pairs to the 10 REL_TOL gate.  Natural units.
 
 Exit code 1 on any contour NumericalFailure, else 0.
 """
@@ -34,9 +36,14 @@ def main() -> int:
         grid = potential_grid(Rs, As, atom)
         failures = [(R, a) for a, row in zip(As, grid) for R, entry in zip(Rs, row)
                     if isinstance(entry, NumericalFailure)]
-        results = sum(isinstance(entry, PotentialResult) for row in grid for entry in row)
-        print(f"{name:9s}: {results} results, {len(failures)} numerical failures "
+        results = [(entry.error_estimate / abs(entry.value), R, a)
+                   for a, row in zip(As, grid) for R, entry in zip(Rs, row)
+                   if isinstance(entry, PotentialResult)]
+        print(f"{name:9s}: {len(results)} results, {len(failures)} numerical failures "
               f"on {len(Rs)} R x {len(As)} a")
+        if results:
+            worst, R, a = max(results)
+            print(f"  largest error_estimate/|V| = {worst:.3e} at R={R!r}, a={a!r}")
         for R, a in failures:
             print(f"  failure at R={R!r}, a={a!r}")
         failed |= bool(failures)

@@ -20,14 +20,14 @@ aR/c^2 >> 1 an additional a^3/R^4 origin term dominates the printed law.
 The near-zone a^2 term has no printed closed form; its coefficient is
 extracted numerically by fit_a2_near_coefficient.
 
-Each law is evaluated in doubles (_rounded).  When every argument, hbar and
-omega0 is 0 or lies in [2^-60, 2^60], no step of a law can under- or
-overflow and it runs on Python floats, without numpy; the closed-form CLI
-subcommands start without importing numpy.  Otherwise it runs on numpy
-doubles that raise on under- and overflow, and where a step does, as at
-R = 1e-60 or 1e50 c/omega0, it is evaluated again exactly and rounded once:
-a value that underflows is -0.0, and one beyond the largest double is a
-DomainError.
+Each law is evaluated in doubles (_rounded).  When every argument is 0 or
+lies in [2^-60, 2^60], and hbar and omega0 in [2^-114, 2^114], no step of a
+law can under- or overflow and it runs on Python floats, without numpy; the
+closed-form CLI subcommands start without importing numpy.  Otherwise it
+runs on numpy doubles that raise on under- and overflow, and where a step
+does, as at R = 1e-60 or 1e50 c/omega0, it is evaluated again exactly and
+rounded once: a value that underflows is -0.0, and one beyond the largest
+double is a DomainError.
 """
 from __future__ import annotations
 
@@ -40,33 +40,37 @@ from .errors import DomainError, InconsistentRegimeError, check_domain
 from .units import UnitSystem, units_for
 
 EXPONENT_TOL = 0.05
-# Python floats are safe for a law when every input is 0 or has a magnitude
-# in [FLOAT_MIN, FLOAT_MAX]: with hbar and omega0, a law has total degree at
-# most 15 in its inputs (potential_high_acc), so each step stays near
-# 2^(+-15 * 60) = 2^(+-900), inside the normal range [2^-1022, 2^1024).
+# Python floats are safe for a law when every argument is 0 or has a
+# magnitude in [FLOAT_MIN, FLOAT_MAX], and hbar and omega0 (si hbar is about
+# 2^-113) lie in [RESTORE_MIN, RESTORE_MAX]: a law has degree at most 13 in
+# its arguments (potential_high_acc) and integer constants below 2^5, so its
+# steps before the restore stay within 2^(+-(13 * 60 + 5)); hbar and omega0
+# add 2^(+-228) and the far-low slope 2^4 after them, so every step stays
+# within 2^(+-1017), inside the normal range [2^-1022, 2^1024).
 FLOAT_MIN, FLOAT_MAX = 2.0**-60, 2.0**60
+RESTORE_MIN, RESTORE_MAX = 2.0**-114, 2.0**114
 
 
 def _rounded(law, *args, units: UnitSystem):
     """law(restore, *args), restore being units.restore_energy, in doubles.
 
-    When every argument, units.hbar and units.omega0 is 0 or lies in
-    [FLOAT_MIN, FLOAT_MAX], no step can under- or overflow: the law runs on
-    Python floats and gives the bits of the numpy path, unless it divides
-    by a zero argument.  Otherwise it runs on np.float64 under
-    np.errstate(all="raise"), numpy being imported only then, and where a
-    step under- or overflows, or a value is not finite, the law is
-    evaluated again exactly, in rationals, and rounded once: a value that
-    underflows is a zero of its sign, and one beyond the largest double is
-    a DomainError.  law is built from +, -, *, / and integer powers of its
-    arguments, so a float constant it needs is one of args; it returns a
-    value or a tuple of values.
+    When every argument is 0 or lies in [FLOAT_MIN, FLOAT_MAX], and
+    units.hbar and units.omega0 in [RESTORE_MIN, RESTORE_MAX], no step can
+    under- or overflow: the law runs on Python floats and gives the bits of
+    the numpy path, unless it divides by a zero argument.  Otherwise it runs
+    on np.float64 under np.errstate(all="raise"), numpy being imported only
+    then, and where a step under- or overflows, or a value is not finite,
+    the law is evaluated again exactly, in rationals, and rounded once: a
+    value that underflows is a zero of its sign, and one beyond the largest
+    double is a DomainError.  law is built from +, -, *, / and integer powers
+    of its arguments, so a float constant it needs is one of args; it
+    returns a value or a tuple of values.
     """
     def rounded(out):
         return tuple(map(float, out)) if isinstance(out, tuple) else float(out)
 
-    if all(x == 0.0 or FLOAT_MIN <= abs(x) <= FLOAT_MAX
-           for x in (*args, units.hbar, units.omega0)):
+    if (all(x == 0.0 or FLOAT_MIN <= abs(x) <= FLOAT_MAX for x in args)
+            and all(RESTORE_MIN <= x <= RESTORE_MAX for x in (units.hbar, units.omega0))):
         try:
             return rounded(law(units.restore_energy, *args))
         except ZeroDivisionError:   # a zero divisor: the paths below raise DomainError

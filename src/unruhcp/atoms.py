@@ -29,6 +29,7 @@ from .units import UnitSystem
 
 DEFAULT_DAMPING_FRACTION = 1e-6  # gamma = fraction * lowest transition frequency
 MAX_DAMPING_FRACTION = 1e-3
+ATOM_KEYS = ("transitions", "two_level", "damping")
 
 
 @dataclass(frozen=True)
@@ -150,7 +151,8 @@ def load_atom(source, units: str = "natural") -> AtomSpec:
     which expands to one transition with mu^2 = 3 hbar omega0 alpha0 / 2,
     hbar being that of the unit mode `units` ("natural" or "si", where
     alpha0 is in cm^3 and mu^2 in erg cm^3).  A damping left out is the
-    default linewidth.
+    default linewidth.  Any other key, or both forms at once, is an
+    InputError.
     """
     hbar = UnitSystem(mode=units).hbar_atomic
     if isinstance(source, dict):
@@ -165,6 +167,11 @@ def load_atom(source, units: str = "natural") -> AtomSpec:
             raise InputError(f"cannot read atom file {source!r}: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError("atom document must be a JSON object")
+    for key in doc:
+        if key not in ATOM_KEYS:
+            raise InputError(f"atom document has unknown key {key!r}; allowed: {ATOM_KEYS}")
+    if "two_level" in doc and "transitions" in doc:
+        raise InputError("an atom document gives either 'two_level' or 'transitions', not both")
     # the numbers are converted apart from the checks of Transition and
     # AtomSpec, whose InputError is a ValueError too
     try:

@@ -67,13 +67,13 @@ panel:
   t in LADDER_T_EDGES, whose nodes lie off the real axis, are one nested
   rule.
 
-Each rule is nested: its value with the panels as given is compared with
-its value with every panel halved; the finer value is returned and the
-difference is its error estimate.  A row (one separation, or one (R, a)
-pair of the Bose piece or the ladder remainder) whose estimate exceeds
-max(1e-13, min(1e-8, REL_TOL * 1e-2)) of its value is compared again one
-halving finer, up to MAX_REFINE times.  A point's error estimate is the sum
-of the estimates of the imaginary-axis pieces and of its Bose piece or pole
+Each rule is one fixed nested pair: its value with the panels as given is
+compared with its value with every panel halved; the finer value is
+returned and the difference is its error estimate.  Refinement is the
+oracle's alone: on the accepted domain no difference exceeds about 3e-11 of
+its value, and below R of about 5e-12 c/omega0 the [0, X_LO] floor, which
+no halving lowers, fails the gate.  A point's error estimate is the sum of
+the estimates of the imaginary-axis pieces and of its Bose piece or pole
 ladder.  No scalar adaptive quadrature remains in this evaluator.
 
 Quadrature of the oracle.  A point's path leaves the real axis at
@@ -127,7 +127,7 @@ X_LO = 1e-12          # the imaginary-axis rule covers x = uR in [X_LO, X_CUT]
 X_CUT = 40.0
 IMAG_PANELS = 32      # panels in ln x of the coarser imaginary-axis rule
 BOSE_EDGES = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 40.0)  # t panels, cut at T
-MAX_REFINE = 4        # further panel halvings for rows that miss the target
+MAX_REFINE = 4        # further halvings of oracle panels that miss the target
 P_SERIES = 0.25       # below this x, (Q(x) e^{-2x} - 3)/x^2 is summed as a series
 LADDER_HEAD = 64      # most terms of a directly summed pole ladder
 LADDER_Y = 26.0       # a direct ladder runs to the first pole with n a R >= LADDER_Y
@@ -139,7 +139,7 @@ ORACLE_TILT = math.pi / 4
 ORACLE_PANEL_RAD = 1.0      # widest oracle segment panel, in radians of 2kR
 ORACLE_RAY_DOUBLINGS = 6    # oracle ray panels end at 2^6 decay lengths
 ORACLE_BLOCK = 256          # oracle panels evaluated per array pass
-REL_TOL = 1e-6        # accuracy of both evaluators' rules and gate (module docstring)
+REL_TOL = 1e-6        # accuracy of the oracle's rules and both gates (module docstring)
 
 
 @dataclass(frozen=True)
@@ -199,7 +199,7 @@ def _alpha2_real0(k, ra: _ReducedAtom):
 
 
 def _target() -> float:
-    """Relative accuracy every quadrature aims for."""
+    """Relative accuracy each oracle panel aims for (_path_integrals)."""
     return max(1e-13, min(1e-8, REL_TOL * 1e-2))
 
 
@@ -265,31 +265,16 @@ def _bose_rule(parts: int, order: int):
     return _frozen(offsets, np.tile(weights / parts, parts))
 
 
-def _nested(evaluate, n: int, floor=0.0):
-    """Values and error estimates of n rows of a nested rule.
+def _nested(evaluate, floor=0.0):
+    """Values and error estimates of the rows of a nested rule.
 
-    evaluate(rows, level) returns an array (pieces, len(rows)) from the rule
-    with its panels halved `level` times.  Level 1 is compared with level 0;
-    rows whose difference misses the target are compared again one level
-    finer, up to MAX_REFINE more times.  The error of a row is its last
-    difference plus `floor`, the error the rule cannot reduce.  Each row's
-    result depends on that row alone.
+    evaluate(level) returns an array (pieces, rows) from the rule with its
+    panels halved `level` times.  The value is level 1 and the error of a
+    row is its difference from level 0 plus `floor`, the error the rule
+    cannot reduce.  Each row's result depends on that row alone.
     """
-    target = _target()
-    rows = np.arange(n)
-    coarse = evaluate(rows, 0)
-    value = np.empty_like(coarse)
-    error = np.empty_like(coarse)
-    for level in range(1, MAX_REFINE + 2):
-        fine = evaluate(rows, level)
-        diff = np.abs(fine - coarse)
-        value[:, rows] = fine
-        error[:, rows] = diff
-        miss = (diff > target * np.abs(fine)).any(axis=0)
-        if not miss.any():
-            break
-        rows, coarse = rows[miss], fine[:, miss]
-    return value, error + floor
+    fine = evaluate(1)
+    return fine, np.abs(fine - evaluate(0)) + floor
 
 
 # --------------------------------------------------------------------------
@@ -344,13 +329,12 @@ def _imag_axis_pieces(Rt: np.ndarray, ra: _ReducedAtom):
     floor = np.stack([c5 * X_LO**6 / 6.0 + np.abs(g6) * X_LO**7 / 7.0,
                       c5 * X_LO**4 / 4.0 + np.abs(g6) * X_LO**5 / 5.0])
 
-    def evaluate(rows, level):
-        r = Rt[rows]
-        inertial, alpha, beta = _inertial_integral(r, ra, level, end_inertial[rows])
+    def evaluate(level):
+        inertial, alpha, beta = _inertial_integral(Rt, ra, level, end_inertial)
         return np.stack([inertial, _origin_subtracted_integral(
-            r, ra, level, alpha, beta, end_origin[rows])])
+            Rt, ra, level, alpha, beta, end_origin)])
 
-    return _nested(evaluate, len(Rt), floor)
+    return _nested(evaluate, floor)
 
 
 def _origin_coefficient(Rt: float, at: float, ra: _ReducedAtom) -> float:
@@ -401,7 +385,7 @@ def _pole_ladder(Rt: np.ndarray, at: np.ndarray, ra: _ReducedAtom, fp: np.ndarra
     k = -a t + i a N, off the real axis, so no polarizability resonance is
     hit whatever a is.  FP int_0^N g = int_0^N h + W(0)/N with h(x) = W(xa) -
     (W(xa) - W(0))/x^2, evaluated as in _origin_subtracted_integral; both
-    integrals are one nested rule (_nested) whose difference is the estimate.
+    integrals are one nested pair (_nested) whose difference is the estimate.
     Each point's result depends on that point alone.
     """
     value = np.empty(len(Rt))
@@ -426,20 +410,19 @@ def _pole_ladder(Rt: np.ndarray, at: np.ndarray, ra: _ReducedAtom, fp: np.ndarra
         x_edges = (0.0, *(N * 2.0**-j for j in range(LADDER_X_SPLITS, -1, -1)))
         const = 0.5 * _ladder_terms(N, r[:, 0], a[:, 0], ra) - 3.0 * ra.alpha0**2 / N
 
-        def evaluate(rows, level):
-            rr, aa = r[rows], a[rows]
+        def evaluate(level):
             x, wx = _panel_rule(x_edges, level)
-            u = x * aa
-            qe, p = _quartic_exp(u * rr)
+            u = x * a
+            qe, p = _quartic_exp(u * r)
             alpha, beta = _alpha_iu(u, ra)
-            h = qe * alpha * alpha - aa * aa * (
-                rr * rr * p * alpha * alpha - 3.0 * beta * (alpha + ra.alpha0))
+            h = qe * alpha * alpha - a * a * (
+                r * r * p * alpha * alpha - 3.0 * beta * (alpha + ra.alpha0))
             t, wt = _panel_rule(LADDER_T_EDGES, level)
-            g = _ladder_terms(N + 1j * t, rr, aa, ra)
+            g = _ladder_terms(N + 1j * t, r, a, ra)
             corr = (g.imag * (wt / np.expm1(2.0 * math.pi * t))).sum(axis=1)
-            return (const[rows] - (h * wx).sum(axis=1) - 2.0 * corr)[None, :]
+            return (const - (h * wx).sum(axis=1) - 2.0 * corr)[None, :]
 
-        v, e = _nested(evaluate, len(rest))
+        v, e = _nested(evaluate)
         value[rest] = fp[rest] + v[0]
         error[rest] = e[0]
     return value, error
@@ -459,17 +442,17 @@ def _bose_real_axis_integral(Rt: np.ndarray, at: np.ndarray, ra: _ReducedAtom):
     lo = edges[:, :-1, None]
     width = np.diff(edges, axis=1)[:, :, None]
 
-    def evaluate(rows, level):
+    def evaluate(level):
         offsets, weights = _bose_rule(1 << level, GL_ORDER)
-        t = (lo[rows] + width[rows] * offsets).reshape(len(rows), -1)
-        w = (width[rows] * weights).reshape(len(rows), -1)
-        k = at[rows, None] * t
+        t = (lo + width * offsets).reshape(len(at), -1)
+        w = (width * weights).reshape(len(at), -1)
+        k = at[:, None] * t
         k2 = k * k
-        f = (k2 * k2 * _alpha2_real0(k, ra) * osc_imag_part(k * Rt[rows, None])
+        f = (k2 * k2 * _alpha2_real0(k, ra) * osc_imag_part(k * Rt[:, None])
              * (1.0 + 1.0 / (t * t)) / np.expm1(2.0 * math.pi * t))
         return (f * w).sum(axis=1)[None, :]
 
-    value, error = _nested(evaluate, len(at))
+    value, error = _nested(evaluate)
     scale = 2.0 * at / (math.pi * Rt * Rt)
     return -scale * value[0], scale * error[0]
 

@@ -41,6 +41,7 @@ from .units import UnitSystem, units_for
 CSV_COLUMNS = ("R", "a", "regime", "V_contour", "V_oracle", "V_asymptotic",
                "part_vacuum", "part_a2", "part_residue", "rel_diff", "warnings")
 METHODS = ("contour", "oracle", "asymptotic")
+CONFIG_KEYS = ("atom", "R_grid", "a_grid", "methods", "units", "output_path")
 
 
 # --------------------------------------------------------------------------
@@ -111,6 +112,10 @@ class SweepConfig:
     def from_dict(cls, doc: dict) -> "SweepConfig":
         if not isinstance(doc, dict):
             raise InputError(f"sweep config must be a JSON object, got {doc!r}")
+        # 'quad' is unknown too: the accuracy is the fixed potential.REL_TOL
+        for key in doc:
+            if key not in CONFIG_KEYS:
+                raise InputError(f"sweep config has unknown key {key!r}; allowed: {CONFIG_KEYS}")
         try:
             atom_source = doc["atom"]
         except KeyError as exc:
@@ -123,9 +128,6 @@ class SweepConfig:
         output_path = doc.get("output_path")
         if output_path is not None and not isinstance(output_path, str):
             raise InputError(f"sweep config 'output_path' must be a string, got {output_path!r}")
-        if "quad" in doc:
-            raise InputError("sweep config 'quad' is not an option: both evaluators "
-                             "work to the fixed accuracy potential.REL_TOL")
         return cls(
             atom=atom,
             R_grid=GridSpec.from_obj(doc.get("R_grid", {"value": 1.0})),
@@ -258,11 +260,14 @@ def run_sweep(config: SweepConfig, max_workers: int = 1) -> list[SweepRow]:
     separations, each at every acceleration; for max_workers > 1, in that
     many batches, evaluated concurrently.  Every value depends on its own
     point only, so the output is independent of the split.  Per-point
-    failures become row warnings and never abort the sweep.
+    failures become row warnings and never abort the sweep; max_workers
+    below 1 is an InputError.
     """
+    if max_workers < 1:
+        raise InputError(f"max_workers must be at least 1, got {max_workers}")
     c = UnitSystem(mode=config.units).c
     Rs = config.R_grid.points()
-    n = max(1, min(max_workers, len(Rs)))
+    n = min(max_workers, len(Rs))
     batches = [Rs[k * len(Rs) // n:(k + 1) * len(Rs) // n] for k in range(n)]
     if n == 1:
         done = [_eval_batch(Rs, config, c)]

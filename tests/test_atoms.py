@@ -179,6 +179,11 @@ def test_load_atom_errors(tmp_path):
                 {**two, "damping": -5}, {"transitions": [line], "damping": -1e-7}):
         with pytest.raises(InputError):
             load_atom(doc)
+    # a misspelt key was once skipped, and two_level won over transitions
+    with pytest.raises(InputError, match="unknown key 'dampnig'"):
+        load_atom({**two, "dampnig": 1e-7})
+    with pytest.raises(InputError, match="not both"):
+        load_atom({**two, "transitions": [line]})
 
 
 def test_omega0_is_lowest(atom3):

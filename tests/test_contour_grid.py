@@ -1,5 +1,5 @@
 """The batched contour evaluator: batch independence, the nested rule's
-refinement and failure mode and the pole-ladder kernel."""
+failure mode and the pole-ladder kernel."""
 import math
 import warnings
 
@@ -80,23 +80,10 @@ def test_grid_entries_equal_single_points():
             assert entry == potential_numeric(R, a, atom)
 
 
-def test_refinement_recovers_a_coarse_rule(monkeypatch):
-    atom = two_level(1.0, 1.0)
-    points = [(1e-4, 1e-5), (0.7, 0.05), (30.0, 0.3)]
-    reference = [potential_numeric(R, a, atom) for R, a in points]
-    monkeypatch.setattr(potmod, "IMAG_PANELS", 3)
-    monkeypatch.setattr(potmod, "BOSE_EDGES", (0.0, 8.0, 40.0))
-    for (R, a), ref in zip(points, reference):
-        res = potential_numeric(R, a, atom)
-        for part in ("vacuum", "nonthermal_a2", "residue_sum"):
-            assert res.parts[part] == pytest.approx(ref.parts[part], rel=1e-9, abs=1e-9 * abs(ref.value))
-
-
 def test_missed_tolerance_raises_with_partial(monkeypatch):
     atom = two_level(1.0, 1.0)
     reference = potential_numeric(1.0, 0.01, atom).value
     monkeypatch.setattr(potmod, "IMAG_PANELS", 2)
-    monkeypatch.setattr(potmod, "MAX_REFINE", 0)
     monkeypatch.setattr(potmod, "REL_TOL", 1e-12)
     with pytest.raises(NumericalFailure) as exc_info:
         potential_numeric(1.0, 0.01, atom)

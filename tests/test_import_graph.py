@@ -61,7 +61,7 @@ def test_cli_loads_no_heavy_package(tmp_path):
 # sys.modules holds numpy.
 NUMPY_FREE_PROBE = r"""
 import contextlib, io, json, sys
-atom, atom_b = sys.argv[1:3]
+atom, atom_b, atom_si = sys.argv[1:4]
 import unruhcp
 seen = {"import unruhcp": "numpy" in sys.modules}
 import unruhcp.cli
@@ -72,6 +72,8 @@ calls = {
        for law in ("near", "far-low", "high-ar")},
     "high-acc": ["asymptotic", "--law", "high-acc", "--R", "3.0", "--accel", "20.0",
                  "--atom", atom, "--atom-b", atom_b],
+    # si-mode hbar, about 2^-113, once sent every si call to numpy
+    "near si": ["asymptotic", "--law", "near", "--R", "1e-9", "--units", "si", "--atom", atom_si],
 }
 for name, argv in calls.items():
     with contextlib.redirect_stdout(io.StringIO()):
@@ -86,7 +88,10 @@ def test_closed_form_cli_loads_no_numpy(tmp_path):
     atom.write_text(json.dumps({"two_level": {"omega0": 1.0, "alpha0": 1.0}}))
     atom_b = tmp_path / "atom_b.json"
     atom_b.write_text(json.dumps({"two_level": {"omega0": 2.0, "alpha0": 1.0}}))
-    proc = subprocess.run([sys.executable, "-c", NUMPY_FREE_PROBE, str(atom), str(atom_b)],
+    atom_si = tmp_path / "atom_si.json"
+    atom_si.write_text(json.dumps({"two_level": {"omega0": 4e15, "alpha0": 1e-24}}))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_FREE_PROBE, str(atom), str(atom_b),
+                           str(atom_si)],
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
                           check=True)
     assert json.loads(proc.stdout) == {
@@ -97,6 +102,7 @@ def test_closed_form_cli_loads_no_numpy(tmp_path):
         "far-low": [0, False],
         "high-ar": [0, False],
         "high-acc": [0, False],
+        "near si": [0, False],
     }
 
 

@@ -85,6 +85,11 @@ def test_sweep_config_validation():
         with pytest.raises(InputError):
             SweepConfig.from_dict({"atom": {"two_level": {"omega0": 1.0, "alpha0": 1.0}},
                                    "quad": dropped})
+    # any other top-level key is refused: a misspelt a_grid once swept a = 0
+    # only, and exited 0
+    with pytest.raises(InputError, match="unknown key 'a_gird'"):
+        SweepConfig.from_dict({"atom": {"two_level": {"omega0": 1.0, "alpha0": 1.0}},
+                               "a_gird": {"value": 0.01}})
     with pytest.raises(InputError, match="output_path"):   # once wrote to fd 2 and closed it
         SweepConfig.from_dict({"atom": {"two_level": {"omega0": 1.0, "alpha0": 1.0}},
                                "output_path": 2})
@@ -366,6 +371,9 @@ def test_cli_rejects_non_finite_arguments(atom_file, tmp_path, capsys):
                 {"atom": atom_file, "R_grid": {"min": 1, "max": 2, "count": 2.9}}):
         cfg.write_text(json.dumps(doc))
         assert cli.main(["sweep", "--config", str(cfg)]) == 1
+    # --workers 0 and -3 once ran quietly on one worker
+    for workers in ("0", "-3"):
+        assert cli.main(["sweep", "--config", "default", "--workers", workers]) == 1
     assert capsys.readouterr().out == ""
     # a negative frequency is the occupation's domain error in both unit
     # modes; in si mode it was once refused as a unit anchor
