@@ -141,6 +141,14 @@ def oscillator_sum(z2, weights, omegas):
     return s
 
 
+def _read_entry(entry: dict, keys: tuple[str, ...], name: str) -> tuple[float, ...]:
+    """The numbers under `keys` of an atom document's entry, which holds no other key."""
+    for key in entry:
+        if key not in keys:
+            raise InputError(f"{name} has unknown key {key!r}; allowed: {keys}")
+    return tuple(read_real(entry[key]) for key in keys)
+
+
 def load_atom(source, units: str = "natural") -> AtomSpec:
     """Build an AtomSpec from a dict or the path of a JSON file.
 
@@ -151,8 +159,8 @@ def load_atom(source, units: str = "natural") -> AtomSpec:
     which expands to one transition with mu^2 = 3 hbar omega0 alpha0 / 2,
     hbar being that of the unit mode `units` ("natural" or "si", where
     alpha0 is in cm^3 and mu^2 in erg cm^3).  A damping left out is the
-    default linewidth.  Any other key, or both forms at once, is an
-    InputError.
+    default linewidth.  Any other key, at the top or inside an entry, or
+    both forms at once, is an InputError.
     """
     hbar = UnitSystem(mode=units).hbar_atomic
     if isinstance(source, dict):
@@ -179,14 +187,13 @@ def load_atom(source, units: str = "natural") -> AtomSpec:
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"bad damping: {exc}") from exc
     if "two_level" in doc:
-        tl = doc["two_level"]
         try:
-            omega0, alpha0 = read_real(tl["omega0"]), read_real(tl["alpha0"])
+            omega0, alpha0 = _read_entry(doc["two_level"], ("omega0", "alpha0"), "two_level")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"bad two_level shorthand: {exc}") from exc
         return two_level(omega0, alpha0, hbar=hbar, damping=damping)
     try:
-        lines = [(read_real(t["omega"]), read_real(t["mu_sq"])) for t in doc["transitions"]]
+        lines = [_read_entry(t, ("omega", "mu_sq"), "a transition") for t in doc["transitions"]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"bad transitions list: {exc}") from exc
     return AtomSpec(transitions=tuple(Transition(omega=o, mu_sq=m) for o, m in lines),

@@ -50,16 +50,14 @@ def validity_check(a: float, atom: AtomSpec, c: float = 1.0) -> ValidityReport:
     return ValidityReport(ratio=ratio, window=(1.0 / omega0, c / a), status=status)
 
 
-def _classify(ratio: float, inclusive: bool = False) -> str:
+def _classify(ratio: float, labels=("low", "crossover", "high"), inclusive: bool = False) -> str:
     # the zone thresholds are inclusive (near if <= 0.1, far if >= 10);
     # the acceleration and aR classifications keep the boundary in crossover
-    low_hit = ratio <= LOW if inclusive else ratio < LOW
-    high_hit = ratio >= HIGH if inclusive else ratio > HIGH
-    if low_hit:
-        return "low"
-    if high_hit:
-        return "high"
-    return "crossover"
+    if (ratio <= LOW) if inclusive else (ratio < LOW):
+        return labels[0]
+    if (ratio >= HIGH) if inclusive else (ratio > HIGH):
+        return labels[2]
+    return labels[1]
 
 
 @dataclass(frozen=True)
@@ -87,19 +85,29 @@ class Regime:
         return f"{self.zone}/{self.acceleration}/{self.aR_class}"
 
 
+def _zone(R: float, atom: AtomSpec, c: float = 1.0) -> tuple[float, str]:
+    """R omega0 / c and the zone it gives (near, crossover or far)."""
+    check_domain("separation", R, error=InputError)
+    ratio = R * atom.omega0 / c
+    return ratio, _classify(ratio, ("near", "crossover", "far"), inclusive=True)
+
+
+def _acceleration(a: float, atom: AtomSpec, c: float = 1.0) -> tuple[float, str]:
+    """a / (omega0 c) and its class (low, crossover or high)."""
+    check_domain("acceleration", a, strict=False, error=InputError)
+    ratio = a / (atom.omega0 * c)
+    return ratio, _classify(ratio) if a > 0.0 else "low"
+
+
+def _aR(R: float, a: float, c: float = 1.0) -> tuple[float, str]:
+    """a R / c^2 and its class (small, crossover or large)."""
+    ratio = a * R / c**2
+    return ratio, _classify(ratio, ("small", "crossover", "large")) if a > 0.0 else "small"
+
+
 def classify_regime(R: float, a: float, atom: AtomSpec, c: float = 1.0) -> Regime:
     """Classify (R, a) against the atom's lowest transition frequency."""
-    check_domain("separation", R, error=InputError)
-    check_domain("acceleration", a, strict=False, error=InputError)
-    omega0 = atom.omega0
-    r_zone = R * omega0 / c
-    r_acc = a / (omega0 * c)
-    r_aR = a * R / c**2
-
-    zone = {"low": "near", "high": "far",
-            "crossover": "crossover"}[_classify(r_zone, inclusive=True)]
-    acc = _classify(r_acc) if a > 0.0 else "low"
-    aR = ({"low": "small", "high": "large", "crossover": "crossover"}[_classify(r_aR)]
-          if a > 0.0 else "small")
+    (r_zone, zone), (r_acc, acc) = _zone(R, atom, c), _acceleration(a, atom, c)
+    r_aR, aR = _aR(R, a, c)
     return Regime(zone=zone, acceleration=acc, aR_class=aR,
                   R_omega0_over_c=r_zone, a_over_omega0_c=r_acc, aR_over_c2=r_aR)

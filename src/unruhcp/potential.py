@@ -32,14 +32,16 @@ evaluated two independent ways:
   series, residue or finite-part algebra with the contour evaluator.
   ``potential_oracle`` (one point) is its 1 x 1 grid.
 
-Both grids share one front end, _grid, which does no numerics: it holds the
-domain checks, units, validity check, regime tag and entries, so both give
-a RegimeError for a/(omega0 c) >= 10 and the "marginal validity window"
-warning for 0.1 < a/(omega0 c) < 10.  It is also the one acceptance gate:
-each route returns per point its value V and error estimate, and a point is
-a PotentialResult iff that estimate is within 10 rel_tol |V|, rel_tol
-being the fixed REL_TOL = 1e-6, otherwise a NumericalFailure carrying the
-partial value and its estimate.
+Both grids share one front end, _gate, which does no numerics: it holds the
+domain checks, units and validity check, so both give a RegimeError for
+a/(omega0 c) >= 10 and the "marginal validity window" warning for
+0.1 < a/(omega0 c) < 10.  It is also the one acceptance gate: each route
+returns per point its value V and error estimate, and a point passes iff
+that estimate is within 10 rel_tol |V|, rel_tol being the fixed REL_TOL =
+1e-6, otherwise it is a NumericalFailure carrying the partial value and its
+estimate.  The gate's entries are restored tuples; _grid makes each passed
+one a PotentialResult with its regime for the API, and sweep.run_sweep
+builds its rows from them directly.
 
 Quadrature of the contour evaluator.  The three integrals are numpy array
 expressions on fixed composite Gauss-Legendre rules with GL_ORDER nodes per
@@ -69,7 +71,9 @@ panel:
 
 Each rule is one fixed nested pair: its value with the panels as given is
 compared with its value with every panel halved; the finer value is
-returned and the difference is its error estimate.  Refinement is the
+returned and the difference is its error estimate.  Each pair is one pass:
+its rule joins the nodes of both levels, the integrand is evaluated once on
+them, and _nested sums each level's slice.  Refinement is the
 oracle's alone: on the accepted domain no difference exceeds about 3e-11 of
 its value, and below R of about 5e-12 c/omega0 the [0, X_LO] floor, which
 no halving lowers, fails the gate.  A point's error estimate is the sum of
@@ -237,15 +241,19 @@ def _quartic_exp(x: np.ndarray):
 
 @lru_cache(maxsize=None)
 def _imag_axis_rule(panels: int, order: int):
-    """(x, w, Q e^{-2x}, p) on the imaginary-axis rule: `panels` equal panels in
-    ln x over [X_LO, X_CUT], `order` Gauss-Legendre nodes each.  w includes the
-    Jacobian x of the ln-x substitution; p as in _quartic_exp."""
+    """(x, w, Q e^{-2x}, p) on the imaginary-axis nested pair, its two levels
+    joined: `panels` equal panels in ln x over [X_LO, X_CUT], then 2 `panels`,
+    `order` Gauss-Legendre nodes each.  w includes the Jacobian x of the ln-x
+    substitution; p as in _quartic_exp."""
     t, w = leggauss(order)
     lo = math.log(X_LO)
-    h = (math.log(X_CUT) - lo) / panels
-    x = np.exp((lo + h * np.arange(panels)[:, None] + 0.5 * h * (t + 1.0)).ravel())
-    wx = np.tile(0.5 * h * w, panels) * x
-    return _frozen(x, wx, *_quartic_exp(x))
+    x, wx = [], []
+    for n in (panels, 2 * panels):
+        h = (math.log(X_CUT) - lo) / n
+        x.append(np.exp((lo + h * np.arange(n)[:, None] + 0.5 * h * (t + 1.0)).ravel()))
+        wx.append(np.tile(0.5 * h * w, n) * x[-1])
+    x = np.concatenate(x)
+    return _frozen(x, np.concatenate(wx), *_quartic_exp(x))
 
 
 @lru_cache(maxsize=None)
@@ -265,39 +273,48 @@ def _bose_rule(parts: int, order: int):
     return _frozen(offsets, np.tile(weights / parts, parts))
 
 
-def _nested(evaluate, floor=0.0):
-    """Values and error estimates of the rows of a nested rule.
+def _nested_nodes(edges: np.ndarray):
+    """Nodes and weights of the nested pair on the panels between the edges
+    along the last axis (GL_ORDER Gauss-Legendre nodes per panel, then per half
+    panel), and the node count of level 0.  The levels are concatenated, not
+    gathered: a C-ordered row keeps each level's pairwise sum, and so its bits."""
+    lo, width = edges[..., :-1, None], np.diff(edges)[..., None]
+    shape = (*edges.shape[:-1], -1)
+    levels = [(lo + width * offsets, width * weights)
+              for offsets, weights in (_bose_rule(parts, GL_ORDER) for parts in (1, 2))]
+    nodes, weights = (np.concatenate([x.reshape(shape) for x in level], axis=-1)
+                      for level in zip(*levels))
+    return nodes, weights, (edges.shape[-1] - 1) * GL_ORDER
 
-    evaluate(level) returns an array (pieces, rows) from the rule with its
-    panels halved `level` times.  The value is level 1 and the error of a
-    row is its difference from level 0 plus `floor`, the error the rule
-    cannot reduce.  Each row's result depends on that row alone.
-    """
-    fine = evaluate(1)
-    return fine, np.abs(fine - evaluate(0)) + floor
+
+def _nested(terms: np.ndarray, split: int):
+    """(level 0, level 1) sums over the last axis of a nested pair's weighted
+    integrand on its joined rule, whose first `split` nodes are level 0.  Each
+    row's sums depend on that row alone."""
+    return terms[..., :split].sum(axis=-1), terms[..., split:].sum(axis=-1)
 
 
 # --------------------------------------------------------------------------
 # contour-evaluator building blocks (reduced units)
 # --------------------------------------------------------------------------
-def _inertial_integral(Rt: np.ndarray, ra: _ReducedAtom, level: int, end: np.ndarray):
+def _inertial_integral(Rt: np.ndarray, ra: _ReducedAtom, end: np.ndarray):
     """int_0^inf g(x) dx per separation, g(x) = Q(x) e^{-2x} alpha^2(ix/R), x = uR,
-    on the level's imaginary-axis rule plus `end`, the [0, X_LO] piece.
+    on each level of the imaginary-axis pair plus `end`, the [0, X_LO] piece.
 
-    Returns the integrals and the polarizability samples (alpha, beta) of
-    _alpha_iu, which _origin_subtracted_integral reuses.
+    Returns the two levels' integrals and the polarizability samples (alpha,
+    beta) of _alpha_iu, which _origin_subtracted_integral reuses.
     """
-    x, wx, qe, _ = _imag_axis_rule(IMAG_PANELS << level, GL_ORDER)
+    x, wx, qe, _ = _imag_axis_rule(IMAG_PANELS, GL_ORDER)
     alpha, beta = _alpha_iu(x / Rt[:, None], ra)
-    integral = (qe * alpha * alpha * wx).sum(axis=1) + end
-    return integral, alpha, beta
+    levels = _nested(qe * alpha * alpha * wx, IMAG_PANELS * GL_ORDER)
+    return [level + end for level in levels], alpha, beta
 
 
-def _origin_subtracted_integral(Rt: np.ndarray, ra: _ReducedAtom, level: int,
+def _origin_subtracted_integral(Rt: np.ndarray, ra: _ReducedAtom,
                                 alpha: np.ndarray, beta: np.ndarray, end: np.ndarray):
     """Finite part int_0^inf [g(x) - g(0)]/x^2 dx per separation (g as above,
-    g(0) = 3 alpha0^2), on the level's imaginary-axis rule, less `end`, which
-    is minus the [0, X_LO] piece.
+    g(0) = 3 alpha0^2), on each level of the imaginary-axis pair, less `end`,
+    which is minus the [0, X_LO] piece.
 
     W'(0) vanishes identically (the 6/x^3 term of the weight cancels the
     linear term of e^{-2x}), so subtracting the pure double pole leaves a
@@ -305,15 +322,17 @@ def _origin_subtracted_integral(Rt: np.ndarray, ra: _ReducedAtom, level: int,
     integrand is evaluated as p(x) alpha^2 - 3 beta (alpha + alpha0)/R^2,
     free of the cancellation of g(x) - 3 alpha0^2 at small x.
     """
-    _, wx, _, p = _imag_axis_rule(IMAG_PANELS << level, GL_ORDER)
+    _, wx, _, p = _imag_axis_rule(IMAG_PANELS, GL_ORDER)
     a0 = ra.alpha0
     integrand = p * alpha * alpha - 3.0 * beta * (alpha + a0) / (Rt * Rt)[:, None]
-    return (integrand * wx).sum(axis=1) - end - 3.0 * a0 * a0 / X_CUT
+    return [level - end - 3.0 * a0 * a0 / X_CUT
+            for level in _nested(integrand * wx, IMAG_PANELS * GL_ORDER)]
 
 
-def _imag_axis_pieces(Rt: np.ndarray, ra: _ReducedAtom):
-    """(inertial, origin-subtracted) x-integrals per separation: value and error
-    arrays of shape (2, len(Rt))."""
+def _imag_axis_ends(Rt: np.ndarray, ra: _ReducedAtom):
+    """The [0, X_LO] pieces of the inertial and origin-subtracted integrals per
+    separation, and the floor of the pair: the terms those pieces neglect,
+    shape (2, len(Rt))."""
     # Taylor coefficients of g about x = 0: g = 3 alpha0^2 - g2 x^2 + g4 x^4
     # + c5 alpha0^2 x^5 + g6 x^6 + ..., c_m those of Q(x) e^{-2x}; they
     # overflow only far below R = X_LO, where the floor fails the point
@@ -322,19 +341,21 @@ def _imag_axis_pieces(Rt: np.ndarray, ra: _ReducedAtom):
     g4 = a0sq + ra.alpha_curv / r2 + 3.0 * ra.alpha_quart / (r2 * r2)
     g6 = (_QE_SERIES[6] * a0sq - ra.alpha_curv / r2 - ra.alpha_quart / (r2 * r2)
           - 3.0 * ra.alpha_sext / (r2 * r2 * r2))
-    # the [0, X_LO] pieces to that order, and the terms they neglect
-    end_inertial = (3.0 * a0sq - X_LO**2 * (g2 / 3.0 - X_LO**2 * g4 / 5.0)) * X_LO
-    end_origin = (g2 - g4 * X_LO**2 / 3.0) * X_LO
     c5 = abs(_QE_SERIES[5]) * a0sq
-    floor = np.stack([c5 * X_LO**6 / 6.0 + np.abs(g6) * X_LO**7 / 7.0,
-                      c5 * X_LO**4 / 4.0 + np.abs(g6) * X_LO**5 / 5.0])
+    return ((3.0 * a0sq - X_LO**2 * (g2 / 3.0 - X_LO**2 * g4 / 5.0)) * X_LO,
+            (g2 - g4 * X_LO**2 / 3.0) * X_LO,
+            np.stack([c5 * X_LO**6 / 6.0 + np.abs(g6) * X_LO**7 / 7.0,
+                      c5 * X_LO**4 / 4.0 + np.abs(g6) * X_LO**5 / 5.0]))
 
-    def evaluate(level):
-        inertial, alpha, beta = _inertial_integral(Rt, ra, level, end_inertial)
-        return np.stack([inertial, _origin_subtracted_integral(
-            Rt, ra, level, alpha, beta, end_origin)])
 
-    return _nested(evaluate, floor)
+def _imag_axis_pieces(Rt: np.ndarray, ra: _ReducedAtom):
+    """(inertial, origin-subtracted) x-integrals per separation: value and error
+    arrays of shape (2, len(Rt)), from one pass over the joined pair."""
+    end_inertial, end_origin, floor = _imag_axis_ends(Rt, ra)
+    inertial, alpha, beta = _inertial_integral(Rt, ra, end_inertial)
+    origin = _origin_subtracted_integral(Rt, ra, alpha, beta, end_origin)
+    coarse, fine = (np.stack(level) for level in zip(inertial, origin))
+    return fine, np.abs(fine - coarse) + floor
 
 
 def _origin_coefficient(Rt: float, at: float, ra: _ReducedAtom) -> float:
@@ -359,12 +380,10 @@ def _ladder_terms(n, Rt, at, ra: _ReducedAtom):
 
 
 @lru_cache(maxsize=None)
-def _panel_rule(edges: tuple[float, ...], level: int):
-    """Nodes and weights of the rule on the panels between `edges`, each cut
-    into 2^level parts of GL_ORDER Gauss-Legendre nodes."""
-    offsets, weights = _bose_rule(1 << level, GL_ORDER)
-    lo, width = np.array(edges[:-1])[:, None], np.diff(edges)[:, None]
-    return _frozen((lo + width * offsets).ravel(), (width * weights).ravel())
+def _panel_rule(edges: tuple[float, ...]):
+    """_nested_nodes of the panels between `edges`, frozen."""
+    nodes, weights, split = _nested_nodes(np.array(edges))
+    return (*_frozen(nodes, weights), split)
 
 
 def _pole_ladder(Rt: np.ndarray, at: np.ndarray, ra: _ReducedAtom, fp: np.ndarray):
@@ -410,21 +429,18 @@ def _pole_ladder(Rt: np.ndarray, at: np.ndarray, ra: _ReducedAtom, fp: np.ndarra
         x_edges = (0.0, *(N * 2.0**-j for j in range(LADDER_X_SPLITS, -1, -1)))
         const = 0.5 * _ladder_terms(N, r[:, 0], a[:, 0], ra) - 3.0 * ra.alpha0**2 / N
 
-        def evaluate(level):
-            x, wx = _panel_rule(x_edges, level)
-            u = x * a
-            qe, p = _quartic_exp(u * r)
-            alpha, beta = _alpha_iu(u, ra)
-            h = qe * alpha * alpha - a * a * (
-                r * r * p * alpha * alpha - 3.0 * beta * (alpha + ra.alpha0))
-            t, wt = _panel_rule(LADDER_T_EDGES, level)
-            g = _ladder_terms(N + 1j * t, r, a, ra)
-            corr = (g.imag * (wt / np.expm1(2.0 * math.pi * t))).sum(axis=1)
-            return (const - (h * wx).sum(axis=1) - 2.0 * corr)[None, :]
-
-        v, e = _nested(evaluate)
-        value[rest] = fp[rest] + v[0]
-        error[rest] = e[0]
+        x, wx, x_split = _panel_rule(x_edges)
+        u = x * a
+        qe, p = _quartic_exp(u * r)
+        alpha, beta = _alpha_iu(u, ra)
+        h = qe * alpha * alpha - a * a * (
+            r * r * p * alpha * alpha - 3.0 * beta * (alpha + ra.alpha0))
+        t, wt, t_split = _panel_rule(LADDER_T_EDGES)
+        g = _ladder_terms(N + 1j * t, r, a, ra)
+        corr = _nested(g.imag * (wt / np.expm1(2.0 * math.pi * t)), t_split)
+        coarse, fine = (const - s - 2.0 * c for s, c in zip(_nested(h * wx, x_split), corr))
+        value[rest] = fp[rest] + fine
+        error[rest] = np.abs(fine - coarse)
     return value, error
 
 
@@ -438,41 +454,30 @@ def _bose_real_axis_integral(Rt: np.ndarray, at: np.ndarray, ra: _ReducedAtom):
     polarizability resonance.
     """
     T = np.minimum(BOSE_EDGES[-1], 0.85 / at)
-    edges = np.minimum(np.array(BOSE_EDGES), T[:, None])
-    lo = edges[:, :-1, None]
-    width = np.diff(edges, axis=1)[:, :, None]
-
-    def evaluate(level):
-        offsets, weights = _bose_rule(1 << level, GL_ORDER)
-        t = (lo + width * offsets).reshape(len(at), -1)
-        w = (width * weights).reshape(len(at), -1)
-        k = at[:, None] * t
-        k2 = k * k
-        f = (k2 * k2 * _alpha2_real0(k, ra) * osc_imag_part(k * Rt[:, None])
-             * (1.0 + 1.0 / (t * t)) / np.expm1(2.0 * math.pi * t))
-        return (f * w).sum(axis=1)[None, :]
-
-    value, error = _nested(evaluate)
+    t, w, split = _nested_nodes(np.minimum(np.array(BOSE_EDGES), T[:, None]))
+    k = at[:, None] * t
+    k2 = k * k
+    f = (k2 * k2 * _alpha2_real0(k, ra) * osc_imag_part(k * Rt[:, None])
+         * (1.0 + 1.0 / (t * t)) / np.expm1(2.0 * math.pi * t))
+    coarse, fine = _nested(f * w, split)
     scale = 2.0 * at / (math.pi * Rt * Rt)
-    return -scale * value[0], scale * error[0]
+    return -scale * fine, scale * np.abs(fine - coarse)
 
 
 # --------------------------------------------------------------------------
 # public evaluators
 # --------------------------------------------------------------------------
-def _grid(name: str, route, R, a, atom: AtomSpec, units):
-    """The entries of potential_grid's contract, with the values of `route`.
+def _gate(method: str, Rs: list[float], As: list[float], atom: AtomSpec, units):
+    """Per acceleration of As, per separation of Rs (lists of floats), the
+    restored (value, error, vacuum, nonthermal_a2, residue_sum, warnings) of
+    the route of `method` ("contour" or "oracle"), or the point's error.
 
-    route(Rt, At, ra) takes the reduced separations and non-excited
-    accelerations and returns, per point of their product grid in a-major
-    order, the reduced (total, vacuum, nonthermal_a2, residue_sum, error,
-    warnings); `name` labels its NumericalFailure messages.  This is the one
-    acceptance gate: a point is a result iff error <= 10 REL_TOL |total|,
-    REL_TOL read at call time.
+    A route returns, per point of the reduced grid (non-excited accelerations
+    only) in a-major order, the reduced (total, vacuum, nonthermal_a2,
+    residue_sum, error, warnings).  This is the one acceptance gate: a point
+    passes iff error <= 10 REL_TOL |total|, REL_TOL read at call time.
     """
     u = units_for(atom, units)
-    Rs = [float(r) for r in R]
-    As = [float(x) for x in a]
     for r in Rs:
         check_domain("separation", r)
     for x in As:
@@ -484,6 +489,7 @@ def _grid(name: str, route, R, a, atom: AtomSpec, units):
     # the range of doubles ends with a value or estimate that is not finite,
     # which fails the gate below, or with a value that underflows to 0 with
     # its estimate
+    route = {"contour": _contour_points, "oracle": _oracle_points}[method]
     with np.errstate(all="ignore"):
         points = iter(route(np.array([u.reduce_length(r) for r in Rs]),
                             np.array([u.reduce_acceleration(x) for x in live]),
@@ -502,30 +508,35 @@ def _grid(name: str, route, R, a, atom: AtomSpec, units):
             value = u.restore_energy(vt)
             error = u.restore_energy(err)
             bound = 10.0 * REL_TOL * abs(vt)
-            if not (math.isfinite(vt) and err <= bound):
-                row.append(NumericalFailure(
-                    f"{name} quadrature missed its tolerance at R={R_i!r}, a={a_j!r}: "
-                    f"error estimate {error:.3e} exceeds 10 rel_tol |V| = "
-                    f"{u.restore_energy(bound):.3e}" if math.isfinite(vt) else
-                    f"{name} evaluation has no finite value at R={R_i!r}, a={a_j!r} "
-                    f"(V = {value})",
-                    partial=value, error_estimate=error))
+            if math.isfinite(vt) and err <= bound:
+                row.append((value, error, u.restore_energy(vac), u.restore_energy(nonth),
+                            u.restore_energy(res), (*marginal, *warnings)))
                 continue
-            row.append(PotentialResult(
-                value=value,
-                error_estimate=error,
-                parts={"vacuum": u.restore_energy(vac),
-                       "nonthermal_a2": u.restore_energy(nonth),
-                       "residue_sum": u.restore_energy(res)},
-                regime=classify_regime(R_i, a_j, atom, c=u.c),
-                warnings=(*marginal, *warnings),
-            ))
+            row.append(NumericalFailure(
+                f"{method} quadrature missed its tolerance at R={R_i!r}, a={a_j!r}: "
+                f"error estimate {error:.3e} exceeds 10 rel_tol |V| = "
+                f"{u.restore_energy(bound):.3e}" if math.isfinite(vt) else
+                f"{method} evaluation has no finite value at R={R_i!r}, a={a_j!r} "
+                f"(V = {value})",
+                partial=value, error_estimate=error))
         grid.append(row)
     return grid
 
 
+def _grid(method: str, R, a, atom: AtomSpec, units):
+    """The entries of potential_grid's contract: _gate's, each passed point a
+    PotentialResult with its regime."""
+    Rs, As = [float(r) for r in R], [float(x) for x in a]
+    c, grid = units_for(atom, units).c, _gate(method, Rs, As, atom, units)
+    return [[entry if isinstance(entry, UnruhCPError) else PotentialResult(
+        value=entry[0], error_estimate=entry[1],
+        parts={"vacuum": entry[2], "nonthermal_a2": entry[3], "residue_sum": entry[4]},
+        regime=classify_regime(R_i, a_j, atom, c=c), warnings=entry[5])
+        for R_i, entry in zip(Rs, row)] for a_j, row in zip(As, grid)]
+
+
 def _contour_points(Rt: np.ndarray, At: np.ndarray, ra: _ReducedAtom):
-    """The contour evaluator's route for _grid."""
+    """The contour evaluator's route for _gate."""
     rts, ats = Rt.tolist(), At.tolist()
     pieces, e_pieces = _imag_axis_pieces(Rt, ra)
     imag, e_imag = pieces.tolist(), e_pieces.tolist()
@@ -606,7 +617,7 @@ def potential_grid(R, a, atom: AtomSpec, units: str = "natural"
     entry equals what potential_numeric returns (or raises) for its point
     alone.
     """
-    return _grid("contour", _contour_points, R, a, atom, units)
+    return _grid("contour", R, a, atom, units)
 
 
 def _result(entry) -> PotentialResult:
@@ -768,7 +779,7 @@ def _oracle_piece(Rt: np.ndarray, at: np.ndarray, ra: _ReducedAtom):
 
 
 def _oracle_points(Rt: np.ndarray, At: np.ndarray, ra: _ReducedAtom):
-    """The oracle's route for _grid: _oracle_piece on the tiled grid."""
+    """The oracle's route for _gate: _oracle_piece on the tiled grid."""
     values, errors = (arr.tolist() for arr in _oracle_piece(
         np.tile(Rt, len(At)), np.repeat(At, len(Rt)), ra))
     return [(vac + nonth + bose, vac, nonth, bose, e_vac + e_nonth + e_bose, ())
@@ -785,7 +796,7 @@ def potential_oracle_grid(R, a, atom: AtomSpec, units: str = "natural"
     10 REL_TOL |V|).  Every entry equals what potential_oracle returns (or
     raises) for its point alone.
     """
-    return _grid("oracle", _oracle_points, R, a, atom, units)
+    return _grid("oracle", R, a, atom, units)
 
 
 def potential_oracle(R: float, a: float, atom: AtomSpec,

@@ -1,9 +1,11 @@
 """Batch evaluation over (R, a) grids, power-law fits and the comparison report.
 
 Rows are produced in lexicographic (a, R) order whatever the concurrency
-level or batching, numbers are serialized with shortest round-trip
-precision, and a fixed configuration yields byte-identical CSV and report
-output.
+level or batching, straight from the evaluators' acceptance gate
+(potential._gate), whose restored tuples give their values, parts and
+warnings; PotentialResult objects are built only for the API calls that
+return them.  Numbers are serialized with shortest round-trip precision,
+and a fixed configuration yields byte-identical CSV and report output.
 
 Each report section that needs contour values evaluates its (R, a) grid in
 one potential_grid call, and the dual-method section takes its oracle values
@@ -28,14 +30,13 @@ from . import asymptotics
 from .atoms import AtomSpec, Transition, _reduce_atom, load_atom, two_level
 from .errors import (
     InputError,
-    NumericalFailure,
     RegimeError,
     UnruhCPError,
     read_real,
 )
-from .kinematics import classify_regime, validity_check
+from .kinematics import _acceleration, _aR, _zone, validity_check
 from .occupation import _occupation_parts, mode_occupation, occupation_highacc
-from .potential import PotentialResult, _result, potential_grid, potential_oracle_grid
+from .potential import _gate, _result, potential_grid, potential_oracle_grid
 from .units import UnitSystem, units_for
 
 CSV_COLUMNS = ("R", "a", "regime", "V_contour", "V_oracle", "V_asymptotic",
@@ -49,7 +50,8 @@ CONFIG_KEYS = ("atom", "R_grid", "a_grid", "methods", "units", "output_path")
 # --------------------------------------------------------------------------
 @dataclass(frozen=True)
 class GridSpec:
-    """Log-spaced grid {min, max, count} or the single value 0."""
+    """Log-spaced grid {min, max, count} or the single value {value}; a grid
+    object with any other set of keys is an InputError."""
 
     min: float = 0.0
     max: float = 0.0
@@ -59,6 +61,8 @@ class GridSpec:
     @classmethod
     def from_obj(cls, obj) -> "GridSpec":
         try:
+            if isinstance(obj, dict) and set(obj) not in ({"value"}, {"min", "max", "count"}):
+                raise ValueError("a grid gives either 'value' or 'min', 'max' and 'count'")
             if isinstance(obj, dict) and "value" in obj:
                 g = cls(value=read_real(obj["value"]))
             elif isinstance(obj, (int, float)):
@@ -80,10 +84,10 @@ class GridSpec:
     def points(self) -> list[float]:
         """The grid; a log-spaced one starts at min and ends at max exactly."""
         if self.value is not None:
-            return [self.value]
+            return [float(self.value)]
         pts = np.logspace(math.log10(self.min), math.log10(self.max), self.count)
         pts[0], pts[-1] = self.min, self.max
-        return list(pts)
+        return pts.tolist()
 
     def as_dict(self) -> dict:
         if self.value is not None:
@@ -164,7 +168,7 @@ class SweepRow:
 
     def as_csv_fields(self) -> list[str]:
         def num(x):
-            return "" if x is None else repr(float(x))
+            return "" if x is None else repr(x)
 
         return [num(self.R), num(self.a), self.regime,
                 num(self.V_contour), num(self.V_oracle), num(self.V_asymptotic),
@@ -175,18 +179,19 @@ class SweepRow:
 # --------------------------------------------------------------------------
 # sweep execution
 # --------------------------------------------------------------------------
-def _asymptotic_value(R: float, a: float, regime, config: SweepConfig, c: float):
-    """Closed-form value for the regime at (R, a), or (None, warning)."""
+def _asymptotic_value(R: float, a: float, zone: str, aR: str, excited: bool,
+                      config: SweepConfig):
+    """Closed-form value at (R, a) for its regime classes, or (None, note)."""
     atom, units = config.atom, config.units
-    if a > 0.0 and validity_check(a, atom, c=c).excited:
+    if excited:
         return None, "the high-acceleration law needs atom B"
-    if a == 0.0 or regime.aR_class == "small":
-        if regime.zone == "near":
+    if a == 0.0 or aR == "small":
+        if zone == "near":
             return asymptotics.near_zone_value(R, atom, units=units), None
-        if regime.zone == "far":
+        if zone == "far":
             return asymptotics.far_low_acc(R, a, atom, units=units), None
         return None, "no closed form applies in the crossover zone"
-    if regime.aR_class == "large":
+    if aR == "large":
         return asymptotics.high_aR(R, a, atom, units=units), None
     return None, "no closed form applies for crossover aR/c^2"
 
@@ -198,59 +203,48 @@ def relative_difference(values) -> float:
     return (max(values) - min(values)) / scale if scale > 0 else 0.0
 
 
-def _eval_point(R: float, a: float, contour, oracle, config: SweepConfig, c: float):
-    """The row of one grid point from its contour and oracle outcomes (each a
-    PotentialResult, the error it raised, or None when not requested) and the
-    closed form of its regime, whose error becomes an "asymptotic: ..." warning;
-    c is the speed of light of the config's unit mode."""
-    warnings: list[str] = []
-    v_contour = v_oracle = v_asymptotic = None
-    parts = {}
-    if isinstance(contour, PotentialResult):
-        regime, v_contour, parts = contour.regime, contour.value, contour.parts
-        warnings.extend(contour.warnings)
-    else:
-        regime = classify_regime(R, a, config.atom, c=c)
-        if isinstance(contour, RegimeError):
-            warnings.append(f"contour: regime error: {contour}")
-        elif isinstance(contour, NumericalFailure):
-            warnings.append(f"contour: numerical failure: {contour}")
-
-    if isinstance(oracle, PotentialResult):
-        v_oracle = oracle.value
-    elif oracle is not None:
-        warnings.append(f"oracle: {oracle}")
-
-    if "asymptotic" in config.methods:
-        try:
-            v_asymptotic, note = _asymptotic_value(R, a, regime, config, c)
-            if note:
-                warnings.append(f"asymptotic: {note}")
-        except UnruhCPError as exc:
-            warnings.append(f"asymptotic: {exc}")
-
-    present = [v for v in (v_contour, v_oracle, v_asymptotic) if v is not None]
-    rel_diff = relative_difference(present) if len(present) >= 2 else None
-
-    return SweepRow(
-        R=R, a=a, regime=regime.tag(),
-        V_contour=v_contour, V_oracle=v_oracle, V_asymptotic=v_asymptotic,
-        part_vacuum=parts.get("vacuum"), part_a2=parts.get("nonthermal_a2"),
-        part_residue=parts.get("residue_sum"),
-        rel_diff=rel_diff, warnings=tuple(warnings),
-    )
-
-
 def _eval_batch(Rs: list[float], config: SweepConfig, c: float) -> list[list[SweepRow]]:
-    """Rows of the separations Rs at every acceleration, one list per acceleration."""
+    """Rows of the separations Rs at every acceleration, one list per
+    acceleration; an error entry of the gate or of a closed form is a row
+    warning.  The zone is classified once per separation and the acceleration
+    once per acceleration; c is the speed of light of the config's unit mode."""
+    atom, methods = config.atom, config.methods
     As = config.a_grid.points()
-    absent = [[None] * len(Rs) for _ in As]
-    contour = (potential_grid(Rs, As, config.atom, units=config.units)
-               if "contour" in config.methods else absent)
-    oracle = (potential_oracle_grid(Rs, As, config.atom, units=config.units)
-              if "oracle" in config.methods else absent)
-    return [[_eval_point(R, a, v, o, config, c) for R, v, o in zip(Rs, v_row, o_row)]
-            for a, v_row, o_row in zip(As, contour, oracle)]
+    absent = [[None] * len(Rs)] * len(As)
+    contour, oracle = (_gate(m, Rs, As, atom, config.units) if m in methods else absent
+                       for m in ("contour", "oracle"))
+    zones = [_zone(R, atom, c)[1] for R in Rs]
+    grid = []
+    for a, c_row, o_row in zip(As, contour, oracle):
+        acc, excited = _acceleration(a, atom, c)[1], validity_check(a, atom, c=c).excited
+        rows = []
+        for R, zone, v, o in zip(Rs, zones, c_row, o_row):
+            aR = _aR(R, a, c)[1]
+            v_contour, parts, warnings = ((v[0], v[2:5], [*v[5]]) if isinstance(v, tuple)
+                                          else (None, (None,) * 3, []))
+            if isinstance(v, UnruhCPError):
+                kind = "regime error" if isinstance(v, RegimeError) else "numerical failure"
+                warnings.append(f"contour: {kind}: {v}")
+            v_oracle = o[0] if isinstance(o, tuple) else None
+            if isinstance(o, UnruhCPError):
+                warnings.append(f"oracle: {o}")
+            v_asymptotic = None
+            if "asymptotic" in methods:
+                try:
+                    v_asymptotic, note = _asymptotic_value(R, a, zone, aR, excited, config)
+                    if note:
+                        warnings.append(f"asymptotic: {note}")
+                except UnruhCPError as exc:
+                    warnings.append(f"asymptotic: {exc}")
+            present = [x for x in (v_contour, v_oracle, v_asymptotic) if x is not None]
+            rows.append(SweepRow(
+                R=R, a=a, regime=f"{zone}/{acc}/{aR}",
+                V_contour=v_contour, V_oracle=v_oracle, V_asymptotic=v_asymptotic,
+                part_vacuum=parts[0], part_a2=parts[1], part_residue=parts[2],
+                rel_diff=relative_difference(present) if len(present) >= 2 else None,
+                warnings=tuple(warnings)))
+        grid.append(rows)
+    return grid
 
 
 def run_sweep(config: SweepConfig, max_workers: int = 1) -> list[SweepRow]:

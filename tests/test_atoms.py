@@ -184,6 +184,11 @@ def test_load_atom_errors(tmp_path):
         load_atom({**two, "dampnig": 1e-7})
     with pytest.raises(InputError, match="not both"):
         load_atom({**two, "transitions": [line]})
+    # so was a misspelt key inside an entry
+    with pytest.raises(InputError, match="unknown key 'alpah0'"):
+        load_atom({"two_level": {"omega0": 1.0, "alpha0": 1.0, "alpah0": 5.0}})
+    with pytest.raises(InputError, match="unknown key 'mu'"):
+        load_atom({"transitions": [line, {"omega": 2.0, "mu_sq": 1.0, "mu": 3}]})
 
 
 def test_omega0_is_lowest(atom3):

@@ -1,5 +1,6 @@
 """The batched contour evaluator: batch independence, the nested rule's
-failure mode and the pole-ladder kernel."""
+levels and failure mode, the pole-ladder kernel and the sweep rows built
+from the acceptance gate."""
 import math
 import warnings
 
@@ -14,15 +15,21 @@ from unruhcp import (
     RegimeError,
     SweepConfig,
     Transition,
+    UnruhCPError,
+    asymptotics,
+    classify_regime,
     potential_grid,
     potential_numeric,
+    potential_oracle,
     potential_oracle_grid,
     rows_to_csv,
     run_sweep,
     two_level,
     units_for,
+    validity_check,
 )
 from unruhcp.atoms import _reduce_atom
+from unruhcp.sweep import relative_difference
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +85,88 @@ def test_grid_entries_equal_single_points():
                 assert isinstance(entry, RegimeError)
                 continue
             assert entry == potential_numeric(R, a, atom)
+
+
+def _expected_row(R, a, atom):
+    """The fields of a three-method sweep row at (R, a), from point calls."""
+    regime = classify_regime(R, a, atom)
+    values, parts, warnings = [None, None, None], (None, None, None), []
+    try:
+        res = potential_numeric(R, a, atom)
+        values[0] = res.value
+        parts = (res.parts["vacuum"], res.parts["nonthermal_a2"], res.parts["residue_sum"])
+        warnings.extend(res.warnings)
+    except RegimeError as exc:
+        warnings.append(f"contour: regime error: {exc}")
+    except NumericalFailure as exc:
+        warnings.append(f"contour: numerical failure: {exc}")
+    try:
+        values[1] = potential_oracle(R, a, atom).value
+    except UnruhCPError as exc:
+        warnings.append(f"oracle: {exc}")
+    zone, aR = regime.zone, regime.aR_class
+    note = None
+    if validity_check(a, atom).excited:
+        note = "the high-acceleration law needs atom B"
+    elif a == 0.0 or aR == "small":
+        if zone == "crossover":
+            note = "no closed form applies in the crossover zone"
+        else:
+            values[2] = (asymptotics.near_zone_value(R, atom) if zone == "near"
+                         else asymptotics.far_low_acc(R, a, atom))
+    elif aR == "large":
+        values[2] = asymptotics.high_aR(R, a, atom)
+    else:
+        note = "no closed form applies for crossover aR/c^2"
+    if note:
+        warnings.append(f"asymptotic: {note}")
+    present = [v for v in values if v is not None]
+    return (regime.tag(), *values, *parts,
+            relative_difference(present) if len(present) >= 2 else None, tuple(warnings))
+
+
+def _check_rows(config):
+    rows = run_sweep(config)
+    for row in rows:
+        assert (row.regime, row.V_contour, row.V_oracle, row.V_asymptotic, row.part_vacuum,
+                row.part_a2, row.part_residue, row.rel_diff, row.warnings
+                ) == _expected_row(row.R, row.a, config.atom), (row.R, row.a)
+    assert rows_to_csv(run_sweep(config, max_workers=3)) == rows_to_csv(rows)
+    return rows
+
+
+def test_sweep_rows_equal_point_calls_across_every_threshold(monkeypatch):
+    # R omega0/c and a R/c^2 hit 0.1 and 10 exactly, a/(omega0 c) hits 0.1
+    # (valid) and 10 (excited); a = 1 is marginal and 1e-4 c/omega0 a dense
+    # ladder there
+    rng = np.random.default_rng(20261020)
+    atom = AtomSpec(transitions=tuple(
+        Transition(omega=float(o), mu_sq=float(m))
+        for o, m in zip([1.0, *sorted(rng.uniform(1.5, 8.0, 2))], rng.uniform(0.2, 5.0, 3))))
+    config = SweepConfig(atom=atom, R_grid=GridSpec(min=1e-4, max=10.0, count=6),
+                         a_grid=GridSpec(min=1e-3, max=10.0, count=5),
+                         methods=("contour", "oracle", "asymptotic"))
+    rows = _check_rows(config)
+    assert {0.1, 10.0} <= {r.R for r in rows} and {0.1, 10.0} <= {r.a for r in rows}
+    assert {0.1, 10.0} <= {r.a * r.R for r in rows}
+    notes = [w.split(":")[0] for r in rows for w in r.warnings]
+    for note in ("contour", "marginal validity window", "dense pole ladder", "asymptotic"):
+        assert note in notes
+    assert {r.regime.split("/")[0] for r in rows} == {"near", "crossover", "far"}
+    # the zone thresholds are inclusive, the others leave the boundary in crossover
+    for r in rows:
+        zone, acc, aR = r.regime.split("/")
+        assert zone == {0.1: "near", 10.0: "far"}.get(r.R, zone)
+        assert acc == ("crossover" if r.a in (0.1, 10.0) else acc)
+        assert aR == ("crossover" if r.a * r.R in (0.1, 10.0) else aR)
+    _check_rows(SweepConfig(atom=atom, R_grid=config.R_grid, a_grid=GridSpec(value=0.0),
+                            methods=config.methods))
+    # a point that misses the gate is a numerical failure on both routes
+    monkeypatch.setattr(potmod, "REL_TOL", 1e-300)
+    (row,) = _check_rows(SweepConfig(atom=atom, R_grid=GridSpec(value=0.5),
+                                     a_grid=GridSpec(value=0.01), methods=config.methods))
+    assert row.V_contour is None and row.V_oracle is None
+    assert row.warnings[0].startswith("contour: numerical failure")
 
 
 def test_missed_tolerance_raises_with_partial(monkeypatch):
@@ -170,3 +259,31 @@ def test_pole_ladder_remainder_matches_the_head(monkeypatch, R, a):
     remainder, error, _ = _ladder(R, a, _TWO_LINES)
     assert remainder == pytest.approx(head, rel=1e-11, abs=0.0)
     assert abs(remainder - head) <= error
+
+
+def test_nested_pair_levels(monkeypatch):
+    # level 1 of the imaginary-axis pair with IMAG_PANELS panels is level 0
+    # with twice as many, bit for bit: the estimate at P panels is the
+    # difference of the values at P and P/2 plus the floor of the end pieces
+    ra = _reduce_atom(_TWO_LINES, units_for(_TWO_LINES))
+    Rt = np.array([1e-11, 1e-3, 0.7, 40.0, 1e3])
+    nested, sums, out = potmod._nested, {}, {}
+
+    def spy(terms, split):
+        levels = nested(terms, split)
+        sums.setdefault(potmod.IMAG_PANELS, []).append(levels)
+        return levels
+
+    monkeypatch.setattr(potmod, "_nested", spy)
+    for panels in (16, 32, 64):
+        monkeypatch.setattr(potmod, "IMAG_PANELS", panels)
+        out[panels] = potmod._imag_axis_pieces(Rt, ra)
+    *_, floor = potmod._imag_axis_ends(Rt, ra)
+    for panels in (32, 64):
+        # the inertial and the origin-subtracted sums of the two levels
+        for (_, fine), (coarse, _) in zip(sums[panels // 2], sums[panels]):
+            assert np.array_equal(fine, coarse)
+        value, error = out[panels]
+        coarse, _ = out[panels // 2]
+        assert not np.array_equal(value, coarse)
+        assert np.array_equal(error, np.abs(value - coarse) + floor)

@@ -51,6 +51,12 @@ def test_grid_spec_validation():
                 {"min": 1, "max": 2, "count": 2.9}, {"value": True}, True):
         with pytest.raises(InputError):
             GridSpec.from_obj(bad)
+    # a grid that gave both forms once took value silently, and a misspelt
+    # range key is refused too
+    for bad in ({"value": 0.01, "min": 1.0, "max": 2.0, "count": 5}, {"value": 0.01, "count": 3},
+                {"min": 1.0, "max": 2.0, "cuont": 3}):
+        with pytest.raises(InputError, match="either 'value' or"):
+            GridSpec.from_obj(bad)
     g = GridSpec.from_obj({"value": 0.0})
     assert g.points() == [0.0]
     g = GridSpec.from_obj({"min": 1.0, "max": 100.0, "count": 3})
