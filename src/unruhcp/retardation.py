@@ -17,8 +17,9 @@ coefficients both follow from it.  The sign-free coefficient pattern
 breaks the oscillatory cancellation at the origin and the far-zone law.
 
 osc_imag_part evaluates Im[e^{2ix} u_factor(x)], the only part the potential
-takes, without catastrophic cancellation (series branch below |x| = 1/2),
-at a float or elementwise on a numpy array.
+takes, odd in x, at a float or elementwise on a numpy array: by its Taylor
+series (Horner's rule in x^2) for |x| <= 1/2, where the closed form cancels,
+and by the trigonometric closed form only on the elements above.
 """
 from __future__ import annotations
 
@@ -52,10 +53,10 @@ _EXP_NUMER = _exp_numer_coeffs()
 # x^{-4}..x^{0} are real, so Im[e^{2ix} u(x)] = O(x).
 _SIGMA = [c.imag for c in _EXP_NUMER]
 # Im[e^{2ix} u(x)] is odd in x, x * sum_j _SIGMA[5 + 2j] x^{2j}; osc_imag_part
-# keeps the terms that still count in double precision at the switch
+# sums it by Horner's rule in x^2 over the coefficients that still count in
+# double precision at the switch, lowest order first
 _SIGMA_EVEN_ARRAY = np.array([c for j, c in enumerate(_SIGMA[5::2])
                               if abs(c) * SERIES_SWITCH ** (2 * j) >= 2.0**-60 * _SIGMA[5]])
-_EVEN_POWERS = np.arange(len(_SIGMA_EVEN_ARRAY))
 
 
 def u_factor(x) -> complex:
@@ -83,22 +84,32 @@ def quartic_weight(x: float) -> float:
 
 
 def osc_imag_part(x):
-    """Im[e^{2ix} u_factor(x)] for real x > 0, stable down to x -> 0.
+    """Im[e^{2ix} u_factor(x)] for real x, odd in x and stable down to x -> 0.
 
     Takes a float (returns a float) or an array (elementwise; each element is
     a function of that element alone).  The closed trigonometric form loses
-    all significance below x ~ 1e-3 (terms ~ 6/x^3 cancel to O(x)); below
-    SERIES_SWITCH the odd Taylor series restores it.
+    all significance below |x| ~ 1e-3 (terms ~ 6/x^3 cancel to O(x)), so for
+    |x| <= SERIES_SWITCH the odd Taylor series, by Horner's rule in x^2,
+    gives the value; the closed form, exact for every real x != 0, is
+    evaluated only on the elements with |x| > SERIES_SWITCH.
     """
     arr = np.asarray(x, dtype=float)
-    small = np.minimum(arr, SERIES_SWITCH)
-    series = small * ((small * small)[..., None] ** _EVEN_POWERS * _SIGMA_EVEN_ARRAY).sum(axis=-1)
-    big = np.maximum(arr, SERIES_SWITCH)
-    inv2 = 1.0 / (big * big)
-    closed = (np.sin(2.0 * big) * (1.0 - 5.0 * inv2 + 3.0 * inv2 * inv2)
-              + np.cos(2.0 * big) * (2.0 - 6.0 * inv2) / big)
-    out = np.where(arr > SERIES_SWITCH, closed, series)
-    return out if out.ndim else float(out)
+    flat = arr.reshape(-1)
+    s = np.minimum(np.maximum(flat, -SERIES_SWITCH), SERIES_SWITCH)
+    s2 = s * s
+    acc = _SIGMA_EVEN_ARRAY[-1] * s2
+    for c in _SIGMA_EVEN_ARRAY[-2:0:-1]:
+        acc += c
+        acc *= s2
+    acc += _SIGMA_EVEN_ARRAY[0]
+    out = s * acc
+    big = np.abs(flat) > SERIES_SWITCH
+    if big.any():
+        b = flat[big]
+        inv2 = 1.0 / (b * b)
+        out[big] = (np.sin(2.0 * b) * (1.0 - 5.0 * inv2 + 3.0 * inv2 * inv2)
+                    + np.cos(2.0 * b) * (2.0 - 6.0 * inv2) / b)
+    return out.reshape(arr.shape) if arr.ndim else float(out[0])
 
 
 __all__ = [

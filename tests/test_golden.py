@@ -5,6 +5,7 @@ import pathlib
 import pytest
 
 from unruhcp import load_atom, potential_numeric, potential_oracle
+from unruhcp.potential import SWITCH_A, SWITCH_AR
 
 TABLE = json.loads((pathlib.Path(__file__).parent / "golden" / "contour_parts.json")
                    .read_text(encoding="utf-8"))
@@ -19,6 +20,12 @@ def test_parts_match_golden(point):
     tol = max(res.error_estimate, 1e-9 * abs(sum(want.values())))
     for part in PARTS:
         assert abs(res.parts[part] - want[part]) <= tol, (part, res.parts[part], want[part])
+    # the table's units anchor on each atom's lowest line, so (R, a) are the
+    # reduced values; on the Bose real-axis route residue_sum is resolved to
+    # near double precision, not only to the point's error estimate
+    if 0.0 < point["a"] <= SWITCH_A and point["a"] * point["R"] <= SWITCH_AR:
+        got = res.parts["residue_sum"]
+        assert abs(got - want["residue_sum"]) <= 1e-13 * abs(want["residue_sum"]), got
 
 
 @pytest.mark.parametrize("point", TABLE["points"],

@@ -50,22 +50,51 @@ def test_imag_axis_weight_values():
 
 
 def test_osc_parts_match_direct_formula():
-    for x in (0.6, 1.3, 7.7, 40.0):
-        direct = cmath.exp(2j * x) * u_factor(x)
-        assert osc_imag_part(x) == pytest.approx(direct.imag, rel=1e-12)
+    # the closed form, for either sign of x: the kernel is odd on all reals
+    for x in (0.5000001, 0.6, 1.3, 7.7, 40.0):
+        for y in (x, -x):
+            direct = cmath.exp(2j * y) * u_factor(y)
+            assert osc_imag_part(y) == pytest.approx(direct.imag, rel=1e-12)
+        assert osc_imag_part(-x) == -osc_imag_part(x)
+
+
+def test_osc_imag_part_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+
+    def reference(x):
+        z = mpmath.mpf(x)
+        return float(mpmath.sin(2 * z) * (1 - 5 / z**2 + 3 / z**4)
+                     + mpmath.cos(2 * z) * (2 - 6 / z**2) / z)
+
+    # relative to the value on the series branch and just above the switch,
+    # where the closed form cancels about 40-fold (at x = 1/2, 29 sin 1 -
+    # 44 cos 1; measured worst 1.7e-14); beyond, where the value crosses
+    # zero, relative to the amplitude |u_factor(x)| of the oscillation
+    series = np.concatenate([np.logspace(-8, math.log10(0.5), 60), [0.4999999, 0.5]])
+    switch = np.concatenate([[0.5000001, 0.50001, 0.501], np.linspace(0.505, 0.6, 20)])
+    for xs, rel in ((series, 1e-15), (switch, 3e-14)):
+        for x in xs:
+            want = reference(x)
+            assert abs(osc_imag_part(float(x)) - want) <= rel * abs(want), x
+    for x in np.linspace(0.6, 40.0, 80):
+        assert abs(osc_imag_part(float(x)) - reference(x)) <= 1e-14 * abs(u_factor(x)), x
 
 
 def test_osc_series_branch_consistency():
-    # series (x <= 0.5) and trig (x > 0.5) branches agree across the switch
-    for x in (0.45, 0.49, 0.499):
-        direct = cmath.exp(2j * x) * u_factor(x)
-        assert osc_imag_part(x) == pytest.approx(direct.imag, rel=1e-11)
+    # series (|x| <= 0.5) and trig (|x| > 0.5) branches agree across the switch
+    for x in (0.3, 0.45, 0.49, 0.499, 0.5):
+        for y in (x, -x):
+            direct = cmath.exp(2j * y) * u_factor(y)
+            assert osc_imag_part(y) == pytest.approx(direct.imag, rel=1e-11)
+        assert osc_imag_part(-x) == -osc_imag_part(x)
 
 
 def test_osc_imag_small_x_law():
     # Im[e^{2ix} u(x)] = (22/15) x + O(x^3): the origin is regular
-    for x in (1e-6, 1e-4, 1e-2):
+    for x in (1e-300, 1e-6, 1e-4, 1e-2):
         assert osc_imag_part(x) == pytest.approx(22.0 / 15.0 * x, rel=2e-4 + 10 * x * x)
+        assert osc_imag_part(-x) == -osc_imag_part(x)
 
 
 def test_osc_imag_part_takes_floats_and_arrays():
@@ -76,3 +105,7 @@ def test_osc_imag_part_takes_floats_and_arrays():
         scalar = osc_imag_part(float(x))
         assert type(scalar) is float and scalar == v
     assert osc_imag_part(xs.reshape(2, 3)).tolist() == values.reshape(2, 3).tolist()
+    # a Bose-piece sized array that mixes both branches and both signs
+    xs = np.logspace(-6, math.log10(30.0), 5 * 168).reshape(5, 168)
+    xs[:, ::2] *= -1.0
+    assert osc_imag_part(xs).tolist() == [[osc_imag_part(float(x)) for x in row] for row in xs]
