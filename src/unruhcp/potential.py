@@ -82,18 +82,22 @@ ladder.  No scalar adaptive quadrature remains in this evaluator.
 
 Quadrature of the oracle.  A point's path leaves the real axis at
 K0 = min(ORACLE_K0, 1/R) and follows the ray K0 + t e^{i ORACLE_TILT}, on
-which e^{2ikR} decays by itself, so the integral is taken undamped.  One
-pass per path part covers every panel of every point; each node evaluates
-the integrand once and the three occupation pieces from it.  Both parts use
-composite rules of GL_ORDER nodes per panel: the segment, x = kR in
-[0, K0 R] (K0 R <= 1), is cut at a/2pi, a and 4a and into panels of at most
-ORACLE_PANEL_RAD radians of 2kR; the ray has edges at t_d 2^j (t_d =
-1/(2R sin tilt), its decay length) up to 2^ORACLE_RAY_DOUBLINGS t_d, and its
-integrand there times t_d bounds the rest in the error estimate.  Panels
-whose difference from their two halves misses their share of the target are
-split again, up to MAX_REFINE times.  A point's error estimate is the sum
-over the three occupation pieces.  No scalar adaptive quadrature remains,
-and the package needs numpy alone.
+which e^{2ikR} decays by itself, so the integral is taken undamped.  The
+panels of every point's path are built as arrays in one pass
+(_oracle_panels), and one pass per path part evaluates them all; each node
+evaluates the integrand once and the three occupation pieces from it.  The
+segment, x = kR in [0, K0 R] (K0 R <= 1), is cut at a/2pi, a and 4a and
+into panels of at most ORACLE_PANEL_RAD radians of 2kR; the ray has edges
+at t_d 2^j (t_d = 1/(2R sin tilt), its decay length) up to
+2^ORACLE_RAY_DOUBLINGS t_d, and its integrand there times t_d bounds the
+rest in the error estimate.  Every panel takes the G10K21 Gauss-Kronrod
+pair of QUADPACK (Piessens et al., 1983): its 21-node Kronrod sum is the
+panel's value and the difference from the embedded 10-node Gauss sum its
+error estimate.  Panels whose estimate misses their share of the target
+are split in two such panels, up to MAX_REFINE times.  A point's error
+estimate is the sum over the three occupation pieces.  The oracle's rule
+is its own (the contour evaluator's are Gauss-Legendre); no scalar
+adaptive quadrature remains, and the package needs numpy alone.
 
 Every contour and oracle value is a function of (R, a, atom) alone: the
 arithmetic of one point never involves another, so a grid returns bit for
@@ -111,7 +115,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .atoms import AtomSpec, _reduce_atom, _ReducedAtom, oscillator_sum
 from .errors import NumericalFailure, RegimeError, UnruhCPError, check_domain
-from .kinematics import Regime, classify_regime, validity_check
+from .kinematics import Regime, _acceleration, _aR, _zone, validity_check
 from .occupation import EXP_OVERFLOW, _bose
 from .retardation import (
     SERIES_SWITCH,
@@ -142,7 +146,7 @@ ORACLE_K0 = 0.5       # the oracle path leaves the real axis at min(ORACLE_K0, 1
 ORACLE_TILT = math.pi / 4
 ORACLE_PANEL_RAD = 1.0      # widest oracle segment panel, in radians of 2kR
 ORACLE_RAY_DOUBLINGS = 6    # oracle ray panels end at 2^6 decay lengths
-ORACLE_BLOCK = 256          # oracle panels evaluated per array pass
+ORACLE_BLOCK = 96           # oracle panels (2016 nodes) evaluated per array pass
 REL_TOL = 1e-6        # accuracy of the oracle's rules and both gates (module docstring)
 
 
@@ -202,6 +206,14 @@ def _alpha2_real0(k, ra: _ReducedAtom):
     return s * s
 
 
+def _ragged(counts: np.ndarray):
+    """For runs of the given lengths laid end to end: each entry's run and its
+    index within the run, and the end of each run."""
+    ends = np.cumsum(counts)
+    run = np.repeat(np.arange(len(counts)), counts)
+    return run, np.arange(ends[-1]) - (ends - counts)[run], ends
+
+
 def _target() -> float:
     """Relative accuracy each oracle panel aims for (_path_integrals)."""
     return max(1e-13, min(1e-8, REL_TOL * 1e-2))
@@ -257,20 +269,12 @@ def _imag_axis_rule(panels: int, order: int):
 
 
 @lru_cache(maxsize=None)
-def _unit_gauss(order: int):
-    """Nodes in [0, 1] and weights (summing to 1) of the `order`-node
-    Gauss-Legendre rule."""
-    t, w = leggauss(order)
-    return _frozen(0.5 * (t + 1.0), 0.5 * w)
-
-
-@lru_cache(maxsize=None)
 def _bose_rule(parts: int, order: int):
     """Node offsets in [0, 1] and weights of the rule on a unit panel cut into
     `parts` equal parts of `order` Gauss-Legendre nodes each."""
-    nodes, weights = _unit_gauss(order)
-    offsets = ((np.arange(parts)[:, None] + nodes) / parts).ravel()
-    return _frozen(offsets, np.tile(weights / parts, parts))
+    t, w = leggauss(order)
+    offsets = ((np.arange(parts)[:, None] + 0.5 * (t + 1.0)) / parts).ravel()
+    return _frozen(offsets, np.tile(0.5 * w / parts, parts))
 
 
 def _nested_nodes(edges: np.ndarray):
@@ -414,9 +418,8 @@ def _pole_ladder(Rt: np.ndarray, at: np.ndarray, ra: _ReducedAtom, fp: np.ndarra
     d = np.flatnonzero(direct)
     if len(d):
         count = np.maximum(np.ceil(LADDER_Y / ar[d]) - 1.0, 1.0).astype(np.int64)
-        pt = np.repeat(np.arange(len(d)), count)
-        ends = np.cumsum(count)
-        n = (np.arange(ends[-1]) - np.repeat(ends - count, count) + 2).astype(float)
+        pt, j, ends = _ragged(count)
+        n = (j + 2).astype(float)
         terms = _ladder_terms(n, Rt[d][pt], at[d][pt], ra)
         ratio = np.exp(-2.0 * ar[d])
         value[d] = np.bincount(pt, weights=terms, minlength=len(d))
@@ -525,14 +528,28 @@ def _gate(method: str, Rs: list[float], As: list[float], atom: AtomSpec, units):
 
 def _grid(method: str, R, a, atom: AtomSpec, units):
     """The entries of potential_grid's contract: _gate's, each passed point a
-    PotentialResult with its regime."""
+    PotentialResult with its regime, that of kinematics.classify_regime with
+    the zone classified once per separation and the acceleration once per
+    acceleration."""
     Rs, As = [float(r) for r in R], [float(x) for x in a]
     c, grid = units_for(atom, units).c, _gate(method, Rs, As, atom, units)
-    return [[entry if isinstance(entry, UnruhCPError) else PotentialResult(
-        value=entry[0], error_estimate=entry[1],
-        parts={"vacuum": entry[2], "nonthermal_a2": entry[3], "residue_sum": entry[4]},
-        regime=classify_regime(R_i, a_j, atom, c=c), warnings=entry[5])
-        for R_i, entry in zip(Rs, row)] for a_j, row in zip(As, grid)]
+    zones = [_zone(R_i, atom, c) for R_i in Rs]
+    out = []
+    for a_j, row in zip(As, grid):
+        r_acc, acc = _acceleration(a_j, atom, c)
+        entries = []
+        for R_i, (r_zone, zone), entry in zip(Rs, zones, row):
+            if not isinstance(entry, UnruhCPError):
+                r_aR, aR = _aR(R_i, a_j, c)
+                entry = PotentialResult(
+                    value=entry[0], error_estimate=entry[1],
+                    parts={"vacuum": entry[2], "nonthermal_a2": entry[3], "residue_sum": entry[4]},
+                    regime=Regime(zone=zone, acceleration=acc, aR_class=aR, R_omega0_over_c=r_zone,
+                                  a_over_omega0_c=r_acc, aR_over_c2=r_aR),
+                    warnings=entry[5])
+            entries.append(entry)
+        out.append(entries)
+    return out
 
 
 def _contour_points(Rt: np.ndarray, At: np.ndarray, ra: _ReducedAtom):
@@ -641,6 +658,31 @@ def potential_numeric(R: float, a: float, atom: AtomSpec,
 # --------------------------------------------------------------------------
 # oracle: undamped integral on an R-scaled deformed first-quadrant path
 # --------------------------------------------------------------------------
+# QUADPACK's qk21 rule (Piessens et al., 1983): the 21-node Kronrod extension
+# of the 10-node Gauss-Legendre rule on [-1, 1], abscissae from the right end
+# to the centre with their Kronrod weights; the second, fourth, ... tenth are
+# the Gauss nodes, whose Gauss weights are _WG10
+_XK21 = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+         0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+         0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+         0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+         0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0)
+_WK21 = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+         0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+         0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+         0.123491976262065851077208980173915, 0.134709217311473325928054001771707,
+         0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+         0.149445554002916905664936468389821)
+_WG10 = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+         0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+         0.295524224714752870173892994651338)
+# the pair on the unit panel, nodes ascending: the Gauss nodes are the odd ones
+_K21_NODES, _K21_WEIGHTS, _G10_WEIGHTS = _frozen(
+    0.5 * (1.0 + np.array([-x for x in _XK21] + list(_XK21[-2::-1]))),
+    0.5 * np.array(_WK21 + _WK21[-2::-1]),
+    0.5 * np.array(_WG10 + _WG10[::-1]))
+
+
 def _occupation_pieces(k, at, inv):
     """Occupation pieces (vacuum, nonthermal_a2, bose), an array (3, len(k)), at
     real or complex nodes k with reduced accelerations at and inv = 2 pi/at
@@ -655,57 +697,91 @@ def _path_integrals(lo, hi, pt, n: int, integrand):
 
     integrand(lo, off, p) takes each node as its panel's start lo plus the
     offset off, with its point index p (1-d arrays), and returns an array
-    (integrals, len(lo)).  Each panel's GL_ORDER-node sum is compared with
-    the sum over its two halves; a panel whose difference exceeds both its
-    share of the target, _target() times its own magnitude, and the
-    rounding floor of its point's sum is split at its midpoint and compared
-    again, up to MAX_REFINE times.  Returns the values and error estimates
-    (the summed panel differences), arrays (integrals, n).  np.bincount sums
-    each point's panels in order, so no point's results depend on another's.
+    (integrals, len(lo)).  Each panel's value is its 21-node Kronrod sum, and
+    its difference from the embedded 10-node Gauss sum is its error estimate;
+    a panel whose estimate exceeds both its share of the target, _target()
+    times its own magnitude, and the rounding floor of its point's sum is
+    split at its midpoint into two such panels, up to MAX_REFINE times.
+    Returns the values and error estimates (the summed panel estimates),
+    arrays (integrals, n).  np.bincount sums each point's panels in order, so
+    no point's results depend on another's.
     """
-    nodes, weights = _unit_gauss(GL_ORDER)
-
     def sums(lo, hi, pt):
-        # in blocks of ORACLE_BLOCK panels, which bounds the temporary arrays
+        # the (Kronrod, Gauss) sums of every panel, (2, integrals, panels), in
+        # blocks of ORACLE_BLOCK panels, which bounds the temporary arrays
         out = []
         for i in range(0, len(lo), ORACLE_BLOCK):
             b_lo = lo[i:i + ORACLE_BLOCK]
             width = hi[i:i + ORACLE_BLOCK] - b_lo
-            f = integrand(np.repeat(b_lo, len(nodes)), (width[:, None] * nodes).ravel(),
-                          np.repeat(pt[i:i + ORACLE_BLOCK], len(nodes)))
-            out.append((f.reshape(len(f), len(b_lo), len(nodes)) * weights).sum(axis=2) * width)
-        return np.concatenate(out, axis=1)
+            f = integrand(np.repeat(b_lo, len(_K21_NODES)),
+                          (width[:, None] * _K21_NODES).ravel(),
+                          np.repeat(pt[i:i + ORACLE_BLOCK], len(_K21_NODES)))
+            f = f.reshape(len(f), len(b_lo), len(_K21_NODES))
+            out.append(np.stack([(f * _K21_WEIGHTS).sum(axis=2),
+                                 (f[..., 1::2] * _G10_WEIGHTS).sum(axis=2)]) * width)
+        return np.concatenate(out, axis=2)
 
     def per_point(x, pt):
         # (integrals, panels) -> (integrals, n)
         idx = (np.arange(len(x))[:, None] * n + pt).ravel()
         return np.bincount(idx, weights=x.ravel(), minlength=len(x) * n).reshape(len(x), n)
 
-    mid = lo + 0.5 * (hi - lo)
-    m = len(lo)
-    first = sums(np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi]), np.tile(pt, 3))
-    coarse, halves = first[:, :m], first[:, m:]
-    # differences below the rounding of the point's whole sum cannot shrink
-    floor = 4.0 * np.finfo(float).eps * per_point(np.abs(halves[:, :m] + halves[:, m:]), pt)
+    kronrod, gauss = sums(lo, hi, pt)
+    # estimates below the rounding of the point's whole sum cannot shrink
+    floor = 4.0 * np.finfo(float).eps * per_point(np.abs(kronrod), pt)
     target = _target()
     value = error = 0.0
     for level in range(MAX_REFINE + 1):
-        left, right = halves[:, :m], halves[:, m:]
-        fine = left + right
-        diff = np.abs(fine - coarse)
-        miss = ((diff > target * np.abs(fine)) & (diff > floor[:, pt])).any(axis=0)
+        diff = np.abs(kronrod - gauss)
+        miss = ((diff > target * np.abs(kronrod)) & (diff > floor[:, pt])).any(axis=0)
         done = ~miss if level < MAX_REFINE else np.ones_like(miss)
-        value = value + per_point(fine[:, done], pt[done])
+        value = value + per_point(kronrod[:, done], pt[done])
         error = error + per_point(diff[:, done], pt[done])
         if done.all():
             break
-        lo, hi = np.concatenate([lo[miss], mid[miss]]), np.concatenate([mid[miss], hi[miss]])
-        pt = np.tile(pt[miss], 2)
-        coarse = np.concatenate([left[:, miss], right[:, miss]], axis=1)
+        lo, hi, pt = lo[miss], hi[miss], pt[miss]
         mid = lo + 0.5 * (hi - lo)
-        m = len(lo)
-        halves = sums(np.concatenate([lo, mid]), np.concatenate([mid, hi]), np.tile(pt, 2))
+        lo, hi, pt = np.concatenate([lo, mid]), np.concatenate([mid, hi]), np.tile(pt, 2)
+        kronrod, gauss = sums(lo, hi, pt)
     return value, error
+
+
+def _oracle_panels(Rt: np.ndarray, at: np.ndarray, k0: np.ndarray, td: np.ndarray):
+    """(lo, hi, point) arrays of every segment panel and of every ray panel,
+    each point's panels in order, point after point, and each point's ray end.
+
+    The segment, x = kR in [0, k0 R], is cut at a/2pi, a and 4a (times R)
+    and each stretch between cuts into equal panels of at most
+    ORACLE_PANEL_RAD radians of 2x.  The ray has edges at t_d 2^j, j from j0
+    <= 0 up to ORACLE_RAY_DOUBLINGS: its first edge resolves the shortest
+    scale at the ray's start, t_d, the distance to the lowest resonance
+    (k = 1) and, where the Bose factor is not cut off on the ray, its decay
+    length.
+    """
+    end = k0 * Rt
+    cuts = np.stack([np.zeros_like(Rt), (at / (2.0 * math.pi)) * Rt, at * Rt,
+                     (4.0 * at) * Rt, end], axis=1)
+    # cuts below the smallest normal double would put nodes at k = 0
+    keep = np.ones(cuts.shape, dtype=bool)
+    keep[:, 1:4] = (cuts[:, 1:4] > np.finfo(float).tiny) & (cuts[:, 1:4] < end[:, None])
+    owner, x = np.nonzero(keep)[0], cuts[keep]
+    same = owner[1:] == owner[:-1]           # stretches between cuts of one point
+    x0, x1, owner = x[:-1][same], x[1:][same], owner[1:][same]
+    count = np.maximum(1, np.ceil(2.0 * (x1 - x0) / ORACLE_PANEL_RAD)).astype(np.int64)
+    run, j, ends = _ragged(count)
+    lo = x0[run] + (x1 - x0)[run] * j / count[run]
+    hi = np.empty_like(lo)
+    hi[:-1] = lo[1:]
+    hi[ends - 1] = x1
+
+    scale = np.minimum(td, 1.0 - k0)
+    scale = np.where(2.0 * math.pi * k0 <= EXP_OVERFLOW * at,
+                     np.minimum(scale, at / (2.0 * math.pi)), scale)
+    j0 = np.minimum(0, np.frexp(scale / td)[1] - 1)      # floor(log2(scale/td))
+    p, j, _ = _ragged(ORACLE_RAY_DOUBLINGS + 1 - j0)
+    r_hi = td[p] * 2.0 ** (j0[p] + j)
+    r_lo = np.where(j == 0, 0.0, np.roll(r_hi, 1))
+    return (lo, hi, owner[run]), (r_lo, r_hi, p), td * 2.0**ORACLE_RAY_DOUBLINGS
 
 
 def _oracle_piece(Rt: np.ndarray, at: np.ndarray, ra: _ReducedAtom):
@@ -743,34 +819,10 @@ def _oracle_piece(Rt: np.ndarray, at: np.ndarray, ra: _ReducedAtom):
             eith * (u_numerator(k * r) / r**4) * phase0[p]
             * np.exp((2j * eith) * (r * t)) * alpha * alpha)
 
-    seg, ray = ([], [], []), ([], [], [])   # (lo, hi, point) of every panel
     td = 1.0 / (2.0 * Rt * math.sin(ORACLE_TILT))
-    ray_end = np.empty(n)
-    for p, (r, a, k) in enumerate(zip(Rt.tolist(), at.tolist(), k0.tolist())):
-        # cuts below the smallest normal double would put nodes at k = 0
-        end = k * r
-        cuts = [0.0, *sorted(x for x in (q * r for q in (a / (2.0 * math.pi), a, 4.0 * a))
-                             if np.finfo(float).tiny < x < end), end]
-        edges = [0.0]
-        for x0, x1 in zip(cuts, cuts[1:]):
-            count = max(1, math.ceil(2.0 * (x1 - x0) / ORACLE_PANEL_RAD))
-            edges.extend(x0 + (x1 - x0) * np.arange(1, count) / count)
-            edges.append(x1)
-        # the first ray edge resolves the shortest scale at the ray's start:
-        # t_d, the distance to the lowest resonance (k = 1) and, where the
-        # Bose factor is not cut off on the ray, its decay length
-        scales = [td[p], 1.0 - k]
-        if 2.0 * math.pi * k <= EXP_OVERFLOW * a:
-            scales.append(a / (2.0 * math.pi))
-        j0 = min(0, math.floor(math.log2(min(scales) / td[p])))
-        ray_edges = [0.0, *(td[p] * 2.0**j for j in range(j0, ORACLE_RAY_DOUBLINGS + 1))]
-        ray_end[p] = ray_edges[-1]
-        for part, e in ((seg, edges), (ray, ray_edges)):
-            part[0].extend(e[:-1])
-            part[1].extend(e[1:])
-            part[2].extend([p] * (len(e) - 1))
-    v_seg, e_seg = _path_integrals(*map(np.array, seg), n, f_seg)
-    v_ray, e_ray = _path_integrals(*map(np.array, ray), n,
+    seg, ray, ray_end = _oracle_panels(Rt, at, k0, td)
+    v_seg, e_seg = _path_integrals(*seg, n, f_seg)
+    v_ray, e_ray = _path_integrals(*ray, n,
                                    lambda t, dt, p: f_ray_complex(t, dt, p).imag)
     e_ray = e_ray + td * np.abs(f_ray_complex(ray_end, np.zeros(n), np.arange(n)))
 

@@ -287,3 +287,23 @@ def test_nested_pair_levels(monkeypatch):
         coarse, _ = out[panels // 2]
         assert not np.array_equal(value, coarse)
         assert np.array_equal(error, np.abs(value - coarse) + floor)
+
+
+@pytest.mark.parametrize("units", ["natural", "si"])
+def test_grid_regimes_equal_classify_regime(units):
+    # the grids classify per axis; each entry's regime is still that of its point,
+    # at the thresholds too (R omega0/c = 0.1 and 10, a/(omega0 c) = 0.1, aR/c^2 = 10)
+    w0 = 4e15 if units == "si" else 2.0
+    atom = two_level(w0, 1e-24 if units == "si" else 1.0)
+    c = units_for(atom, units).c
+    Rs = [x * c / w0 for x in (1e-3, 0.1, 1.0, 10.0, 1e3)]
+    As = [x * w0 * c for x in (0.0, 1e-3, 0.01, 0.1, 0.5)]
+    for route in (potential_grid, potential_oracle_grid):
+        grid = route(Rs, As, atom, units)
+        passed = 0
+        for a, row in zip(As, grid):
+            for R, entry in zip(Rs, row):
+                if not isinstance(entry, UnruhCPError):
+                    assert entry.regime == classify_regime(R, a, atom, c=c)
+                    passed += 1
+        assert passed >= 20

@@ -1,10 +1,14 @@
-"""The batched oracle: grid entries against 1 x 1 calls, and the contour
-evaluator against the oracle over random atoms and their shared domain."""
+"""The batched oracle: grid entries against 1 x 1 calls, its Kronrod table,
+array-built path and node count, and the contour evaluator against the
+oracle over the whole domain and over random atoms."""
+import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 
 import unruhcp.potential as potmod
 from unruhcp import (
@@ -13,6 +17,7 @@ from unruhcp import (
     PotentialResult,
     RegimeError,
     Transition,
+    potential_grid,
     potential_numeric,
     potential_oracle,
     potential_oracle_grid,
@@ -28,10 +33,10 @@ def _outcome(R, a, atom):
 
 
 def test_grid_entries_equal_single_points(monkeypatch):
-    # without refinement this tolerance fails the R = 1e3 points at a <= 1e-3
-    # and passes the rest; a = 0.5 is marginal and a = 20 excited
+    # without refinement this tolerance fails the R = 1e3 point at a = 0 and
+    # passes the rest; a = 0.5 is marginal and a = 20 excited
     monkeypatch.setattr(potmod, "MAX_REFINE", 0)
-    monkeypatch.setattr(potmod, "REL_TOL", 1e-9)
+    monkeypatch.setattr(potmod, "REL_TOL", 1e-10)
     atom = two_level(1.0, 1.0)
     Rs, As = [0.1, 1.0, 1e3], [0.0, 1e-3, 0.05, 0.5, 20.0]
     grid = potential_oracle_grid(Rs, As, atom)
@@ -51,6 +56,101 @@ def test_grid_entries_equal_single_points(monkeypatch):
     assert kinds == {PotentialResult, NumericalFailure, RegimeError}
     assert isinstance(grid[-1][0], RegimeError) and isinstance(grid[0][2], NumericalFailure)
     assert grid[3][1].warnings == ("marginal validity window: omega0 c / a = 2",)
+
+
+def test_kronrod_table():
+    # the unit-panel rule mapped to [-1, 1] is exact for t^d up to d = 31, not
+    # at 32; its Gauss subset is the 10-node Gauss-Legendre rule, exact up to
+    # d = 19, not at 20
+    x, wk, wg = potmod._K21_NODES, potmod._K21_WEIGHTS, potmod._G10_WEIGHTS
+    assert len(x) == 21 and len(wg) == 10 and np.all(np.diff(x) > 0)
+    assert abs(wk.sum() - 1.0) <= 1e-15 and abs(wg.sum() - 1.0) <= 1e-15
+    t, tg = 2.0 * x - 1.0, 2.0 * x[1::2] - 1.0
+
+    def moment(d):
+        return (1.0 - (-1.0) ** (d + 1)) / (d + 1)
+
+    for d in range(32):
+        assert abs(2.0 * wk @ t**d - moment(d)) <= 4e-16, d
+    assert abs(2.0 * wk @ t**32 - moment(32)) > 1e-12
+    for d in range(20):
+        assert abs(2.0 * wg @ tg**d - moment(d)) <= 4e-16, d
+    assert abs(2.0 * wg @ tg**20 - moment(20)) > 1e-7
+    nodes, weights = leggauss(10)
+    assert np.abs(tg - nodes).max() <= 1e-15
+    assert np.abs(2.0 * wg - weights).max() <= 1e-15
+
+
+def _path_by_loop(Rt, at, k0, td):
+    # the oracle path one point at a time: the reference for _oracle_panels
+    seg, ray, ray_end = ([], [], []), ([], [], []), []
+    for p, (r, a, k) in enumerate(zip(Rt.tolist(), at.tolist(), k0.tolist())):
+        end = k * r
+        cuts = [0.0, *sorted(x for x in (q * r for q in (a / (2.0 * math.pi), a, 4.0 * a))
+                             if np.finfo(float).tiny < x < end), end]
+        edges = [0.0]
+        for x0, x1 in zip(cuts, cuts[1:]):
+            count = max(1, math.ceil(2.0 * (x1 - x0) / potmod.ORACLE_PANEL_RAD))
+            edges.extend(x0 + (x1 - x0) * np.arange(1, count) / count)
+            edges.append(x1)
+        scales = [td[p], 1.0 - k]
+        if 2.0 * math.pi * k <= potmod.EXP_OVERFLOW * a:
+            scales.append(a / (2.0 * math.pi))
+        j0 = min(0, math.floor(math.log2(min(scales) / td[p])))
+        ray_edges = [0.0, *(td[p] * 2.0**j for j in range(j0, potmod.ORACLE_RAY_DOUBLINGS + 1))]
+        ray_end.append(ray_edges[-1])
+        for part, e in ((seg, edges), (ray, ray_edges)):
+            part[0].extend(e[:-1])
+            part[1].extend(e[1:])
+            part[2].extend([p] * (len(e) - 1))
+    return [np.array(x) for x in (*seg, *ray, ray_end)]
+
+
+@pytest.mark.parametrize("panel_rad", [1.0, 0.3, 64.0])
+def test_oracle_panels_match_a_loop(monkeypatch, panel_rad):
+    # the array-built path equals the per-point loop bit for bit, over R from
+    # 1e-12 to 1e12 and a from 0 to 10 (cuts below, at and beyond the segment)
+    monkeypatch.setattr(potmod, "ORACLE_PANEL_RAD", panel_rad)
+    rng = np.random.default_rng(7)
+    Rt = 10.0 ** rng.uniform(-12.0, 12.0, 400)
+    at = np.where(rng.random(400) < 0.2, 0.0, 10.0 ** rng.uniform(-12.0, 1.0, 400))
+    k0 = np.minimum(potmod.ORACLE_K0, 1.0 / Rt)
+    td = 1.0 / (2.0 * Rt * math.sin(potmod.ORACLE_TILT))
+    seg, ray, ray_end = potmod._oracle_panels(Rt, at, k0, td)
+    for got, want in zip((*seg, *ray, ray_end), _path_by_loop(Rt, at, k0, td)):
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_oracle_node_count(monkeypatch):
+    # integrand nodes of the report's oracle grid; the 8-node rule with its two
+    # halves per panel took 16 977
+    count = [0]
+    pieces = potmod._occupation_pieces
+
+    def counting(k, at, inv):
+        count[0] += k.size
+        return pieces(k, at, inv)
+
+    monkeypatch.setattr(potmod, "_occupation_pieces", counting)
+    potential_oracle_grid(np.logspace(-1, 2, 5), np.logspace(-3, -1, 5), two_level(1.0, 1.0))
+    assert 0 < count[0] <= 13_600
+
+
+def test_routes_agree_over_the_whole_domain():
+    # every point of R in [1e-9, 1e5] by a from 0 through the marginal window
+    # passes on both routes, and they agree within their summed estimates
+    Rs = list(np.logspace(-9, 5, 12))
+    As = [0.0, 1e-6, 1e-4, 1e-2, 0.1, 0.13, 0.5, 2.0, 9.0]
+    atom = two_level(1.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        oracle = potential_oracle_grid(Rs, As, atom)
+        contour = potential_grid(Rs, As, atom)
+    for o_row, c_row in zip(oracle, contour):
+        for o, c in zip(o_row, c_row):
+            assert isinstance(o, PotentialResult) and isinstance(c, PotentialResult)
+            assert math.isfinite(o.value) and math.isfinite(c.value)
+            assert abs(o.value - c.value) <= o.error_estimate + c.error_estimate
 
 
 line = st.tuples(st.floats(min_value=1.2, max_value=10.0), st.floats(min_value=0.1, max_value=5.0))

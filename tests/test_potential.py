@@ -303,10 +303,12 @@ def test_result_dict_field_order(atom):
 # failure paths
 # ---------------------------------------------------------------------------
 def test_oracle_refinement_recovers_a_coarse_rule(monkeypatch, atom):
-    # one segment panel per interval between the cuts, up to 30 rad of 2kR
-    points = [(3.0, 0.01), (30.0, 0.03)]
+    # one segment panel per interval between the cuts, and a tolerance that the
+    # last two points meet only after their panels are split
+    points = [(3.0, 0.01), (30.0, 0.03), (1e3, 0.0)]
     reference = [potential_oracle(R, a, atom) for R, a in points]
     monkeypatch.setattr(potmod, "ORACLE_PANEL_RAD", 64.0)
+    monkeypatch.setattr(potmod, "REL_TOL", 1e-10)
     for (R, a), ref in zip(points, reference):
         res = potential_oracle(R, a, atom)
         for part in ("vacuum", "nonthermal_a2", "residue_sum"):
