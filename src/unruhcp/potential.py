@@ -73,12 +73,12 @@ Each rule is one fixed nested pair: its value with the panels as given is
 compared with its value with every panel halved; the finer value is
 returned and the difference is its error estimate.  Each pair is one pass:
 its rule joins the nodes of both levels, the integrand is evaluated once on
-them, and _nested sums each level's slice.  Refinement is the
-oracle's alone: on the accepted domain no difference exceeds about 3e-11 of
-its value, and below R of about 5e-12 c/omega0 the [0, X_LO] floor, which
-no halving lowers, fails the gate.  A point's error estimate is the sum of
-the estimates of the imaginary-axis pieces and of its Bose piece or pole
-ladder.  No scalar adaptive quadrature remains in this evaluator.
+them, and _nested sums each level's slice.  No rule, here or in the
+oracle, refines: on the accepted domain no difference exceeds about 3e-11
+of its value, and below R of about 5e-12 c/omega0 the [0, X_LO] floor,
+which no halving lowers, fails the gate.  A point's error estimate is the
+sum of the estimates of the imaginary-axis pieces and of its Bose piece or
+pole ladder.  No scalar adaptive quadrature remains in this evaluator.
 
 Quadrature of the oracle.  A point's path leaves the real axis at
 K0 = min(ORACLE_K0, 1/R) and follows the ray K0 + t e^{i ORACLE_TILT}, on
@@ -86,18 +86,17 @@ which e^{2ikR} decays by itself, so the integral is taken undamped.  The
 panels of every point's path are built as arrays in one pass
 (_oracle_panels), and one pass per path part evaluates them all; each node
 evaluates the integrand once and the three occupation pieces from it.  The
-segment, x = kR in [0, K0 R] (K0 R <= 1), is cut at a/2pi, a and 4a and
-into panels of at most ORACLE_PANEL_RAD radians of 2kR; the ray has edges
-at t_d 2^j (t_d = 1/(2R sin tilt), its decay length) up to
-2^ORACLE_RAY_DOUBLINGS t_d, and its integrand there times t_d bounds the
-rest in the error estimate.  Every panel takes the G10K21 Gauss-Kronrod
-pair of QUADPACK (Piessens et al., 1983): its 21-node Kronrod sum is the
-panel's value and the difference from the embedded 10-node Gauss sum its
-error estimate.  Panels whose estimate misses their share of the target
-are split in two such panels, up to MAX_REFINE times.  A point's error
-estimate is the sum over the three occupation pieces.  The oracle's rule
-is its own (the contour evaluator's are Gauss-Legendre); no scalar
-adaptive quadrature remains, and the package needs numpy alone.
+segment, x = kR in [0, K0 R] (K0 R <= 1), is one panel per stretch
+between its cuts at a/2pi, a and 4a; the ray has edges at t_d 2^j
+(t_d = 1/(2R sin tilt), its decay length) up to 2^ORACLE_RAY_DOUBLINGS t_d,
+and its integrand there times t_d bounds the rest in the error estimate.
+Every panel is one fixed pass of the G10K21 Gauss-Kronrod pair of QUADPACK
+(Piessens et al., 1983): its 21-node Kronrod sum is the panel's value and
+the difference from the embedded 10-node Gauss sum its error estimate.  A
+point's error estimate is the sum over its panels and the three occupation
+pieces.  The oracle's rule is its own (the contour evaluator's are
+Gauss-Legendre); no scalar adaptive quadrature remains, and the package
+needs numpy alone.
 
 Every contour and oracle value is a function of (R, a, atom) alone: the
 arithmetic of one point never involves another, so a grid returns bit for
@@ -135,7 +134,6 @@ X_LO = 1e-12          # the imaginary-axis rule covers x = uR in [X_LO, X_CUT]
 X_CUT = 40.0
 IMAG_PANELS = 32      # panels in ln x of the coarser imaginary-axis rule
 BOSE_EDGES = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 40.0)  # t panels, cut at T
-MAX_REFINE = 4        # further halvings of oracle panels that miss the target
 P_SERIES = 0.25       # below this x, (Q(x) e^{-2x} - 3)/x^2 is summed as a series
 LADDER_HEAD = 64      # most terms of a directly summed pole ladder
 LADDER_Y = 26.0       # a direct ladder runs to the first pole with n a R >= LADDER_Y
@@ -144,10 +142,9 @@ LADDER_X_SPLITS = 6   # its [0, N] rule has the panels [0, 2^-6 N], ..., [N/2, N
 LADDER_T_EDGES = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)   # and its t rule these panels
 ORACLE_K0 = 0.5       # the oracle path leaves the real axis at min(ORACLE_K0, 1/R)
 ORACLE_TILT = math.pi / 4
-ORACLE_PANEL_RAD = 1.0      # widest oracle segment panel, in radians of 2kR
 ORACLE_RAY_DOUBLINGS = 6    # oracle ray panels end at 2^6 decay lengths
 ORACLE_BLOCK = 96           # oracle panels (2016 nodes) evaluated per array pass
-REL_TOL = 1e-6        # accuracy of the oracle's rules and both gates (module docstring)
+REL_TOL = 1e-6        # accuracy of both gates (module docstring)
 
 
 @dataclass(frozen=True)
@@ -212,11 +209,6 @@ def _ragged(counts: np.ndarray):
     ends = np.cumsum(counts)
     run = np.repeat(np.arange(len(counts)), counts)
     return run, np.arange(ends[-1]) - (ends - counts)[run], ends
-
-
-def _target() -> float:
-    """Relative accuracy each oracle panel aims for (_path_integrals)."""
-    return max(1e-13, min(1e-8, REL_TOL * 1e-2))
 
 
 # --------------------------------------------------------------------------
@@ -697,62 +689,41 @@ def _path_integrals(lo, hi, pt, n: int, integrand):
 
     integrand(lo, off, p) takes each node as its panel's start lo plus the
     offset off, with its point index p (1-d arrays), and returns an array
-    (integrals, len(lo)).  Each panel's value is its 21-node Kronrod sum, and
-    its difference from the embedded 10-node Gauss sum is its error estimate;
-    a panel whose estimate exceeds both its share of the target, _target()
-    times its own magnitude, and the rounding floor of its point's sum is
-    split at its midpoint into two such panels, up to MAX_REFINE times.
-    Returns the values and error estimates (the summed panel estimates),
-    arrays (integrals, n).  np.bincount sums each point's panels in order, so
-    no point's results depend on another's.
+    (integrals, len(lo)).  Each panel is one fixed G10K21 pass: its value is
+    its 21-node Kronrod sum, and its error estimate the difference from the
+    embedded 10-node Gauss sum.  Returns the values and error estimates (the
+    summed panel estimates), arrays (integrals, n).  np.bincount sums each
+    point's panels in order, so no point's results depend on another's.
     """
-    def sums(lo, hi, pt):
-        # the (Kronrod, Gauss) sums of every panel, (2, integrals, panels), in
-        # blocks of ORACLE_BLOCK panels, which bounds the temporary arrays
-        out = []
-        for i in range(0, len(lo), ORACLE_BLOCK):
-            b_lo = lo[i:i + ORACLE_BLOCK]
-            width = hi[i:i + ORACLE_BLOCK] - b_lo
-            f = integrand(np.repeat(b_lo, len(_K21_NODES)),
-                          (width[:, None] * _K21_NODES).ravel(),
-                          np.repeat(pt[i:i + ORACLE_BLOCK], len(_K21_NODES)))
-            f = f.reshape(len(f), len(b_lo), len(_K21_NODES))
-            out.append(np.stack([(f * _K21_WEIGHTS).sum(axis=2),
-                                 (f[..., 1::2] * _G10_WEIGHTS).sum(axis=2)]) * width)
-        return np.concatenate(out, axis=2)
+    # the (Kronrod, Gauss) sums of every panel, (2, integrals, panels), in
+    # blocks of ORACLE_BLOCK panels, which bounds the temporary arrays
+    out = []
+    for i in range(0, len(lo), ORACLE_BLOCK):
+        b_lo = lo[i:i + ORACLE_BLOCK]
+        width = hi[i:i + ORACLE_BLOCK] - b_lo
+        f = integrand(np.repeat(b_lo, len(_K21_NODES)),
+                      (width[:, None] * _K21_NODES).ravel(),
+                      np.repeat(pt[i:i + ORACLE_BLOCK], len(_K21_NODES)))
+        f = f.reshape(len(f), len(b_lo), len(_K21_NODES))
+        out.append(np.stack([(f * _K21_WEIGHTS).sum(axis=2),
+                             (f[..., 1::2] * _G10_WEIGHTS).sum(axis=2)]) * width)
+    kronrod, gauss = np.concatenate(out, axis=2)
 
-    def per_point(x, pt):
+    def per_point(x):
         # (integrals, panels) -> (integrals, n)
         idx = (np.arange(len(x))[:, None] * n + pt).ravel()
         return np.bincount(idx, weights=x.ravel(), minlength=len(x) * n).reshape(len(x), n)
 
-    kronrod, gauss = sums(lo, hi, pt)
-    # estimates below the rounding of the point's whole sum cannot shrink
-    floor = 4.0 * np.finfo(float).eps * per_point(np.abs(kronrod), pt)
-    target = _target()
-    value = error = 0.0
-    for level in range(MAX_REFINE + 1):
-        diff = np.abs(kronrod - gauss)
-        miss = ((diff > target * np.abs(kronrod)) & (diff > floor[:, pt])).any(axis=0)
-        done = ~miss if level < MAX_REFINE else np.ones_like(miss)
-        value = value + per_point(kronrod[:, done], pt[done])
-        error = error + per_point(diff[:, done], pt[done])
-        if done.all():
-            break
-        lo, hi, pt = lo[miss], hi[miss], pt[miss]
-        mid = lo + 0.5 * (hi - lo)
-        lo, hi, pt = np.concatenate([lo, mid]), np.concatenate([mid, hi]), np.tile(pt, 2)
-        kronrod, gauss = sums(lo, hi, pt)
-    return value, error
+    return per_point(kronrod), per_point(np.abs(kronrod - gauss))
 
 
 def _oracle_panels(Rt: np.ndarray, at: np.ndarray, k0: np.ndarray, td: np.ndarray):
     """(lo, hi, point) arrays of every segment panel and of every ray panel,
     each point's panels in order, point after point, and each point's ray end.
 
-    The segment, x = kR in [0, k0 R], is cut at a/2pi, a and 4a (times R)
-    and each stretch between cuts into equal panels of at most
-    ORACLE_PANEL_RAD radians of 2x.  The ray has edges at t_d 2^j, j from j0
+    The segment, x = kR in [0, k0 R], is cut at a/2pi, a and 4a (times R),
+    and each stretch between cuts is one panel: k0 R <= 1, so a stretch
+    spans at most 2 radians of 2x.  The ray has edges at t_d 2^j, j from j0
     <= 0 up to ORACLE_RAY_DOUBLINGS: its first edge resolves the shortest
     scale at the ray's start, t_d, the distance to the lowest resonance
     (k = 1) and, where the Bose factor is not cut off on the ray, its decay
@@ -765,14 +736,8 @@ def _oracle_panels(Rt: np.ndarray, at: np.ndarray, k0: np.ndarray, td: np.ndarra
     keep = np.ones(cuts.shape, dtype=bool)
     keep[:, 1:4] = (cuts[:, 1:4] > np.finfo(float).tiny) & (cuts[:, 1:4] < end[:, None])
     owner, x = np.nonzero(keep)[0], cuts[keep]
-    same = owner[1:] == owner[:-1]           # stretches between cuts of one point
-    x0, x1, owner = x[:-1][same], x[1:][same], owner[1:][same]
-    count = np.maximum(1, np.ceil(2.0 * (x1 - x0) / ORACLE_PANEL_RAD)).astype(np.int64)
-    run, j, ends = _ragged(count)
-    lo = x0[run] + (x1 - x0)[run] * j / count[run]
-    hi = np.empty_like(lo)
-    hi[:-1] = lo[1:]
-    hi[ends - 1] = x1
+    same = owner[1:] == owner[:-1]   # stretches between cuts of one point
+    seg = (x[:-1][same], x[1:][same], owner[1:][same])
 
     scale = np.minimum(td, 1.0 - k0)
     scale = np.where(2.0 * math.pi * k0 <= EXP_OVERFLOW * at,
@@ -781,7 +746,7 @@ def _oracle_panels(Rt: np.ndarray, at: np.ndarray, k0: np.ndarray, td: np.ndarra
     p, j, _ = _ragged(ORACLE_RAY_DOUBLINGS + 1 - j0)
     r_hi = td[p] * 2.0 ** (j0[p] + j)
     r_lo = np.where(j == 0, 0.0, np.roll(r_hi, 1))
-    return (lo, hi, owner[run]), (r_lo, r_hi, p), td * 2.0**ORACLE_RAY_DOUBLINGS
+    return seg, (r_lo, r_hi, p), td * 2.0**ORACLE_RAY_DOUBLINGS
 
 
 def _oracle_piece(Rt: np.ndarray, at: np.ndarray, ra: _ReducedAtom):

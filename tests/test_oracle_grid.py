@@ -33,9 +33,8 @@ def _outcome(R, a, atom):
 
 
 def test_grid_entries_equal_single_points(monkeypatch):
-    # without refinement this tolerance fails the R = 1e3 point at a = 0 and
-    # passes the rest; a = 0.5 is marginal and a = 20 excited
-    monkeypatch.setattr(potmod, "MAX_REFINE", 0)
+    # this tolerance fails the R = 1e3 point at a = 0 and passes the rest;
+    # a = 0.5 is marginal and a = 20 excited
     monkeypatch.setattr(potmod, "REL_TOL", 1e-10)
     atom = two_level(1.0, 1.0)
     Rs, As = [0.1, 1.0, 1e3], [0.0, 1e-3, 0.05, 0.5, 20.0]
@@ -88,29 +87,22 @@ def _path_by_loop(Rt, at, k0, td):
         end = k * r
         cuts = [0.0, *sorted(x for x in (q * r for q in (a / (2.0 * math.pi), a, 4.0 * a))
                              if np.finfo(float).tiny < x < end), end]
-        edges = [0.0]
-        for x0, x1 in zip(cuts, cuts[1:]):
-            count = max(1, math.ceil(2.0 * (x1 - x0) / potmod.ORACLE_PANEL_RAD))
-            edges.extend(x0 + (x1 - x0) * np.arange(1, count) / count)
-            edges.append(x1)
         scales = [td[p], 1.0 - k]
         if 2.0 * math.pi * k <= potmod.EXP_OVERFLOW * a:
             scales.append(a / (2.0 * math.pi))
         j0 = min(0, math.floor(math.log2(min(scales) / td[p])))
         ray_edges = [0.0, *(td[p] * 2.0**j for j in range(j0, potmod.ORACLE_RAY_DOUBLINGS + 1))]
         ray_end.append(ray_edges[-1])
-        for part, e in ((seg, edges), (ray, ray_edges)):
+        for part, e in ((seg, cuts), (ray, ray_edges)):
             part[0].extend(e[:-1])
             part[1].extend(e[1:])
             part[2].extend([p] * (len(e) - 1))
     return [np.array(x) for x in (*seg, *ray, ray_end)]
 
 
-@pytest.mark.parametrize("panel_rad", [1.0, 0.3, 64.0])
-def test_oracle_panels_match_a_loop(monkeypatch, panel_rad):
+def test_oracle_panels_match_a_loop():
     # the array-built path equals the per-point loop bit for bit, over R from
     # 1e-12 to 1e12 and a from 0 to 10 (cuts below, at and beyond the segment)
-    monkeypatch.setattr(potmod, "ORACLE_PANEL_RAD", panel_rad)
     rng = np.random.default_rng(7)
     Rt = 10.0 ** rng.uniform(-12.0, 12.0, 400)
     at = np.where(rng.random(400) < 0.2, 0.0, 10.0 ** rng.uniform(-12.0, 1.0, 400))
@@ -123,7 +115,7 @@ def test_oracle_panels_match_a_loop(monkeypatch, panel_rad):
 
 def test_oracle_node_count(monkeypatch):
     # integrand nodes of the report's oracle grid; the 8-node rule with its two
-    # halves per panel took 16 977
+    # halves per panel took 16 977, G10K21 panels with refinement 12 814
     count = [0]
     pieces = potmod._occupation_pieces
 
@@ -133,24 +125,26 @@ def test_oracle_node_count(monkeypatch):
 
     monkeypatch.setattr(potmod, "_occupation_pieces", counting)
     potential_oracle_grid(np.logspace(-1, 2, 5), np.logspace(-3, -1, 5), two_level(1.0, 1.0))
-    assert 0 < count[0] <= 13_600
+    assert 0 < count[0] <= 9_000
 
 
-def test_routes_agree_over_the_whole_domain():
-    # every point of R in [1e-9, 1e5] by a from 0 through the marginal window
-    # passes on both routes, and they agree within their summed estimates
+def test_routes_agree_over_the_whole_domain(atom, atom3):
+    # for the two-level atom and the 3-line atom3 (the golden table's
+    # three_line), every point of R in [1e-9, 1e5] by a from 0 through the
+    # marginal window passes on both routes, and they agree within their
+    # summed estimates
     Rs = list(np.logspace(-9, 5, 12))
     As = [0.0, 1e-6, 1e-4, 1e-2, 0.1, 0.13, 0.5, 2.0, 9.0]
-    atom = two_level(1.0, 1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        oracle = potential_oracle_grid(Rs, As, atom)
-        contour = potential_grid(Rs, As, atom)
-    for o_row, c_row in zip(oracle, contour):
-        for o, c in zip(o_row, c_row):
-            assert isinstance(o, PotentialResult) and isinstance(c, PotentialResult)
-            assert math.isfinite(o.value) and math.isfinite(c.value)
-            assert abs(o.value - c.value) <= o.error_estimate + c.error_estimate
+    for name, spec in (("two_level", atom), ("three_line", atom3)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            oracle = potential_oracle_grid(Rs, As, spec)
+            contour = potential_grid(Rs, As, spec)
+        for o_row, c_row in zip(oracle, contour):
+            for o, c in zip(o_row, c_row):
+                assert isinstance(o, PotentialResult) and isinstance(c, PotentialResult), name
+                assert math.isfinite(o.value) and math.isfinite(c.value)
+                assert abs(o.value - c.value) <= o.error_estimate + c.error_estimate, name
 
 
 line = st.tuples(st.floats(min_value=1.2, max_value=10.0), st.floats(min_value=0.1, max_value=5.0))

@@ -302,25 +302,10 @@ def test_result_dict_field_order(atom):
 # ---------------------------------------------------------------------------
 # failure paths
 # ---------------------------------------------------------------------------
-def test_oracle_refinement_recovers_a_coarse_rule(monkeypatch, atom):
-    # one segment panel per interval between the cuts, and a tolerance that the
-    # last two points meet only after their panels are split
-    points = [(3.0, 0.01), (30.0, 0.03), (1e3, 0.0)]
-    reference = [potential_oracle(R, a, atom) for R, a in points]
-    monkeypatch.setattr(potmod, "ORACLE_PANEL_RAD", 64.0)
-    monkeypatch.setattr(potmod, "REL_TOL", 1e-10)
-    for (R, a), ref in zip(points, reference):
-        res = potential_oracle(R, a, atom)
-        for part in ("vacuum", "nonthermal_a2", "residue_sum"):
-            assert res.parts[part] == pytest.approx(ref.parts[part], rel=1e-9, abs=1e-9 * abs(ref.value))
-
-
 def test_quadrature_non_convergence_carries_partial(monkeypatch, atom):
     from unruhcp import GridSpec, SweepConfig, run_sweep
 
     reference = potential_oracle(10.0, 0.01, atom).value
-    monkeypatch.setattr(potmod, "ORACLE_PANEL_RAD", 64.0)
-    monkeypatch.setattr(potmod, "MAX_REFINE", 0)
     monkeypatch.setattr(potmod, "REL_TOL", 1e-12)
     with pytest.raises(NumericalFailure) as exc_info:
         potential_oracle(10.0, 0.01, atom)
