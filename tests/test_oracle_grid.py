@@ -100,12 +100,14 @@ def _path_by_loop(Rt, at, k0, td):
     return [np.array(x) for x in (*seg, *ray, ray_end)]
 
 
-def test_oracle_panels_match_a_loop():
+@pytest.mark.parametrize("a_max", [1.0, 0.3, 64.0])
+def test_oracle_panels_match_a_loop(a_max):
     # the array-built path equals the per-point loop bit for bit, over R from
-    # 1e-12 to 1e12 and a from 0 to 10 (cuts below, at and beyond the segment)
+    # 1e-12 to 1e12 and a from 0 to a_max: the larger a_max, the more of the
+    # cuts a R / 2 pi, a R and 4 a R lie beyond the segment's end K0 R
     rng = np.random.default_rng(7)
     Rt = 10.0 ** rng.uniform(-12.0, 12.0, 400)
-    at = np.where(rng.random(400) < 0.2, 0.0, 10.0 ** rng.uniform(-12.0, 1.0, 400))
+    at = np.where(rng.random(400) < 0.2, 0.0, 10.0 ** rng.uniform(-12.0, math.log10(a_max), 400))
     k0 = np.minimum(potmod.ORACLE_K0, 1.0 / Rt)
     td = 1.0 / (2.0 * Rt * math.sin(potmod.ORACLE_TILT))
     seg, ray, ray_end = potmod._oracle_panels(Rt, at, k0, td)
