@@ -214,8 +214,9 @@ def _ragged(counts: np.ndarray):
 # --------------------------------------------------------------------------
 # fixed nested rules of the contour evaluator
 # --------------------------------------------------------------------------
-def _exp_quartic_series(n: int = 30) -> list[float]:
-    """Taylor coefficients of Q(x) e^{-2x}, Q the imaginary-axis quartic."""
+def _exp_quartic_series(n: int = 20) -> list[float]:
+    """Taylor coefficients of Q(x) e^{-2x}, Q the imaginary-axis quartic; at
+    x <= P_SERIES the first term left out of p, c_20 x^18, is below 4e-20 |p(x)|."""
     q = (3.0, 6.0, 5.0, 2.0, 1.0)
     return [sum(c * (-2.0) ** (m - j) / math.factorial(m - j)
                 for j, c in enumerate(q) if j <= m) for m in range(n)]
@@ -237,7 +238,8 @@ def _quartic_exp(x: np.ndarray):
     xs = np.minimum(x, P_SERIES)
     p = np.zeros_like(x)
     for c in reversed(_QE_SERIES[2:]):
-        p = p * xs + c
+        p *= xs
+        p += c
     far = x >= P_SERIES
     p[far] = (qe[far] - 3.0) / (x[far] * x[far])
     return qe, p
@@ -382,6 +384,14 @@ def _panel_rule(edges: tuple[float, ...]):
     return (*_frozen(nodes, weights), split)
 
 
+@lru_cache(maxsize=None)
+def _bose_t_rule():
+    """The Abel-Plana t rule of _pole_ladder: nodes on LADDER_T_EDGES, their
+    weights times the Bose factor 1/(e^{2 pi t} - 1), and the level split."""
+    t, wt, t_split = _panel_rule(LADDER_T_EDGES)
+    return (*_frozen(t, wt / np.expm1(2.0 * math.pi * t)), t_split)
+
+
 def _pole_ladder(Rt: np.ndarray, at: np.ndarray, ra: _ReducedAtom, fp: np.ndarray):
     """R^4 sum_{n>=2} g(n) over the Bose poles (n = 1 is killed by the zero of
     1 + a^2/k^2 at k = i a), per point of the arrays Rt, at: values and error
@@ -430,9 +440,9 @@ def _pole_ladder(Rt: np.ndarray, at: np.ndarray, ra: _ReducedAtom, fp: np.ndarra
         alpha, beta = _alpha_iu(u, ra)
         h = qe * alpha * alpha - a * a * (
             r * r * p * alpha * alpha - 3.0 * beta * (alpha + ra.alpha0))
-        t, wt, t_split = _panel_rule(LADDER_T_EDGES)
+        t, wt, t_split = _bose_t_rule()
         g = _ladder_terms(N + 1j * t, r, a, ra)
-        corr = _nested(g.imag * (wt / np.expm1(2.0 * math.pi * t)), t_split)
+        corr = _nested(g.imag * wt, t_split)
         coarse, fine = (const - s - 2.0 * c for s, c in zip(_nested(h * wx, x_split), corr))
         value[rest] = fp[rest] + fine
         error[rest] = np.abs(fine - coarse)

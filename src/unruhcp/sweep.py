@@ -1,11 +1,13 @@
 """Batch evaluation over (R, a) grids, power-law fits and the comparison report.
 
 Rows are produced in lexicographic (a, R) order whatever the concurrency
-level or batching, straight from the evaluators' acceptance gate
-(potential._gate), whose restored tuples give their values, parts and
-warnings; PotentialResult objects are built only for the API calls that
-return them.  Numbers are serialized with shortest round-trip precision,
-and a fixed configuration yields byte-identical CSV and report output.
+level or batching (run_sweep's first batch runs in the calling thread, the
+others on worker threads shared for the life of the process), straight from
+the evaluators' acceptance gate (potential._gate), whose restored tuples give
+their values, parts and warnings; PotentialResult objects are built only for
+the API calls that return them.  Numbers are serialized with shortest
+round-trip precision, and a fixed configuration yields byte-identical CSV
+and report output.
 
 Each report section that needs contour values evaluates its (R, a) grid in
 one potential_grid call, and the dual-method section takes its oracle values
@@ -22,6 +24,8 @@ import io
 import json
 import math
 import numbers
+import queue
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -247,27 +251,58 @@ def _eval_batch(Rs: list[float], config: SweepConfig, c: float) -> list[list[Swe
     return grid
 
 
+_JOBS: queue.SimpleQueue = queue.SimpleQueue()   # (future, fn, arg) for _work
+_WORKERS = 0           # daemon threads running _work, started on first use
+_WORKERS_LOCK = threading.Lock()
+
+
+def _work():
+    while True:
+        future, fn, arg = _JOBS.get()
+        try:
+            future.set_result(fn(arg))
+        except BaseException as exc:
+            # raised again in the caller by result(); the thread lives on
+            # to serve the queue
+            future.set_exception(exc)
+
+
+def _submit(fn, batches) -> list:
+    """fn(batch) per batch on the shared worker threads, first raised to at
+    least len(batches) of them; the futures in batch order."""
+    global _WORKERS
+    with _WORKERS_LOCK:
+        while _WORKERS < len(batches):
+            threading.Thread(target=_work, name=f"unruhcp-sweep-{_WORKERS}", daemon=True).start()
+            _WORKERS += 1
+    futures = [concurrent.futures.Future() for _ in batches]
+    for future, batch in zip(futures, batches):
+        _JOBS.put((future, fn, batch))
+    return futures
+
+
 def run_sweep(config: SweepConfig, max_workers: int = 1) -> list[SweepRow]:
     """Evaluate every grid point; row order is lexicographic (a, R).
 
     The contour evaluator and the oracle take the grid in batches of
-    separations, each at every acceleration; for max_workers > 1, in that
-    many batches, evaluated concurrently.  Every value depends on its own
-    point only, so the output is independent of the split.  Per-point
-    failures become row warnings and never abort the sweep; max_workers
-    below 1 is an InputError.
+    separations, each at every acceleration; for max_workers > 1, in up to
+    that many batches, evaluated concurrently: the first by the calling
+    thread, the others by worker threads that the first call needing them
+    starts, later calls share and the process keeps (as many as the largest
+    max_workers - 1 asked for).  Every value depends on its own point only,
+    so the output is independent of the split.  Per-point failures become
+    row warnings and never abort the sweep; a max_workers that is not an
+    integer of at least 1 (a bool included) is an InputError.
     """
-    if max_workers < 1:
-        raise InputError(f"max_workers must be at least 1, got {max_workers}")
+    if (not isinstance(max_workers, numbers.Integral) or isinstance(max_workers, bool)
+            or max_workers < 1):
+        raise InputError(f"max_workers must be an integer of at least 1, got {max_workers!r}")
     c = UnitSystem(mode=config.units).c
     Rs = config.R_grid.points()
     n = min(max_workers, len(Rs))
     batches = [Rs[k * len(Rs) // n:(k + 1) * len(Rs) // n] for k in range(n)]
-    if n == 1:
-        done = [_eval_batch(Rs, config, c)]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=n) as pool:
-            done = list(pool.map(lambda batch: _eval_batch(batch, config, c), batches))
+    futures = _submit(lambda batch: _eval_batch(batch, config, c), batches[1:])
+    done = [_eval_batch(batches[0], config, c), *(f.result() for f in futures)]
     return [row for j in range(len(done[0])) for rows in done for row in rows[j]]
 
 

@@ -2,12 +2,14 @@ import contextlib
 import io
 import json
 import math
+import os
 import pathlib
 import re
 import runpy
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from unruhcp import (
@@ -188,6 +190,56 @@ def test_sweep_determinism_and_concurrency():
     text2 = rows_to_csv(run_sweep(cfg, max_workers=1))
     text4 = rows_to_csv(run_sweep(cfg, max_workers=4))
     assert text1 == text2 == text4
+
+
+# Runs in a fresh interpreter; prints the live thread count after importing
+# the sweep module, after a 1-worker sweep and after each of six 3-worker
+# sweeps; then runs eight 4-worker sweeps at once, with a short switch
+# interval, and prints the number of sweep workers left and whether any of
+# the eight is still running; and whether every sweep wrote the 1-worker CSV.
+THREAD_PROBE = r"""
+import json, sys, threading
+import unruhcp.sweep as sweep
+counts = [threading.active_count()]
+cfg = sweep.SweepConfig(atom=sweep.two_level(1.0, 1.0),
+                        R_grid=sweep.GridSpec(min=0.5, max=5.0, count=5),
+                        a_grid=sweep.GridSpec(min=1e-3, max=1e-2, count=2),
+                        methods=("contour",))
+serial = sweep.rows_to_csv(sweep.run_sweep(cfg, max_workers=1))
+counts.append(threading.active_count())
+same = []
+for _ in range(6):
+    same.append(sweep.rows_to_csv(sweep.run_sweep(cfg, max_workers=3)) == serial)
+    counts.append(threading.active_count())
+callers = [threading.Thread(target=lambda: same.append(
+    sweep.rows_to_csv(sweep.run_sweep(cfg, max_workers=4)) == serial)) for _ in range(8)]
+interval = sys.getswitchinterval()
+sys.setswitchinterval(1e-6)
+try:
+    for t in callers:
+        t.start()
+    for t in callers:
+        t.join(timeout=60)
+finally:
+    sys.setswitchinterval(interval)
+workers = sum(t.name.startswith("unruhcp-sweep") for t in threading.enumerate())
+print(json.dumps({"counts": counts, "workers": workers,
+                  "alive": any(t.is_alive() for t in callers), "same": same}))
+"""
+
+
+def test_sweep_reuses_its_worker_threads():
+    # no thread at import or for one worker; the first 3-worker sweep starts
+    # two (the caller takes the first batch), the next five start none; eight
+    # concurrent 4-worker sweeps share three workers (a lost update of the
+    # worker count would start more)
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", THREAD_PROBE], capture_output=True,
+                          text=True, env=env, check=True, timeout=120)
+    seen = json.loads(proc.stdout)
+    assert seen["counts"] == [1, 1, 3, 3, 3, 3, 3, 3]
+    assert seen["workers"] == 3 and not seen["alive"]
+    assert seen["same"] == [True] * 14
 
 
 def test_csv_round_trip(tmp_path):
@@ -380,6 +432,14 @@ def test_cli_rejects_non_finite_arguments(atom_file, tmp_path, capsys):
     # --workers 0 and -3 once ran quietly on one worker
     for workers in ("0", "-3"):
         assert cli.main(["sweep", "--config", "default", "--workers", workers]) == 1
+    # so is a max_workers that is not an integer: 2.0, "2" and None once
+    # escaped as a bare TypeError and True ran on one worker; a numpy integer
+    # is an integer
+    for workers in (2.0, "2", None, True, False):
+        with pytest.raises(InputError, match="max_workers"):
+            run_sweep(_config(), max_workers=workers)
+    assert (rows_to_csv(run_sweep(_config(), max_workers=np.int64(2)))
+            == rows_to_csv(run_sweep(_config())))
     assert capsys.readouterr().out == ""
     # a negative frequency is the occupation's domain error in both unit
     # modes; in si mode it was once refused as a unit anchor
