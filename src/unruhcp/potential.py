@@ -28,8 +28,9 @@ evaluated two independent ways:
   for the inertial pair) is its 1 x 1 grid.
 * ``potential_oracle_grid`` - an independent check on the same grid: the raw
   integrand is integrated over a deformed first-quadrant path (real segment
-  plus a tilted ray, exact by Cauchy's theorem), undamped.  It shares no
-  series, residue or finite-part algebra with the contour evaluator.
+  plus a tilted ray, exact by Cauchy's theorem), undamped.  It shares the
+  integrand's kernels (retardation weight, polarizability, Bose factor) but
+  no rule, residue or finite-part algebra with the contour evaluator.
   ``potential_oracle`` (one point) is its 1 x 1 grid.
 
 Both grids share one front end, _gate, which does no numerics: it holds the
@@ -116,12 +117,7 @@ from .atoms import AtomSpec, _reduce_atom, _ReducedAtom, oscillator_sum
 from .errors import NumericalFailure, RegimeError, UnruhCPError, check_domain
 from .kinematics import Regime, _acceleration, _aR, _zone, validity_check
 from .occupation import EXP_OVERFLOW, _bose
-from .retardation import (
-    SERIES_SWITCH,
-    osc_imag_part,
-    quartic_weight,
-    u_numerator,
-)
+from .retardation import _exp_series, osc_imag_part, quartic_weight, u_numerator
 from .units import units_for
 
 # contour evaluator mode switch: below both thresholds the pole ladder is
@@ -197,8 +193,8 @@ def _alpha2_iu(u, ra: _ReducedAtom):
 
 
 def _alpha2_real0(k, ra: _ReducedAtom):
-    # gamma = 0 polarizability squared on the real axis (k below every
-    # resonance), scalar or array k
+    # gamma = 0 polarizability squared at real k below every resonance or at
+    # complex k off the real axis, scalar or array k
     s = oscillator_sum(k * k, ra.weights, ra.omegas)
     return s * s
 
@@ -214,15 +210,9 @@ def _ragged(counts: np.ndarray):
 # --------------------------------------------------------------------------
 # fixed nested rules of the contour evaluator
 # --------------------------------------------------------------------------
-def _exp_quartic_series(n: int = 20) -> list[float]:
-    """Taylor coefficients of Q(x) e^{-2x}, Q the imaginary-axis quartic; at
-    x <= P_SERIES the first term left out of p, c_20 x^18, is below 4e-20 |p(x)|."""
-    q = (3.0, 6.0, 5.0, 2.0, 1.0)
-    return [sum(c * (-2.0) ** (m - j) / math.factorial(m - j)
-                for j, c in enumerate(q) if j <= m) for m in range(n)]
-
-
-_QE_SERIES = _exp_quartic_series()   # 3, 0, -1, 0, 1, ...
+# Taylor coefficients of Q(x) e^{-2x}, Q the imaginary-axis quartic; at x <=
+# P_SERIES the first term left out of p, c_20 x^18, is below 4e-20 |p(x)|
+_QE_SERIES = _exp_series((3.0, 6.0, 5.0, 2.0, 1.0), -2.0, 20)   # 3, 0, -1, 0, 1, ...
 
 
 def _frozen(*arrays):
@@ -697,13 +687,13 @@ def _path_integrals(lo, hi, pt, n: int, integrand):
     """Integrals of `integrand` over the panels [lo, hi] of one path part of
     n points; panel i belongs to point pt[i].
 
-    integrand(lo, off, p) takes each node as its panel's start lo plus the
-    offset off, with its point index p (1-d arrays), and returns an array
-    (integrals, len(lo)).  Each panel is one fixed G10K21 pass: its value is
-    its 21-node Kronrod sum, and its error estimate the difference from the
-    embedded 10-node Gauss sum.  Returns the values and error estimates (the
-    summed panel estimates), arrays (integrals, n).  np.bincount sums each
-    point's panels in order, so no point's results depend on another's.
+    integrand(x, p) takes the nodes x = lo + width node of every panel, node
+    over the unit-panel G10K21 nodes, with their point index p (1-d arrays),
+    and returns an array (integrals, len(x)).  Each panel is one fixed G10K21 pass: its value is its 21-node
+    Kronrod sum, and its error estimate the difference from the embedded
+    10-node Gauss sum.  Returns the values and error estimates (the summed
+    panel estimates), arrays (integrals, n).  np.bincount sums each point's
+    panels in order, so no point's results depend on another's.
     """
     # the (Kronrod, Gauss) sums of every panel, (2, integrals, panels), in
     # blocks of ORACLE_BLOCK panels, which bounds the temporary arrays
@@ -711,8 +701,7 @@ def _path_integrals(lo, hi, pt, n: int, integrand):
     for i in range(0, len(lo), ORACLE_BLOCK):
         b_lo = lo[i:i + ORACLE_BLOCK]
         width = hi[i:i + ORACLE_BLOCK] - b_lo
-        f = integrand(np.repeat(b_lo, len(_K21_NODES)),
-                      (width[:, None] * _K21_NODES).ravel(),
+        f = integrand((b_lo[:, None] + width[:, None] * _K21_NODES).ravel(),
                       np.repeat(pt[i:i + ORACLE_BLOCK], len(_K21_NODES)))
         f = f.reshape(len(f), len(b_lo), len(_K21_NODES))
         out.append(np.stack([(f * _K21_WEIGHTS).sum(axis=2),
@@ -764,42 +753,37 @@ def _oracle_piece(Rt: np.ndarray, at: np.ndarray, ra: _ReducedAtom):
     path of each reduced point (Rt, at) of the arrays, on the oracle's rules
     (module docstring).  Returns values and error estimates, arrays
     (3, len(Rt)).
+
+    Each integrand is evaluated as written at the nodes _path_integrals
+    hands it: on the segment Im[e^{2ix} u_factor(x)] is osc_imag_part's, on
+    the ray e^{2ikR} is taken at the node k itself, and alpha^2 is
+    _alpha2_real0's on both.
     """
     n = len(Rt)
     inv = 2.0 * math.pi / at   # inf: no Bose piece at a = 0
     k0 = np.minimum(ORACLE_K0, 1.0 / Rt)
 
-    def f_seg(x_lo, dx, p):
-        # the segment in x = kR; Im[e^{2ix} u_factor(x)] by its series below
-        # SERIES_SWITCH, where the polynomial form cancels; the phase comes
-        # from the panel start and the node's offset, not the rounded node
+    def f_seg(x, p):
+        # the segment in x = kR
         r = Rt[p]
-        x = x_lo + dx
         k = x / r
-        osc = (u_numerator(x) / r**4 * np.exp(2j * x_lo) * np.exp(2j * dx)).imag
-        small = x <= SERIES_SWITCH
-        k2 = k[small] ** 2
-        osc[small] = k2 * k2 * osc_imag_part(x[small])
+        k2 = k * k
+        osc = k2 * k2 * osc_imag_part(x)
         return _occupation_pieces(k, at[p], inv[p]) * (osc * _alpha2_real0(k, ra) / r)
 
     eith = complex(math.cos(ORACLE_TILT), math.sin(ORACLE_TILT))
-    phase0 = np.exp(2j * k0 * Rt)
 
-    def f_ray_complex(t_lo, dt, p):
+    def f_ray_complex(t, p):
         r = Rt[p]
-        t = t_lo + dt
         k = k0[p] + t * eith
-        alpha = oscillator_sum(k * k, ra.weights, ra.omegas)
         return _occupation_pieces(k, at[p], inv[p]) * (
-            eith * (u_numerator(k * r) / r**4) * phase0[p]
-            * np.exp((2j * eith) * (r * t)) * alpha * alpha)
+            eith * (u_numerator(k * r) / r**4) * np.exp(2j * k * r) * _alpha2_real0(k, ra))
 
     td = 1.0 / (2.0 * Rt * math.sin(ORACLE_TILT))
     seg, ray, ray_end = _oracle_panels(Rt, at, k0, td)
     v_seg, e_seg = _path_integrals(*seg, n, f_seg)
-    v_ray, e_ray = _path_integrals(*ray, n,
-                                   lambda t, dt, p: f_ray_complex(t, dt, p).imag)
-    e_ray = e_ray + td * np.abs(f_ray_complex(ray_end, np.zeros(n), np.arange(n)))
+    v_ray, e_ray = _path_integrals(*ray, n, lambda t, p: f_ray_complex(t, p).imag)
+    e_ray = e_ray + td * np.abs(f_ray_complex(ray_end, np.arange(n)))
 
     scale = -2.0 / (math.pi * Rt * Rt)
     return scale * (v_seg + v_ray), np.abs(scale) * (e_seg + e_ray)

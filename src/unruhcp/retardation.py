@@ -32,23 +32,19 @@ from .errors import DomainError
 SERIES_SWITCH = 0.5
 _NTERMS = 42
 
-# numerator polynomial of x^4 * u_factor(x): 3 - 6i x - 5 x^2 + 2i x^3 + x^4
-_NUMER = {0: 3.0, 1: -6j, 2: -5.0, 3: 2j, 4: 1.0}
+# numerator polynomial of x^4 * u_factor(x), lowest order first:
+# 3 - 6i x - 5 x^2 + 2i x^3 + x^4
+_NUMER = (3.0, -6j, -5.0, 2j, 1.0)
 
 
-def _exp_numer_coeffs(n: int = _NTERMS) -> list[complex]:
-    """Taylor coefficients of e^{2ix} (x^4 + 2i x^3 - 5x^2 - 6i x + 3)."""
-    out = []
-    for m in range(n):
-        s = 0j
-        for j, cj in _NUMER.items():
-            if m >= j:
-                s += cj * (2j) ** (m - j) / factorial(m - j)
-        out.append(s)
-    return out
+def _exp_series(poly, c, n: int) -> list:
+    """The first n Taylor coefficients of e^{cx} P(x), P's coefficients
+    `poly` lowest order first."""
+    return [sum(p * c ** (m - j) / factorial(m - j) for j, p in enumerate(poly) if j <= m)
+            for m in range(n)]
 
 
-_EXP_NUMER = _exp_numer_coeffs()
+_EXP_NUMER = _exp_series(_NUMER, 2j, _NTERMS)
 # e^{2ix} u(x) = 3/x^4 + 1/x^2 + 1 + (22/15) i x + ...; all coefficients of
 # x^{-4}..x^{0} are real, so Im[e^{2ix} u(x)] = O(x).
 _SIGMA = [c.imag for c in _EXP_NUMER]

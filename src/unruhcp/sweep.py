@@ -86,10 +86,14 @@ class GridSpec:
         return g
 
     def points(self) -> list[float]:
-        """The grid; a log-spaced one starts at min and ends at max exactly."""
+        """The grid; a log-spaced one starts at min and ends at max exactly.
+        A count whose array numpy cannot build is an InputError."""
         if self.value is not None:
             return [float(self.value)]
-        pts = np.logspace(math.log10(self.min), math.log10(self.max), self.count)
+        try:
+            pts = np.logspace(math.log10(self.min), math.log10(self.max), self.count)
+        except (ValueError, MemoryError) as exc:
+            raise InputError(f"grid count {self.count} is too large: {exc}") from exc
         pts[0], pts[-1] = self.min, self.max
         return pts.tolist()
 

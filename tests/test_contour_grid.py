@@ -29,6 +29,7 @@ from unruhcp import (
     validity_check,
 )
 from unruhcp.atoms import _reduce_atom
+from unruhcp.retardation import _exp_series
 from unruhcp.sweep import relative_difference
 
 
@@ -311,7 +312,7 @@ def test_quartic_exp_series_matches_mpmath():
             want = reference(x)
             assert abs(got - want) <= rel * abs(want), x
     # the first term the series drops is below 2^-60 at P_SERIES, where |p| ~ 0.96
-    dropped = potmod._exp_quartic_series(len(potmod._QE_SERIES) + 1)[-1]
+    dropped = _exp_series((3.0, 6.0, 5.0, 2.0, 1.0), -2.0, len(potmod._QE_SERIES) + 1)[-1]
     assert abs(dropped) * top ** (len(potmod._QE_SERIES) - 2) < 2.0**-60
 
 

@@ -130,23 +130,45 @@ def test_oracle_node_count(monkeypatch):
     assert 0 < count[0] <= 9_000
 
 
+# the whole domain: R from 1e-9 to 1e5 and into the far zone, by a from 0
+# through the marginal window
+WHOLE_RS = [*np.logspace(-9, 5, 12), 1e8, 1e12]
+WHOLE_AS = [0.0, 1e-6, 1e-4, 1e-2, 0.1, 0.13, 0.5, 2.0, 9.0]
+# the contour evaluator's rules, series and residue algebra, none of which
+# the oracle may call
+CONTOUR_ONLY = ("_imag_axis_rule", "_bose_rule", "_panel_rule", "_nested_nodes", "_nested",
+                "_bose_t_rule", "_alpha_iu", "_alpha2_iu", "_pole_ladder", "_ladder_terms",
+                "_quartic_exp", "_origin_coefficient", "_imag_axis_ends",
+                "_bose_real_axis_integral")
+
+
 def test_routes_agree_over_the_whole_domain(atom, atom3):
     # for the two-level atom and the 3-line atom3 (the golden table's
-    # three_line), every point of R in [1e-9, 1e5] by a from 0 through the
-    # marginal window passes on both routes, and they agree within their
-    # summed estimates
-    Rs = list(np.logspace(-9, 5, 12))
-    As = [0.0, 1e-6, 1e-4, 1e-2, 0.1, 0.13, 0.5, 2.0, 9.0]
+    # three_line), every point of the whole domain passes on both routes,
+    # and they agree within their summed estimates
     for name, spec in (("two_level", atom), ("three_line", atom3)):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            oracle = potential_oracle_grid(Rs, As, spec)
-            contour = potential_grid(Rs, As, spec)
+            oracle = potential_oracle_grid(WHOLE_RS, WHOLE_AS, spec)
+            contour = potential_grid(WHOLE_RS, WHOLE_AS, spec)
         for o_row, c_row in zip(oracle, contour):
             for o, c in zip(o_row, c_row):
                 assert isinstance(o, PotentialResult) and isinstance(c, PotentialResult), name
                 assert math.isfinite(o.value) and math.isfinite(c.value)
                 assert abs(o.value - c.value) <= o.error_estimate + c.error_estimate, name
+
+
+def test_oracle_calls_no_contour_helper(monkeypatch, atom, atom3):
+    # the independence rule: with every contour-only helper raising, the
+    # oracle still passes every point of the whole domain
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle called a contour-only helper")
+
+    for name in CONTOUR_ONLY:
+        monkeypatch.setattr(potmod, name, forbidden)
+    for spec in (atom, atom3):
+        for row in potential_oracle_grid(WHOLE_RS, WHOLE_AS, spec):
+            assert all(isinstance(entry, PotentialResult) for entry in row)
 
 
 line = st.tuples(st.floats(min_value=1.2, max_value=10.0), st.floats(min_value=0.1, max_value=5.0))

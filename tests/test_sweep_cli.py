@@ -59,6 +59,11 @@ def test_grid_spec_validation():
                 {"min": 1.0, "max": 2.0, "cuont": 3}):
         with pytest.raises(InputError, match="either 'value' or"):
             GridSpec.from_obj(bad)
+    # a count numpy cannot build once ended in a bare ValueError or a
+    # MemoryError; numpy refuses both before it allocates anything
+    for count in (1e15, 1e20):
+        with pytest.raises(InputError, match=f"grid count {int(count)} "):
+            GridSpec.from_obj({"min": 1, "max": 2, "count": count}).points()
     g = GridSpec.from_obj({"value": 0.0})
     assert g.points() == [0.0]
     g = GridSpec.from_obj({"min": 1.0, "max": 100.0, "count": 3})
