@@ -238,30 +238,30 @@ class A2FitResult:
     n_points: int
 
 
-def fit_a2_near_coefficient(atom: AtomSpec, units: str = "natural") -> A2FitResult:
-    """Extract the near-zone coefficient K of the a^2/R^6 correction.
-
-    Runs the contour evaluator, in one potential_grid call, on a 4 x 4 log grid
-    a in [1e-5, 1e-3] omega0 c and R in [1e-3, 1e-2] c/omega0, subtracts the inertial value, and fits
-    |dV| = K a^2 R^-6.  The fitted exponents must match (2, -6) within
-    0.05 or InconsistentRegimeError is raised.
-    """
+def _a2_near_grid(u: UnitSystem):
+    """The separations and accelerations of fit_a2_near_coefficient's grid, in
+    the units of u: R in [1e-3, 1e-2] c/omega0 and a in {0} and [1e-5, 1e-3]
+    omega0 c, 4 log-spaced values each."""
     import numpy as np
 
-    from .potential import _result, potential_grid
+    a_grid = np.logspace(-5, -3, 4) * u.restore_acceleration(1.0)
+    return np.logspace(-3, -2, 4) * u.restore_length(1.0), [0.0, *a_grid]
 
-    u = units_for(atom, units)
-    a_scale = u.restore_acceleration(1.0)
-    R_scale = u.restore_length(1.0)
-    a_grid = np.logspace(-5, -3, 4) * a_scale
-    R_grid = np.logspace(-3, -2, 4) * R_scale
 
-    inertial, *accel = potential_grid(R_grid, [0.0, *a_grid], atom, units=units)
+def _a2_near_fit(R_grid, a_values, entries) -> A2FitResult:
+    """fit_a2_near_coefficient's fit on the contour entries of its grid
+    (R_grid, a_values), one row per acceleration as _gate_grid returns them;
+    an error entry is raised."""
+    import numpy as np
+
+    from .potential import _result
+
+    inertial, *accel = entries
     rows = []
     for i, R in enumerate(R_grid):
-        v0 = _result(inertial[i]).value
-        for a, row in zip(a_grid, accel):
-            dv = _result(row[i]).value - v0
+        v0 = _result(inertial[i])[0]
+        for a, row in zip(a_values[1:], accel):
+            dv = _result(row[i])[0] - v0
             if not dv < 0.0:
                 raise InconsistentRegimeError(
                     f"near-zone correction is not attractive at R={R}, a={a}: {dv}")
@@ -280,3 +280,20 @@ def fit_a2_near_coefficient(atom: AtomSpec, units: str = "natural") -> A2FitResu
     k_geo = float(np.exp(np.mean(np.log(k_vals))))
     return A2FitResult(K=k_geo, exponent_a=exp_a, exponent_R=exp_R,
                        log_residual_rms=resid, n_points=len(rows))
+
+
+def fit_a2_near_coefficient(atom: AtomSpec, units: str = "natural") -> A2FitResult:
+    """Extract the near-zone coefficient K of the a^2/R^6 correction.
+
+    Runs the contour evaluator, in one gated call, on a 4 x 4 log grid
+    a in [1e-5, 1e-3] omega0 c and R in [1e-3, 1e-2] c/omega0, subtracts the inertial value, and fits
+    |dV| = K a^2 R^-6.  An entry that is an error is raised as the point call
+    raises it.  The fitted exponents must match (2, -6) within
+    0.05 or InconsistentRegimeError is raised.
+    """
+    from .potential import _gate_grid
+
+    R_grid, a_values = _a2_near_grid(units_for(atom, units))
+    rows = _gate_grid("contour", [float(R) for R in R_grid], [float(a) for a in a_values],
+                      atom, units)
+    return _a2_near_fit(R_grid, a_values, rows)

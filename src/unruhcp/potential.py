@@ -17,7 +17,7 @@ evaluated two independent ways:
   the Bose factor at k_n = n a / c^2 plus a closed-form origin term from the
   k^-1 Laurent coefficient of the integrand.  The ladder is summed directly
   where it is sparse and by the Abel-Plana formula from a shifted origin
-  where it is dense, in one batched kernel per grid (_pole_ladder).  For
+  where it is dense, in one batched kernel per call (_pole_ladder).  For
   a <= SWITCH_A and a R / c^2 <= SWITCH_AR the third piece is instead the
   exactly equivalent Bose-weighted real-axis integral of the imaginary part,
   which needs a below the lowest resonance.  V does not need this route:
@@ -36,7 +36,10 @@ evaluated two independent ways:
 Both grids share one front end, _gate, which does no numerics: it holds the
 domain checks, units and validity check, so both give a RegimeError for
 a/(omega0 c) >= 10 and the "marginal validity window" warning for
-0.1 < a/(omega0 c) < 10.  It is also the one acceptance gate: each route
+0.1 < a/(omega0 c) < 10.  It takes a flat list of (R, a) pairs, as indices
+into lists of separations and accelerations; a product grid is the special
+case _gate_grid builds, and the comparison report evaluates the pairs of
+all its sections in one call.  It is also the one acceptance gate: each route
 returns per point its value V and error estimate, and a point passes iff
 that estimate is within 10 rel_tol |V|, rel_tol being the fixed REL_TOL =
 1e-6, otherwise it is a NumericalFailure carrying the partial value and its
@@ -55,7 +58,7 @@ panel:
   the exponential factor is below e^{-80}; the leading terms these end
   pieces neglect (those of x^5 and x^6) enter the error estimate, 1e-10 of
   the value at R = 1e-10 c/omega0.  Both pieces share one set of
-  polarizability samples and depend on R only, so a grid computes them
+  polarizability samples and depend on R only, so a call computes them
   once per separation.  The
   samples come from _alpha_iu, the one oscillator sum kept outside
   atoms.oscillator_sum: it fuses alpha(iu) with the deficit sum beta that
@@ -317,23 +320,36 @@ def _origin_subtracted_integral(Rt: np.ndarray, ra: _ReducedAtom,
             for level in _nested(integrand * wx, IMAG_PANELS * GL_ORDER)]
 
 
+def _over(x: float, y: float) -> float:
+    # x / y for y >= +0.0 with numpy's result where y underflowed to 0: inf
+    # of x's sign, nan at x = 0 (Python's division raises there)
+    return x / y if y else x * math.inf
+
+
 def _imag_axis_ends(Rt: np.ndarray, ra: _ReducedAtom):
     """The [0, X_LO] pieces of the inertial and origin-subtracted integrals per
     separation, and the floor of the pair: the terms those pieces neglect,
-    shape (2, len(Rt))."""
+    shape (2, len(Rt)).  Python floats, one separation at a time: the same
+    operations as on arrays, at a fraction of the cost for a few."""
     # Taylor coefficients of g about x = 0: g = 3 alpha0^2 - g2 x^2 + g4 x^4
     # + c5 alpha0^2 x^5 + g6 x^6 + ..., c_m those of Q(x) e^{-2x}; they
     # overflow only far below R = X_LO, where the floor fails the point
-    a0sq, r2 = ra.alpha0**2, Rt * Rt
-    g2 = a0sq + 3.0 * ra.alpha_curv / r2
-    g4 = a0sq + ra.alpha_curv / r2 + 3.0 * ra.alpha_quart / (r2 * r2)
-    g6 = (_QE_SERIES[6] * a0sq - ra.alpha_curv / r2 - ra.alpha_quart / (r2 * r2)
-          - 3.0 * ra.alpha_sext / (r2 * r2 * r2))
+    a0sq = ra.alpha0**2
     c5 = abs(_QE_SERIES[5]) * a0sq
-    return ((3.0 * a0sq - X_LO**2 * (g2 / 3.0 - X_LO**2 * g4 / 5.0)) * X_LO,
-            (g2 - g4 * X_LO**2 / 3.0) * X_LO,
-            np.stack([c5 * X_LO**6 / 6.0 + np.abs(g6) * X_LO**7 / 7.0,
-                      c5 * X_LO**4 / 4.0 + np.abs(g6) * X_LO**5 / 5.0]))
+    out = []
+    for rt in Rt.tolist():
+        r2 = rt * rt
+        r4 = r2 * r2
+        g2 = a0sq + _over(3.0 * ra.alpha_curv, r2)
+        g4 = a0sq + _over(ra.alpha_curv, r2) + _over(3.0 * ra.alpha_quart, r4)
+        g6 = (_QE_SERIES[6] * a0sq - _over(ra.alpha_curv, r2) - _over(ra.alpha_quart, r4)
+              - _over(3.0 * ra.alpha_sext, r4 * r2))
+        out.append(((3.0 * a0sq - X_LO**2 * (g2 / 3.0 - X_LO**2 * g4 / 5.0)) * X_LO,
+                    (g2 - g4 * X_LO**2 / 3.0) * X_LO,
+                    c5 * X_LO**6 / 6.0 + abs(g6) * X_LO**7 / 7.0,
+                    c5 * X_LO**4 / 4.0 + abs(g6) * X_LO**5 / 5.0))
+    ends = np.array(out).reshape(-1, 4).T
+    return ends[0], ends[1], ends[2:]
 
 
 def _imag_axis_pieces(Rt: np.ndarray, ra: _ReducedAtom):
@@ -359,12 +375,15 @@ def _origin_coefficient(Rt: float, at: float, ra: _ReducedAtom) -> float:
     return w0 * at * (math.pi / 6.0 + 0.5 / math.pi) + w2 * at**3 / (2.0 * math.pi)
 
 
-def _ladder_terms(n, Rt, at, ra: _ReducedAtom):
+def _ladder_terms(n, Rt, at, ra: _ReducedAtom, factor=None):
     """R^4 g(n) with g(n) = (1 - 1/n^2) W(n a), W(u) = Q(uR) e^{-2uR} alpha^2(iu)/R^4
-    the imaginary-axis integrand; at real or complex n, elementwise."""
+    the imaginary-axis integrand; at real or complex n, elementwise.  factor
+    is 1 - 1/n^2 where the caller has it already."""
     u = n * at
     y = u * Rt
-    return (1.0 - 1.0 / (n * n)) * quartic_weight(y) * np.exp(-2.0 * y) * _alpha2_iu(u, ra)
+    if factor is None:
+        factor = 1.0 - 1.0 / (n * n)
+    return factor * quartic_weight(y) * np.exp(-2.0 * y) * _alpha2_iu(u, ra)
 
 
 @lru_cache(maxsize=None)
@@ -376,10 +395,12 @@ def _panel_rule(edges: tuple[float, ...]):
 
 @lru_cache(maxsize=None)
 def _bose_t_rule():
-    """The Abel-Plana t rule of _pole_ladder: nodes on LADDER_T_EDGES, their
-    weights times the Bose factor 1/(e^{2 pi t} - 1), and the level split."""
+    """The Abel-Plana t rule of _pole_ladder: the ladder's argument n = N + i t
+    at the nodes t on LADDER_T_EDGES, its factor 1 - 1/n^2, the weights times
+    the Bose factor 1/(e^{2 pi t} - 1), and the level split."""
     t, wt, t_split = _panel_rule(LADDER_T_EDGES)
-    return (*_frozen(t, wt / np.expm1(2.0 * math.pi * t)), t_split)
+    n = LADDER_ORIGIN + 1j * t
+    return (*_frozen(n, 1.0 - 1.0 / (n * n), wt / np.expm1(2.0 * math.pi * t)), t_split)
 
 
 def _pole_ladder(Rt: np.ndarray, at: np.ndarray, ra: _ReducedAtom, fp: np.ndarray):
@@ -422,7 +443,10 @@ def _pole_ladder(Rt: np.ndarray, at: np.ndarray, ra: _ReducedAtom, fp: np.ndarra
         r, a = Rt[rest, None], at[rest, None]
         N = LADDER_ORIGIN
         x_edges = (0.0, *(N * 2.0**-j for j in range(LADDER_X_SPLITS, -1, -1)))
-        const = 0.5 * _ladder_terms(N, r[:, 0], a[:, 0], ra) - 3.0 * ra.alpha0**2 / N
+        # per point in Python floats, which cost less than arrays of a few
+        origin = 3.0 * ra.alpha0**2 / N
+        const = np.array([0.5 * _ladder_terms(N, rt, a_p, ra) - origin
+                          for rt, a_p in zip(Rt[rest].tolist(), at[rest].tolist())])
 
         x, wx, x_split = _panel_rule(x_edges)
         u = x * a
@@ -430,8 +454,8 @@ def _pole_ladder(Rt: np.ndarray, at: np.ndarray, ra: _ReducedAtom, fp: np.ndarra
         alpha, beta = _alpha_iu(u, ra)
         h = qe * alpha * alpha - a * a * (
             r * r * p * alpha * alpha - 3.0 * beta * (alpha + ra.alpha0))
-        t, wt, t_split = _bose_t_rule()
-        g = _ladder_terms(N + 1j * t, r, a, ra)
+        n, factor, wt, t_split = _bose_t_rule()
+        g = _ladder_terms(n, r, a, ra, factor)
         corr = _nested(g.imag * wt, t_split)
         coarse, fine = (const - s - 2.0 * c for s, c in zip(_nested(h * wx, x_split), corr))
         value[rest] = fp[rest] + fine
@@ -462,15 +486,20 @@ def _bose_real_axis_integral(Rt: np.ndarray, at: np.ndarray, ra: _ReducedAtom):
 # --------------------------------------------------------------------------
 # public evaluators
 # --------------------------------------------------------------------------
-def _gate(method: str, Rs: list[float], As: list[float], atom: AtomSpec, units):
-    """Per acceleration of As, per separation of Rs (lists of floats), the
-    restored (value, error, vacuum, nonthermal_a2, residue_sum, warnings) of
-    the route of `method` ("contour" or "oracle"), or the point's error.
+def _gate(method: str, Rs: list[float], As: list[float], ri: list[int], aj: list[int],
+          atom: AtomSpec, units):
+    """Per pair p of the separation Rs[ri[p]] and the acceleration As[aj[p]]
+    (Rs and As lists of floats, ri and aj lists of indices), the restored (value,
+    error, vacuum, nonthermal_a2, residue_sum, warnings) of the route of
+    `method` ("contour" or "oracle"), or the point's error.
 
-    A route returns, per point of the reduced grid (non-excited accelerations
-    only) in a-major order, the reduced (total, vacuum, nonthermal_a2,
-    residue_sum, error, warnings).  This is the one acceptance gate: a point
-    passes iff error <= 10 REL_TOL |total|, REL_TOL read at call time.
+    The domain is checked once per value of Rs and then of As, and the
+    validity once per acceleration.  A route takes the reduced separations,
+    and per pair at a non-excited acceleration its index into them and its
+    reduced acceleration; it returns per such pair, in order, the reduced
+    (total, vacuum, nonthermal_a2, residue_sum, error, warnings).  This is
+    the one acceptance gate: a point passes iff error <= 10 REL_TOL |total|,
+    REL_TOL read at call time.
     """
     u = units_for(atom, units)
     for r in Rs:
@@ -478,7 +507,12 @@ def _gate(method: str, Rs: list[float], As: list[float], atom: AtomSpec, units):
     for x in As:
         check_domain("acceleration", x, strict=False)
     reports = [validity_check(x, atom, c=u.c) for x in As]
-    live = [x for x, report in zip(As, reports) if not report.excited]
+    # per acceleration: None in the excited regime, else its points' first warnings
+    notes = [None if report.excited else
+             (f"marginal validity window: omega0 c / a = {report.ratio:.3g}",)
+             if report.status == "marginal" else () for report in reports]
+    a_reduced = [u.reduce_acceleration(x) for x in As]
+    live = [(i, a_reduced[j]) for i, j in zip(ri, aj) if notes[j] is not None]
     # the routes run with numpy's floating-point reports off: 2 pi/a is inf
     # at a = 0, ladder terms underflow, and a point whose arithmetic leaves
     # the range of doubles ends with a value or estimate that is not finite,
@@ -486,45 +520,51 @@ def _gate(method: str, Rs: list[float], As: list[float], atom: AtomSpec, units):
     # its estimate
     route = {"contour": _contour_points, "oracle": _oracle_points}[method]
     with np.errstate(all="ignore"):
-        points = iter(route(np.array([u.reduce_length(r) for r in Rs]),
-                            np.array([u.reduce_acceleration(x) for x in live]),
-                            _reduce_atom(atom, u)) if live and Rs else ())
-    grid = []
-    for a_j, report in zip(As, reports):
-        if report.excited:
-            grid.append([RegimeError(
-                f"a/(omega0 c) = {1.0 / report.ratio:.3g} lies in the spontaneously "
-                "excited regime; use potential_high_acc") for _ in Rs])
+        points = iter(route(np.array([u.reduce_length(r) for r in Rs]), [i for i, _ in live],
+                            np.array([a for _, a in live]), _reduce_atom(atom, u))
+                      if live else ())
+    entries = []
+    for i, j in zip(ri, aj):
+        R_i, a_j, note = Rs[i], As[j], notes[j]
+        if note is None:
+            entries.append(RegimeError(
+                f"a/(omega0 c) = {1.0 / reports[j].ratio:.3g} lies in the spontaneously "
+                "excited regime; use potential_high_acc"))
             continue
-        marginal = (f"marginal validity window: omega0 c / a = {report.ratio:.3g}",
-                    ) if report.status == "marginal" else ()
-        row = []
-        for R_i, (vt, vac, nonth, res, err, warnings) in zip(Rs, points):
-            value = u.restore_energy(vt)
-            error = u.restore_energy(err)
-            bound = 10.0 * REL_TOL * abs(vt)
-            if math.isfinite(vt) and err <= bound:
-                row.append((value, error, u.restore_energy(vac), u.restore_energy(nonth),
-                            u.restore_energy(res), (*marginal, *warnings)))
-                continue
-            row.append(NumericalFailure(
-                f"{method} quadrature missed its tolerance at R={R_i!r}, a={a_j!r}: "
-                f"error estimate {error:.3e} exceeds 10 rel_tol |V| = "
-                f"{u.restore_energy(bound):.3e}" if math.isfinite(vt) else
-                f"{method} evaluation has no finite value at R={R_i!r}, a={a_j!r} "
-                f"(V = {value})",
-                partial=value, error_estimate=error))
-        grid.append(row)
-    return grid
+        vt, vac, nonth, res, err, warnings = next(points)
+        value = u.restore_energy(vt)
+        error = u.restore_energy(err)
+        bound = 10.0 * REL_TOL * abs(vt)
+        if math.isfinite(vt) and err <= bound:
+            entries.append((value, error, u.restore_energy(vac), u.restore_energy(nonth),
+                            u.restore_energy(res), (*note, *warnings)))
+            continue
+        entries.append(NumericalFailure(
+            f"{method} quadrature missed its tolerance at R={R_i!r}, a={a_j!r}: "
+            f"error estimate {error:.3e} exceeds 10 rel_tol |V| = "
+            f"{u.restore_energy(bound):.3e}" if math.isfinite(vt) else
+            f"{method} evaluation has no finite value at R={R_i!r}, a={a_j!r} "
+            f"(V = {value})",
+            partial=value, error_estimate=error))
+    return entries
+
+
+def _gate_grid(method: str, Rs: list[float], As: list[float], atom: AtomSpec, units):
+    """_gate on the product grid of Rs and As: one list of entries per
+    acceleration, in the order of As, each in the order of Rs."""
+    n = len(Rs)
+    entries = _gate(method, Rs, As, list(range(n)) * len(As),
+                    [j for j in range(len(As)) for _ in range(n)], atom, units)
+    return [entries[j * n:(j + 1) * n] for j in range(len(As))]
 
 
 def _grid(method: str, R, a, atom: AtomSpec, units):
-    """The entries of potential_grid's contract: _gate's, each passed point a
-    PotentialResult with its regime, that of kinematics.classify_regime with
+    """The entries of potential_grid's contract: _gate_grid's, each passed point
+    a PotentialResult with its regime, that of kinematics.classify_regime with
     the zone classified once per separation and the acceleration once per
     acceleration."""
     Rs, As = [float(r) for r in R], [float(x) for x in a]
-    c, grid = units_for(atom, units).c, _gate(method, Rs, As, atom, units)
+    c, grid = units_for(atom, units).c, _gate_grid(method, Rs, As, atom, units)
     zones = [_zone(R_i, atom, c) for R_i in Rs]
     out = []
     for a_j, row in zip(As, grid):
@@ -544,63 +584,69 @@ def _grid(method: str, R, a, atom: AtomSpec, units):
     return out
 
 
-def _contour_points(Rt: np.ndarray, At: np.ndarray, ra: _ReducedAtom):
-    """The contour evaluator's route for _gate."""
+def _contour_points(Rt: np.ndarray, ri: list[int], At: np.ndarray, ra: _ReducedAtom):
+    """The contour evaluator's route for _gate: per pair p, the point of the
+    reduced separation Rt[ri[p]] and acceleration At[p] (Rt the distinct
+    separations, ri a list of indices into them, At an array).
+
+    The imaginary-axis pieces depend on R only, so they are computed once per
+    separation; the Bose real-axis piece and the pole ladder are each one
+    batch over the index list of the pairs of their branch.
+    """
     rts, ats = Rt.tolist(), At.tolist()
     pieces, e_pieces = _imag_axis_pieces(Rt, ra)
     imag, e_imag = pieces.tolist(), e_pieces.tolist()
 
-    # the Bose real-axis piece, batched over every (R, a) pair that takes it
-    bose = [(j, i) for j, at in enumerate(ats) if 0.0 < at <= SWITCH_A
-            for i, rt in enumerate(rts) if at * rt <= SWITCH_AR]
-    b_val, b_err = (arr.tolist() for arr in _bose_real_axis_integral(
-        np.array([rts[i] for _, i in bose]), np.array([ats[j] for j, _ in bose]), ra)
-    ) if bose else ((), ())
-    bose_of = {pair: (v, e) for pair, v, e in zip(bose, b_val, b_err)}
-
-    # the pole ladder, batched over every other point with a > 0
-    ladder = [(j, i) for j, at in enumerate(ats) if at > 0.0
-              for i in range(len(rts)) if (j, i) not in bose_of]
-    ri = np.array([i for _, i in ladder], dtype=np.int64)
-    rl, al = Rt[ri], At[[j for j, _ in ladder]]
-    fp = pieces[0, ri] / (al * rl) - al * rl * pieces[1, ri]
-    l_val, l_err = (arr.tolist() for arr in _pole_ladder(rl, al, ra, fp)
-                    ) if ladder else ((), ())
-    ladder_of = {pair: (v, e) for pair, v, e in zip(ladder, l_val, l_err)}
+    # the pairs of the Bose real-axis piece and of the pole ladder (every
+    # other pair with a > 0); third[p] is the value and error of p's piece
+    on_bose = [0.0 < at <= SWITCH_A and at * rts[i] <= SWITCH_AR for i, at in zip(ri, ats)]
+    bose = [p for p, b in enumerate(on_bose) if b]
+    ladder = [p for p, (b, at) in enumerate(zip(on_bose, ats)) if at > 0.0 and not b]
+    third = [None] * len(ats)
+    if bose:
+        values = _bose_real_axis_integral(Rt[[ri[p] for p in bose]], At[bose], ra)
+        for p, v, e in zip(bose, *(x.tolist() for x in values)):
+            third[p] = (v, e)
+    if ladder:
+        il = [ri[p] for p in ladder]
+        rl, al = Rt[il], At[ladder]
+        values = _pole_ladder(rl, al, ra, pieces[0, il] / (al * rl) - al * rl * pieces[1, il])
+        for p, v, e in zip(ladder, *(x.tolist() for x in values)):
+            third[p] = (v, e)
 
     points = []
-    for j, at in enumerate(ats):
-        for i, rt in enumerate(rts):
-            try:
-                norm = math.pi * rt * rt
-                vac = -(imag[0][i] / rt**5) / norm
-                e_vac = (e_imag[0][i] / rt**5) / norm
-                warnings: list[str] = []
-                if at == 0.0:
-                    nonth = e_nonth = res = e_res = 0.0
-                    vt = vac
+    for i, at, on_b, piece in zip(ri, ats, on_bose, third):
+        rt = rts[i]
+        try:
+            norm = math.pi * rt * rt
+            vac = -(imag[0][i] / rt**5) / norm
+            e_vac = (e_imag[0][i] / rt**5) / norm
+            warnings: list[str] = []
+            if at == 0.0:
+                nonth = e_nonth = res = e_res = 0.0
+                vt = vac
+            else:
+                nonth = at * at / norm * (imag[1][i] / rt**3)
+                e_nonth = at * at / norm * (e_imag[1][i] / rt**3)
+                if on_b:
+                    res, e_res = piece
+                    vt = vac + nonth + res
                 else:
-                    nonth = at * at / norm * (imag[1][i] / rt**3)
-                    e_nonth = at * at / norm * (e_imag[1][i] / rt**3)
-                    if (j, i) in bose_of:
-                        res, e_res = bose_of[j, i]
-                        vt = vac + nonth + res
-                    else:
-                        s, e_s = ladder_of[j, i]
-                        bracket = ((math.pi / 2.0) * _origin_coefficient(rt, at, ra)
-                                   + (at / 2.0) * s / rt**4)
-                        vt = -2.0 / norm * bracket
-                        e_res = 2.0 / norm * (at / 2.0) * e_s / rt**4
-                        res = vt - vac - nonth
-                        if at * rt < 1e-3:
-                            warnings.append(
-                                f"dense pole ladder: aR/c^2 = {at * rt:.3e} < 1e-3; "
-                                "the low-acceleration closed forms are better cross-checks here")
-                points.append((vt, vac, nonth, res, e_vac + e_nonth + e_res, warnings))
-            except ArithmeticError:
-                # a power of R beyond the range of doubles (R = 1e100 or
-                # 1e-100 c/omega0, say): no value, which the gate fails
-                points.append((math.nan, math.nan, math.nan, math.nan, math.inf, []))
+                    s, e_s = piece
+                    bracket = ((math.pi / 2.0) * _origin_coefficient(rt, at, ra)
+                               + (at / 2.0) * s / rt**4)
+                    vt = -2.0 / norm * bracket
+                    e_res = 2.0 / norm * (at / 2.0) * e_s / rt**4
+                    res = vt - vac - nonth
+                    if at * rt < 1e-3:
+                        warnings.append(
+                            f"dense pole ladder: aR/c^2 = {at * rt:.3e} < 1e-3; "
+                            "the low-acceleration closed forms are better cross-checks here")
+            points.append((vt, vac, nonth, res, e_vac + e_nonth + e_res, warnings))
+        except ArithmeticError:
+            # a power of R beyond the range of doubles (R = 1e100 or
+            # 1e-100 c/omega0, say): no value, which the gate fails
+            points.append((math.nan, math.nan, math.nan, math.nan, math.inf, []))
     return points
 
 
@@ -629,8 +675,8 @@ def potential_grid(R, a, atom: AtomSpec, units: str = "natural"
     return _grid("contour", R, a, atom, units)
 
 
-def _result(entry) -> PotentialResult:
-    """The PotentialResult of a potential_grid entry; an error entry is raised."""
+def _result(entry):
+    """A potential_grid or _gate entry as it is; an error entry is raised."""
     if isinstance(entry, UnruhCPError):
         raise entry
     return entry
@@ -789,10 +835,9 @@ def _oracle_piece(Rt: np.ndarray, at: np.ndarray, ra: _ReducedAtom):
     return scale * (v_seg + v_ray), np.abs(scale) * (e_seg + e_ray)
 
 
-def _oracle_points(Rt: np.ndarray, At: np.ndarray, ra: _ReducedAtom):
-    """The oracle's route for _gate: _oracle_piece on the tiled grid."""
-    values, errors = (arr.tolist() for arr in _oracle_piece(
-        np.tile(Rt, len(At)), np.repeat(At, len(Rt)), ra))
+def _oracle_points(Rt: np.ndarray, ri: list[int], At: np.ndarray, ra: _ReducedAtom):
+    """The oracle's route for _gate: _oracle_piece on the pairs (Rt[ri], At)."""
+    values, errors = (arr.tolist() for arr in _oracle_piece(Rt[ri], At, ra))
     return [(vac + nonth + bose, vac, nonth, bose, e_vac + e_nonth + e_bose, ())
             for vac, nonth, bose, e_vac, e_nonth, e_bose in zip(*values, *errors)]
 

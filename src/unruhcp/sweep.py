@@ -9,17 +9,19 @@ the API calls that return them.  Numbers are serialized with shortest
 round-trip precision, and a fixed configuration yields byte-identical CSV
 and report output.
 
-Each report section that needs contour values evaluates its (R, a) grid in
-one potential_grid call, and the dual-method section takes its oracle values
-from one potential_oracle_grid call; both return bit for bit what
-point-by-point calls return, and an entry that is an error is raised as the
-point call raises it.  The occupation section checks its sampled (omega, a)
-points in one array pass.
+Each report section that needs contour values declares its (R, a) product
+grid, and compare_report evaluates the union of those points in one gated
+contour call (_contour_pass); the dual-method section takes its oracle values
+from one potential_oracle_grid call.  Both return bit for bit what
+point-by-point calls return, and a section raises an entry that is an error
+where it reads it, as the point call raises it.  The occupation section
+checks its sampled (omega, a) points in one array pass.
 """
 from __future__ import annotations
 
 import concurrent.futures
 import csv
+import functools
 import io
 import json
 import math
@@ -40,7 +42,7 @@ from .errors import (
 )
 from .kinematics import _acceleration, _aR, _zone, validity_check
 from .occupation import _occupation_parts, mode_occupation, occupation_highacc
-from .potential import _gate, _result, potential_grid, potential_oracle_grid
+from .potential import _gate, _gate_grid, _result, potential_oracle_grid
 from .units import UnitSystem, units_for
 
 CSV_COLUMNS = ("R", "a", "regime", "V_contour", "V_oracle", "V_asymptotic",
@@ -211,20 +213,20 @@ def relative_difference(values) -> float:
     return (max(values) - min(values)) / scale if scale > 0 else 0.0
 
 
-def _eval_batch(Rs: list[float], config: SweepConfig, c: float) -> list[list[SweepRow]]:
-    """Rows of the separations Rs at every acceleration, one list per
+def _eval_batch(Rs: list[float], As: list[float], classes, config: SweepConfig,
+                c: float) -> list[list[SweepRow]]:
+    """Rows of the separations Rs at every acceleration of As, one list per
     acceleration; an error entry of the gate or of a closed form is a row
-    warning.  The zone is classified once per separation and the acceleration
-    once per acceleration; c is the speed of light of the config's unit mode."""
+    warning.  The zone is classified once per separation; classes() gives
+    each acceleration's class and whether it is excited.  c is the speed of
+    light of the config's unit mode."""
     atom, methods = config.atom, config.methods
-    As = config.a_grid.points()
     absent = [[None] * len(Rs)] * len(As)
-    contour, oracle = (_gate(m, Rs, As, atom, config.units) if m in methods else absent
+    contour, oracle = (_gate_grid(m, Rs, As, atom, config.units) if m in methods else absent
                        for m in ("contour", "oracle"))
     zones = [_zone(R, atom, c)[1] for R in Rs]
     grid = []
-    for a, c_row, o_row in zip(As, contour, oracle):
-        acc, excited = _acceleration(a, atom, c)[1], validity_check(a, atom, c=c).excited
+    for a, (acc, excited), c_row, o_row in zip(As, classes(), contour, oracle):
         rows = []
         for R, zone, v, o in zip(Rs, zones, c_row, o_row):
             aR = _aR(R, a, c)[1]
@@ -301,12 +303,17 @@ def run_sweep(config: SweepConfig, max_workers: int = 1) -> list[SweepRow]:
     if (not isinstance(max_workers, numbers.Integral) or isinstance(max_workers, bool)
             or max_workers < 1):
         raise InputError(f"max_workers must be an integer of at least 1, got {max_workers!r}")
-    c = UnitSystem(mode=config.units).c
-    Rs = config.R_grid.points()
+    c, atom = UnitSystem(mode=config.units).c, config.atom
+    Rs, As = config.R_grid.points(), config.a_grid.points()
+    # each acceleration is classified once per call, by the first batch to
+    # get past its gate and zones, so a value outside the domain raises the
+    # error it raises there
+    classes = functools.cache(lambda: [(_acceleration(a, atom, c)[1],
+                                        validity_check(a, atom, c=c).excited) for a in As])
     n = min(max_workers, len(Rs))
     batches = [Rs[k * len(Rs) // n:(k + 1) * len(Rs) // n] for k in range(n)]
-    futures = _submit(lambda batch: _eval_batch(batch, config, c), batches[1:])
-    done = [_eval_batch(batches[0], config, c), *(f.result() for f in futures)]
+    futures = _submit(lambda batch: _eval_batch(batch, As, classes, config, c), batches[1:])
+    done = [_eval_batch(batches[0], As, classes, config, c), *(f.result() for f in futures)]
     return [row for j in range(len(done[0])) for rows in done for row in rows[j]]
 
 
@@ -430,18 +437,48 @@ def default_config() -> SweepConfig:
     )
 
 
-def _section_inertial_far(atom, units):
+def _contour_pass(grids, atom, units):
+    """One gated contour call on the union of the product grids (Rs, As) of
+    the report's sections, each point evaluated once.  Returns contour(Rs, As):
+    the entries of one of those grids, one row per acceleration as _gate_grid
+    gives them; a section raises an error entry where it reads it."""
+    R_at, a_at, pair_at = {}, {}, {}
+    for Rs, As in grids:
+        cols = [R_at.setdefault(R, len(R_at)) for R in map(float, Rs)]
+        for j in [a_at.setdefault(a, len(a_at)) for a in map(float, As)]:
+            for i in cols:
+                pair_at.setdefault((i, j), len(pair_at))
+    entries = _gate("contour", list(R_at), list(a_at), [i for i, _ in pair_at],
+                    [j for _, j in pair_at], atom, units)
+
+    def contour(Rs, As):
+        return [[entries[pair_at[R_at[float(R)], a_at[float(a)]]] for R in Rs] for a in As]
+
+    return contour
+
+
+# the reduced separations of the inertial far-zone and far-zone a^2 sections,
+# and the a R / c^2 of the large-aR section
+_INERTIAL_FAR_R = (50.0, 100.0, 200.0)
+_FAR_A2_R = tuple(np.logspace(math.log10(50.0), math.log10(500.0), 8))
+_HIGH_AR = (50.0, 100.0, 200.0)
+
+
+def _inertial_far_grid(u):
+    return [Rt * u.restore_length(1.0) for Rt in _INERTIAL_FAR_R], [0.0]
+
+
+def _section_inertial_far(atom, units, contour):
     u = units_for(atom, units)
     alpha0 = _reduce_atom(atom, u).alpha0
     lit = -23.0 * alpha0**2 / (4.0 * math.pi)
     printed = -23.0 * alpha0**2 / 4.0
-    R_scale = u.restore_length(1.0)
-    grid = [50.0, 100.0, 200.0]
-    (row,) = potential_grid([Rt * R_scale for Rt in grid], [0.0], atom, units=units)
+    grid = list(_INERTIAL_FAR_R)
+    (row,) = contour(*_inertial_far_grid(u))
     vals = []
     rows = []
     for Rt, entry in zip(grid, row):
-        v = _result(entry).value
+        v = _result(entry)[0]
         vals.append(u.reduce_energy(v) * Rt**7)
         rows.append({"R": Rt, "V": u.reduce_energy(v)})
     slope = fit_slope(rows, "R", "V").slope
@@ -460,11 +497,15 @@ def _section_inertial_far(atom, units):
     }
 
 
-def _section_inertial_near(atom, units):
+def _inertial_near_grid(u):
+    return [Rt * u.restore_length(1.0) for Rt in (0.01, 0.005)], [0.0]
+
+
+def _section_inertial_near(atom, units, contour):
     u = units_for(atom, units)
-    Rs = [Rt * u.restore_length(1.0) for Rt in (0.01, 0.005)]
-    (row,) = potential_grid(Rs, [0.0], atom, units=units)
-    vals = [_result(entry).value / asymptotics.near_zone_value(R, atom, units=units)
+    Rs, As = _inertial_near_grid(u)
+    (row,) = contour(Rs, As)
+    vals = [_result(entry)[0] / asymptotics.near_zone_value(R, atom, units=units)
             for R, entry in zip(Rs, row)]
     return {
         "C6": asymptotics.near_zone_inertial(atom, hbar=u.hbar_atomic),
@@ -473,13 +514,17 @@ def _section_inertial_near(atom, units):
     }
 
 
-def _section_far_a2(atom, units):
+def _far_a2_grid(u):
+    return ([Rt * u.restore_length(1.0) for Rt in _FAR_A2_R],
+            [0.0, 1e-3 * u.restore_acceleration(1.0)])
+
+
+def _section_far_a2(atom, units, contour):
     u = units_for(atom, units)
-    a = 1e-3 * u.restore_acceleration(1.0)
-    R_scale = u.restore_length(1.0)
-    grid = list(np.logspace(math.log10(50.0), math.log10(500.0), 8))
-    inertial, accel = potential_grid([Rt * R_scale for Rt in grid], [0.0, a], atom, units=units)
-    rows = [{"R": Rt, "dV": u.reduce_energy(_result(e).value - _result(e0).value)}
+    Rs, As = _far_a2_grid(u)
+    a, grid = As[1], list(_FAR_A2_R)
+    inertial, accel = contour(Rs, As)
+    rows = [{"R": Rt, "dV": u.reduce_energy(_result(e)[0] - _result(e0)[0])}
             for Rt, e0, e in zip(grid, inertial, accel)]
     fit = fit_slope(rows, "R", "dV")
     at = u.reduce_acceleration(a)
@@ -508,9 +553,11 @@ def _section_far_a2(atom, units):
     }
 
 
-def _section_near_a2(atom, units):
+def _section_near_a2(atom, units, contour):
+    # fit_a2_near_coefficient's grid and fit, on entries of the report's pass
     try:
-        fit = asymptotics.fit_a2_near_coefficient(atom, units=units)
+        R_grid, a_values = asymptotics._a2_near_grid(units_for(atom, units))
+        fit = asymptotics._a2_near_fit(R_grid, a_values, contour(R_grid, a_values))
     except UnruhCPError as exc:
         return {"pass": False, "error": str(exc)}
     return {
@@ -522,17 +569,20 @@ def _section_near_a2(atom, units):
     }
 
 
-def _section_high_aR(atom, units):
+def _high_aR_grid(u):
+    return ([aR / 0.01 * u.restore_length(1.0) for aR in _HIGH_AR],
+            [0.01 * u.restore_acceleration(1.0)])
+
+
+def _section_high_aR(atom, units, contour):
     u = units_for(atom, units)
-    a = 0.01 * u.restore_acceleration(1.0)
-    aRs = (50.0, 100.0, 200.0)
-    Rs = [aR / 0.01 * u.restore_length(1.0) for aR in aRs]
-    (row,) = potential_grid(Rs, [a], atom, units=units)
+    Rs, As = _high_aR_grid(u)
+    (a,), (row,) = As, contour(Rs, As)
     points = []
     rows = []
     ok = True
-    for aR, R, entry in zip(aRs, Rs, row):
-        v = _result(entry).value
+    for aR, R, entry in zip(_HIGH_AR, Rs, row):
+        v = _result(entry)[0]
         law = asymptotics.high_aR(R, a, atom, units=units)
         ratio = v / law
         ok = ok and abs(ratio - 1.0) <= 0.05
@@ -607,19 +657,19 @@ def _section_occupation():
     }
 
 
-def _section_dual_method(atom, units):
-    u = units_for(atom, units)
-    R_scale = u.restore_length(1.0)
-    a_scale = u.restore_acceleration(1.0)
-    Rs = np.logspace(-1, 2, 5) * R_scale
-    As = np.logspace(-3, -1, 5) * a_scale
-    contour = potential_grid(Rs, As, atom, units=units)
+def _dual_method_grid(u):
+    return (np.logspace(-1, 2, 5) * u.restore_length(1.0),
+            np.logspace(-3, -1, 5) * u.restore_acceleration(1.0))
+
+
+def _section_dual_method(atom, units, contour):
+    Rs, As = _dual_method_grid(units_for(atom, units))
     oracle = potential_oracle_grid(Rs, As, atom, units=units)
     worst = 0.0
     failures = []
-    for a, c_row, o_row in zip(As, contour, oracle):
+    for a, c_row, o_row in zip(As, contour(Rs, As), oracle):
         for R, entry, o in zip(Rs, c_row, o_row):
-            v = _result(entry).value
+            v = _result(entry)[0]
             if isinstance(o, UnruhCPError):
                 failures.append({"R": float(R), "a": float(a), "error": str(o)})
                 continue
@@ -662,17 +712,25 @@ def compare_report(config: SweepConfig) -> dict:
         "methods": list(config.methods),
         "units": config.units,
     }}
-    report["inertial_far"] = _section_inertial_far(atom, units)
-    report["inertial_near"] = _section_inertial_near(atom, units)
+    # every section that reads contour values takes them from one pass
+    u = units_for(atom, units)
+    grids = [_inertial_far_grid(u), _inertial_near_grid(u)]
+    if has_acceleration:
+        grids += [_far_a2_grid(u), asymptotics._a2_near_grid(u), _high_aR_grid(u)]
+        if "oracle" in config.methods:
+            grids.append(_dual_method_grid(u))
+    contour = _contour_pass(grids, atom, units)
+    report["inertial_far"] = _section_inertial_far(atom, units, contour)
+    report["inertial_near"] = _section_inertial_near(atom, units, contour)
     skipped = {"status": "skipped", "reason": "configuration restricts a to 0"}
     if has_acceleration:
-        report["far_zone_a2"] = _section_far_a2(atom, units)
-        report["near_zone_a2"] = _section_near_a2(atom, units)
-        report["high_aR"] = _section_high_aR(atom, units)
+        report["far_zone_a2"] = _section_far_a2(atom, units, contour)
+        report["near_zone_a2"] = _section_near_a2(atom, units, contour)
+        report["high_aR"] = _section_high_aR(atom, units, contour)
         report["high_acc"] = _section_high_acc()
         report["occupation"] = _section_occupation()
         if "oracle" in config.methods:
-            report["dual_method"] = _section_dual_method(atom, units)
+            report["dual_method"] = _section_dual_method(atom, units, contour)
         else:
             report["dual_method"] = {"status": "skipped", "reason": "oracle not requested"}
     else:

@@ -5,10 +5,10 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 Each criterion is measured once, by its section of
 ``compare_report(default_config())``: the report is built once per module
 and every test holds that section's numbers to the criterion's tolerance and
-checks that the section's own pass flag agrees.  A section function is
-called directly only for an input the default report lacks (the
-three-transition atom of criterion 2); checks the report does not make
-(criterion 9's unit round-trips) stay here.
+checks that the section's own pass flag agrees.  An input the default report
+lacks (the three-transition atom of criterion 2) is measured by the report of
+a configuration with that atom; checks the report does not make (criterion
+9's unit round-trips) stay here.
 
 Two checks are marked xfail(strict=True): the far-zone acceleration
 coefficient and the large-aR law.  Direct evaluation of the integral
@@ -22,7 +22,7 @@ numbers as flagged discrepancies.
 import pytest
 
 from unruhcp import UnitSystem, alpha_static
-from unruhcp.sweep import _section_inertial_near, compare_report, default_config
+from unruhcp.sweep import GridSpec, SweepConfig, compare_report, default_config
 
 
 def _line(num, name, ok, detail=""):
@@ -52,7 +52,8 @@ def test_criterion_1_inertial_far_zone(report):
 def test_criterion_2_inertial_near_zone(report, atom3):
     sec = report["inertial_near"]
     ok_two = sec["C6"] == 0.75 and abs(sec["ratio_to_C6_law"][0] - 1.0) <= 0.005
-    sec3 = _section_inertial_near(atom3, "natural")
+    sec3 = compare_report(SweepConfig(atom=atom3, R_grid=GridSpec(value=1.0),
+                                      a_grid=GridSpec(value=0.0)))["inertial_near"]
     ratio3 = sec3["ratio_to_C6_law"][-1]  # R = 0.005
     ok_three = abs(ratio3 - 1.0) <= 0.005
     _line(2, "inertial near zone", ok_two and ok_three,

@@ -19,13 +19,19 @@ from unruhcp import (
     high_aR,
     near_zone_inertial,
     near_zone_value,
-    potential_grid,
     potential_high_acc,
     two_level,
 )
-from unruhcp import asymptotics, potential
-from unruhcp.asymptotics import FLOAT_MAX, FLOAT_MIN, _high_acc_bracket, closed_form_slope
-from unruhcp.sweep import _section_near_a2
+from unruhcp import asymptotics, potential, sweep
+from unruhcp.asymptotics import (
+    FLOAT_MAX,
+    FLOAT_MIN,
+    _a2_near_grid,
+    _high_acc_bracket,
+    closed_form_slope,
+)
+from unruhcp.sweep import GridSpec, SweepConfig, compare_report
+from unruhcp.units import units_for
 
 
 def test_near_zone_inertial_two_level(atom):
@@ -331,19 +337,27 @@ def test_fit_a2_near_coefficient_smoke(atom):
 
 
 def test_fit_a2_near_coefficient_raises_grid_failure(atom, monkeypatch):
-    # a failed grid entry is raised as the point call raised it, and the
-    # report section turns it into a failed check with the message
+    # a failed entry of the fit's grid is raised as the point call raised it,
+    # and the report, whose one contour pass holds that point, turns it into
+    # a failed near_zone_a2 check with the message
     failure = NumericalFailure("contour quadrature missed its tolerance (injected)")
+    R_grid, a_values = _a2_near_grid(units_for(atom))
+    gate = potential._gate
 
-    def failing_grid(*args, **kwargs):
-        grid = potential_grid(*args, **kwargs)
-        grid[1][2] = failure
-        return grid
+    def failing_gate(method, Rs, As, ri, aj, *args):
+        entries = gate(method, Rs, As, ri, aj, *args)
+        for p, (i, j) in enumerate(zip(ri, aj)):
+            if (Rs[i], As[j]) == (R_grid[2], a_values[1]):
+                entries[p] = failure
+        return entries
 
-    # fit_a2_near_coefficient imports potential_grid when it runs
-    monkeypatch.setattr(potential, "potential_grid", failing_grid)
+    # fit_a2_near_coefficient reaches the gate through potential when it
+    # runs; the report's pass calls the gate sweep imported
+    monkeypatch.setattr(potential, "_gate", failing_gate)
+    monkeypatch.setattr(sweep, "_gate", failing_gate)
     with pytest.raises(NumericalFailure) as info:
         fit_a2_near_coefficient(atom)
     assert info.value is failure
-    section = _section_near_a2(atom, "natural")
+    config = SweepConfig(atom=atom, R_grid=GridSpec(value=1.0), a_grid=GridSpec(value=1e-3))
+    section = compare_report(config)["near_zone_a2"]
     assert section == {"pass": False, "error": str(failure)}

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import unruhcp.potential as potmod
+from unruhcp import sweep
 from unruhcp import (
     AtomSpec,
     GridSpec,
@@ -334,3 +335,70 @@ def test_grid_regimes_equal_classify_regime(units):
                     assert entry.regime == classify_regime(R, a, atom, c=c)
                     passed += 1
         assert passed >= 20
+
+
+def _entry_bits(entry):
+    """A gate entry as hex strings: value, estimate and parts, and warnings;
+    or an error's type, message, partial value and estimate."""
+    if isinstance(entry, UnruhCPError):
+        return (type(entry).__name__, str(entry),
+                *(float(x).hex() for x in (getattr(entry, "partial", None) or 0.0,
+                                           getattr(entry, "error_estimate", None) or 0.0)))
+    return (*(float(x).hex() for x in entry[:5]), entry[5])
+
+
+@pytest.mark.parametrize("method", ["contour", "oracle"])
+@pytest.mark.parametrize("rel_tol", [None, 1e-13])
+def test_flat_pairs_equal_the_product_grid(monkeypatch, method, rel_tol):
+    # shuffled and repeated (R, a) pairs give, entry for entry, the bits of
+    # the product grid: a = 0, the Bose route (a = 0.05, aR <= 0.5), direct
+    # ladders (aR = 10), Abel-Plana ladders (a = 0.3, aR < 0.4), a dense
+    # ladder (aR = 2e-4), the marginal and excited regimes, and separations
+    # whose powers leave the range of doubles; with REL_TOL lowered some
+    # points are a NumericalFailure
+    if rel_tol is not None:
+        monkeypatch.setattr(potmod, "REL_TOL", rel_tol)
+    atom = _TWO_LINES
+    Rs, As = [1e-60, 1e-3, 0.5, 1.0, 20.0, 1e100], [0.0, 0.05, 0.2, 0.3, 0.5, 12.0]
+    product = potmod._gate_grid(method, Rs, As, atom, "natural")
+    rng = np.random.default_rng(31)
+    pairs = [(i, j) for j in range(len(As)) for i in range(len(Rs))]
+    pairs = [pairs[k] for k in rng.permutation(len(pairs))] + [pairs[k] for k in (3, 3, 17, 30)]
+    flat = potmod._gate(method, Rs, As, [i for i, _ in pairs], [j for _, j in pairs],
+                        atom, "natural")
+    assert [_entry_bits(e) for e in flat] == [_entry_bits(product[j][i]) for i, j in pairs]
+    kinds = {type(e).__name__ for row in product for e in row}
+    assert kinds == {"tuple", "RegimeError", "NumericalFailure"}
+    passed = [e for row in product for e in row if isinstance(e, tuple)]
+    assert any(w.startswith("marginal validity window") for e in passed for w in e[5])
+    if method == "contour" and rel_tol is None:
+        assert any(w.startswith("dense pole ladder") for e in passed for w in e[5])
+
+
+def test_report_makes_one_contour_pass(monkeypatch):
+    # every report section that reads contour values takes them from one
+    # route call; the dual-method section's oracle values from one more;
+    # only the determinism section's sweeps call the route again
+    calls = {"contour": 0, "oracle": 0, "in_sweep": 0}
+    inside = []
+
+    def counted(name, route):
+        def call(*args):
+            calls["in_sweep" if inside else name] += 1
+            return route(*args)
+        return call
+
+    def sweeping(*args, **kwargs):
+        inside.append(True)
+        try:
+            return run_sweep(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(potmod, "_contour_points", counted("contour", potmod._contour_points))
+    monkeypatch.setattr(potmod, "_oracle_points", counted("oracle", potmod._oracle_points))
+    monkeypatch.setattr(sweep, "run_sweep", sweeping)
+    report = sweep.compare_report(sweep.default_config())
+    assert report["overall_pass"]
+    assert (calls["contour"], calls["oracle"]) == (1, 1)
+    assert calls["in_sweep"] == 5    # 1, 1 and 3 batches of the determinism sweeps
