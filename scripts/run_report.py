@@ -14,8 +14,6 @@ import sys
 
 from unruhcp.sweep import compare_report, default_config, rows_to_csv, run_sweep
 
-WORKERS = 4   # threads of the reference sweep; its rows do not depend on them
-
 # each law is read from the report section whose numbers the acceptance tests check
 LAWS = {
     "inertial_far": "inertial far zone : slope {slope:+.4f} (law -7), R^7 V ->"
@@ -45,7 +43,7 @@ def main(argv=None) -> int:
     report = compare_report(config)
     (out / "report.json").write_text(json.dumps(report, indent=2) + "\n")
 
-    rows = run_sweep(config, max_workers=WORKERS)
+    rows = run_sweep(config)
     (out / "sweep.csv").write_text(rows_to_csv(rows))
 
     for key, sec in report.items():

@@ -111,7 +111,7 @@ def _cmd_sweep(args) -> int:
     from .sweep import rows_to_csv, run_sweep
 
     config = _resolve_config(args.config)
-    rows = run_sweep(config, max_workers=args.workers)
+    rows = run_sweep(config)
     _write_output(args.out or config.output_path, rows_to_csv(rows))
     return 0
 
@@ -175,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="run a grid sweep to CSV")
     sp.add_argument("--config", required=True)
     sp.add_argument("--out", default=None)
-    sp.add_argument("--workers", type=int, default=1)
     sp.set_defaults(func=_cmd_sweep)
 
     sp = sub.add_parser("fit", help="log-log slope fit on sweep output")

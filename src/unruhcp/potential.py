@@ -105,7 +105,8 @@ needs numpy alone.
 Every contour and oracle value is a function of (R, a, atom) alone: the
 arithmetic of one point never involves another, so a grid returns bit for
 bit what point-by-point calls return.  All evaluators are pure functions,
-deterministic and safe for concurrent use.
+deterministic and safe for concurrent use: the package starts no thread,
+and callers may bring their own.
 """
 from __future__ import annotations
 

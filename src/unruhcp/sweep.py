@@ -1,11 +1,10 @@
 """Batch evaluation over (R, a) grids, power-law fits and the comparison report.
 
-Rows are produced in lexicographic (a, R) order whatever the concurrency
-level or batching (run_sweep's first batch runs in the calling thread, the
-others on worker threads shared for the life of the process), straight from
-the evaluators' acceptance gate (potential._gate), whose restored tuples give
-their values, parts and warnings; PotentialResult objects are built only for
-the API calls that return them.  Numbers are serialized with shortest
+Rows are produced in lexicographic (a, R) order, in the calling thread
+(run_sweep starts no thread: each evaluator takes the whole grid in one
+call), straight from the evaluators' acceptance gate (potential._gate), whose
+restored tuples give their values, parts and warnings; PotentialResult
+objects are built only for the API calls that return them.  Numbers are serialized with shortest
 round-trip precision, and a fixed configuration yields byte-identical CSV
 and report output.
 
@@ -19,15 +18,11 @@ checks its sampled (omega, a) points in one array pass.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import csv
-import functools
 import io
 import json
 import math
 import numbers
-import queue
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -213,21 +208,32 @@ def relative_difference(values) -> float:
     return (max(values) - min(values)) / scale if scale > 0 else 0.0
 
 
-def _eval_batch(Rs: list[float], As: list[float], classes, config: SweepConfig,
-                c: float) -> list[list[SweepRow]]:
-    """Rows of the separations Rs at every acceleration of As, one list per
-    acceleration; an error entry of the gate or of a closed form is a row
-    warning.  The zone is classified once per separation; classes() gives
-    each acceleration's class and whether it is excited.  c is the speed of
-    light of the config's unit mode."""
-    atom, methods = config.atom, config.methods
+def run_sweep(config: SweepConfig, max_workers: int = 1) -> list[SweepRow]:
+    """Evaluate every grid point in the calling thread; row order is
+    lexicographic (a, R).
+
+    The contour evaluator and the oracle each take the whole grid in one
+    call.  Per-point failures (an error entry of the gate or of a closed
+    form) become row warnings and never abort the sweep.  max_workers must
+    be the integer 1, since the sweep starts no thread; any other value (a
+    bool included) is an InputError.
+    """
+    if isinstance(max_workers, bool) or not (isinstance(max_workers, numbers.Integral)
+                                             and max_workers == 1):
+        raise InputError(f"max_workers must be 1, since the sweep runs in the calling "
+                         f"thread; got {max_workers!r}")
+    c, atom, methods = UnitSystem(mode=config.units).c, config.atom, config.methods
+    Rs, As = config.R_grid.points(), config.a_grid.points()
     absent = [[None] * len(Rs)] * len(As)
     contour, oracle = (_gate_grid(m, Rs, As, atom, config.units) if m in methods else absent
                        for m in ("contour", "oracle"))
+    # classified after the gate, so that a value outside the domain raises
+    # the gate's error; the zone once per separation, the acceleration's
+    # class and whether it is excited once per acceleration
     zones = [_zone(R, atom, c)[1] for R in Rs]
-    grid = []
-    for a, (acc, excited), c_row, o_row in zip(As, classes(), contour, oracle):
-        rows = []
+    classes = [(_acceleration(a, atom, c)[1], validity_check(a, atom, c=c).excited) for a in As]
+    rows = []
+    for a, (acc, excited), c_row, o_row in zip(As, classes, contour, oracle):
         for R, zone, v, o in zip(Rs, zones, c_row, o_row):
             aR = _aR(R, a, c)[1]
             v_contour, parts, warnings = ((v[0], v[2:5], [*v[5]]) if isinstance(v, tuple)
@@ -253,68 +259,7 @@ def _eval_batch(Rs: list[float], As: list[float], classes, config: SweepConfig,
                 part_vacuum=parts[0], part_a2=parts[1], part_residue=parts[2],
                 rel_diff=relative_difference(present) if len(present) >= 2 else None,
                 warnings=tuple(warnings)))
-        grid.append(rows)
-    return grid
-
-
-_JOBS: queue.SimpleQueue = queue.SimpleQueue()   # (future, fn, arg) for _work
-_WORKERS = 0           # daemon threads running _work, started on first use
-_WORKERS_LOCK = threading.Lock()
-
-
-def _work():
-    while True:
-        future, fn, arg = _JOBS.get()
-        try:
-            future.set_result(fn(arg))
-        except BaseException as exc:
-            # raised again in the caller by result(); the thread lives on
-            # to serve the queue
-            future.set_exception(exc)
-
-
-def _submit(fn, batches) -> list:
-    """fn(batch) per batch on the shared worker threads, first raised to at
-    least len(batches) of them; the futures in batch order."""
-    global _WORKERS
-    with _WORKERS_LOCK:
-        while _WORKERS < len(batches):
-            threading.Thread(target=_work, name=f"unruhcp-sweep-{_WORKERS}", daemon=True).start()
-            _WORKERS += 1
-    futures = [concurrent.futures.Future() for _ in batches]
-    for future, batch in zip(futures, batches):
-        _JOBS.put((future, fn, batch))
-    return futures
-
-
-def run_sweep(config: SweepConfig, max_workers: int = 1) -> list[SweepRow]:
-    """Evaluate every grid point; row order is lexicographic (a, R).
-
-    The contour evaluator and the oracle take the grid in batches of
-    separations, each at every acceleration; for max_workers > 1, in up to
-    that many batches, evaluated concurrently: the first by the calling
-    thread, the others by worker threads that the first call needing them
-    starts, later calls share and the process keeps (as many as the largest
-    max_workers - 1 asked for).  Every value depends on its own point only,
-    so the output is independent of the split.  Per-point failures become
-    row warnings and never abort the sweep; a max_workers that is not an
-    integer of at least 1 (a bool included) is an InputError.
-    """
-    if (not isinstance(max_workers, numbers.Integral) or isinstance(max_workers, bool)
-            or max_workers < 1):
-        raise InputError(f"max_workers must be an integer of at least 1, got {max_workers!r}")
-    c, atom = UnitSystem(mode=config.units).c, config.atom
-    Rs, As = config.R_grid.points(), config.a_grid.points()
-    # each acceleration is classified once per call, by the first batch to
-    # get past its gate and zones, so a value outside the domain raises the
-    # error it raises there
-    classes = functools.cache(lambda: [(_acceleration(a, atom, c)[1],
-                                        validity_check(a, atom, c=c).excited) for a in As])
-    n = min(max_workers, len(Rs))
-    batches = [Rs[k * len(Rs) // n:(k + 1) * len(Rs) // n] for k in range(n)]
-    futures = _submit(lambda batch: _eval_batch(batch, As, classes, config, c), batches[1:])
-    done = [_eval_batch(batches[0], As, classes, config, c), *(f.result() for f in futures)]
-    return [row for j in range(len(done[0])) for rows in done for row in rows[j]]
+    return rows
 
 
 def rows_to_csv(rows: list[SweepRow]) -> str:
@@ -687,12 +632,8 @@ def _section_determinism(config: SweepConfig):
                         R_grid=GridSpec(min=0.5, max=5.0, count=3),
                         a_grid=GridSpec(min=1e-3, max=1e-2, count=2),
                         methods=("contour",), units=config.units)
-    csv1 = rows_to_csv(run_sweep(small, max_workers=1))
-    csv2 = rows_to_csv(run_sweep(small, max_workers=1))
-    csv4 = rows_to_csv(run_sweep(small, max_workers=4))
-    return {"repeat_identical": csv1 == csv2,
-            "concurrency_identical": csv1 == csv4,
-            "pass": csv1 == csv2 == csv4}
+    csv1, csv2 = (rows_to_csv(run_sweep(small)) for _ in range(2))
+    return {"repeat_identical": csv1 == csv2, "pass": csv1 == csv2}
 
 
 def compare_report(config: SweepConfig) -> dict:

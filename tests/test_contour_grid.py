@@ -73,7 +73,6 @@ def test_grid_csv_is_concatenation_of_per_acceleration_grids(seeded_config):
         assert text[0] == full[0]
         pieces.extend(text[1:])
     assert pieces == full
-    assert rows_to_csv(run_sweep(seeded_config, max_workers=3)).splitlines() == full
 
 
 def test_grid_entries_equal_single_points():
@@ -133,7 +132,6 @@ def _check_rows(config):
         assert (row.regime, row.V_contour, row.V_oracle, row.V_asymptotic, row.part_vacuum,
                 row.part_a2, row.part_residue, row.rel_diff, row.warnings
                 ) == _expected_row(row.R, row.a, config.atom), (row.R, row.a)
-    assert rows_to_csv(run_sweep(config, max_workers=3)) == rows_to_csv(rows)
     return rows
 
 
@@ -401,4 +399,4 @@ def test_report_makes_one_contour_pass(monkeypatch):
     report = sweep.compare_report(sweep.default_config())
     assert report["overall_pass"]
     assert (calls["contour"], calls["oracle"]) == (1, 1)
-    assert calls["in_sweep"] == 5    # 1, 1 and 3 batches of the determinism sweeps
+    assert calls["in_sweep"] == 2    # one per determinism sweep

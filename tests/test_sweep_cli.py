@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from unruhcp import (
+    DomainError,
     GridSpec,
     InputError,
     SweepConfig,
@@ -188,36 +189,38 @@ def test_sweep_dual_method_rel_diff():
     assert all(r.rel_diff is not None and r.rel_diff < 1e-4 for r in rows)
 
 
-def test_sweep_determinism_and_concurrency():
+def test_sweep_determinism():
     cfg = _config(R_grid=GridSpec(min=0.5, max=5.0, count=3),
                   a_grid=GridSpec(min=1e-3, max=1e-2, count=2))
-    text1 = rows_to_csv(run_sweep(cfg, max_workers=1))
-    text2 = rows_to_csv(run_sweep(cfg, max_workers=1))
-    text4 = rows_to_csv(run_sweep(cfg, max_workers=4))
-    assert text1 == text2 == text4
+    assert rows_to_csv(run_sweep(cfg)) == rows_to_csv(run_sweep(cfg))
 
 
 # Runs in a fresh interpreter; prints the live thread count after importing
-# the sweep module, after a 1-worker sweep and after each of six 3-worker
-# sweeps; then runs eight 4-worker sweeps at once, with a short switch
-# interval, and prints the number of sweep workers left and whether any of
-# the eight is still running; and whether every sweep wrote the 1-worker CSV.
+# the package and after serial potential_grid, potential_oracle_grid and
+# run_sweep calls; then makes the same calls from eight threads of its own at
+# once, with a short switch interval, and prints whether any of the eight is
+# still running, the live thread count after they are joined and whether
+# every concurrent result has the serial result's bytes.
 THREAD_PROBE = r"""
 import json, sys, threading
-import unruhcp.sweep as sweep
+import unruhcp as u
 counts = [threading.active_count()]
-cfg = sweep.SweepConfig(atom=sweep.two_level(1.0, 1.0),
-                        R_grid=sweep.GridSpec(min=0.5, max=5.0, count=5),
-                        a_grid=sweep.GridSpec(min=1e-3, max=1e-2, count=2),
-                        methods=("contour",))
-serial = sweep.rows_to_csv(sweep.run_sweep(cfg, max_workers=1))
+atom = u.two_level(1.0, 1.0)
+Rs, As = [1e-3, 0.7, 40.0], [0.0, 0.02, 0.6, 50.0]
+cfg = u.SweepConfig(atom=atom, R_grid=u.GridSpec(min=0.5, max=5.0, count=5),
+                    a_grid=u.GridSpec(min=1e-3, max=1e-2, count=2),
+                    methods=("contour", "oracle", "asymptotic"))
+calls = [lambda: repr(u.potential_grid(Rs, As, atom)),
+         lambda: repr(u.potential_oracle_grid(Rs, As, atom)),
+         lambda: u.rows_to_csv(u.run_sweep(cfg))]
+serial = [call() for call in calls]
 counts.append(threading.active_count())
 same = []
-for _ in range(6):
-    same.append(sweep.rows_to_csv(sweep.run_sweep(cfg, max_workers=3)) == serial)
-    counts.append(threading.active_count())
-callers = [threading.Thread(target=lambda: same.append(
-    sweep.rows_to_csv(sweep.run_sweep(cfg, max_workers=4)) == serial)) for _ in range(8)]
+def caller(k):
+    for j in range(len(calls)):
+        i = (j + k) % len(calls)
+        same.append(calls[i]() == serial[i])
+callers = [threading.Thread(target=caller, args=(k,)) for k in range(8)]
 interval = sys.getswitchinterval()
 sys.setswitchinterval(1e-6)
 try:
@@ -227,24 +230,22 @@ try:
         t.join(timeout=60)
 finally:
     sys.setswitchinterval(interval)
-workers = sum(t.name.startswith("unruhcp-sweep") for t in threading.enumerate())
-print(json.dumps({"counts": counts, "workers": workers,
-                  "alive": any(t.is_alive() for t in callers), "same": same}))
+alive = any(t.is_alive() for t in callers)
+counts.append(threading.active_count())
+print(json.dumps({"counts": counts, "alive": alive, "same": same}))
 """
 
 
-def test_sweep_reuses_its_worker_threads():
-    # no thread at import or for one worker; the first 3-worker sweep starts
-    # two (the caller takes the first batch), the next five start none; eight
-    # concurrent 4-worker sweeps share three workers (a lost update of the
-    # worker count would start more)
+def test_package_calls_from_caller_threads_match_serial():
+    # the evaluators and the sweep start no thread, at import or per call,
+    # and calls made at once from the caller's own threads return the serial
+    # calls' bytes (the "safe for concurrent use" contract of potential.py)
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", THREAD_PROBE], capture_output=True,
                           text=True, env=env, check=True, timeout=120)
     seen = json.loads(proc.stdout)
-    assert seen["counts"] == [1, 1, 3, 3, 3, 3, 3, 3]
-    assert seen["workers"] == 3 and not seen["alive"]
-    assert seen["same"] == [True] * 14
+    assert seen["counts"] == [1, 1, 1] and not seen["alive"]
+    assert seen["same"] == [True] * 24
 
 
 def test_csv_round_trip(tmp_path):
@@ -434,18 +435,30 @@ def test_cli_rejects_non_finite_arguments(atom_file, tmp_path, capsys):
                 {"atom": atom_file, "R_grid": {"min": 1, "max": 2, "count": 2.9}}):
         cfg.write_text(json.dumps(doc))
         assert cli.main(["sweep", "--config", str(cfg)]) == 1
-    # --workers 0 and -3 once ran quietly on one worker
-    for workers in ("0", "-3"):
-        assert cli.main(["sweep", "--config", "default", "--workers", workers]) == 1
-    # so is a max_workers that is not an integer: 2.0, "2" and None once
-    # escaped as a bare TypeError and True ran on one worker; a numpy integer
-    # is an integer
-    for workers in (2.0, "2", None, True, False):
-        with pytest.raises(InputError, match="max_workers"):
-            run_sweep(_config(), max_workers=workers)
-    assert (rows_to_csv(run_sweep(_config(), max_workers=np.int64(2)))
-            == rows_to_csv(run_sweep(_config())))
     assert capsys.readouterr().out == ""
+    # the sweep runs in the calling thread: --workers is an unknown flag, and
+    # max_workers is the integer 1 alone (2.0, "2" and None once escaped as a
+    # bare TypeError, and True ran on one worker); a numpy integer is an
+    # integer
+    with pytest.raises(SystemExit) as exc_info:
+        cli.main(["sweep", "--config", "default", "--workers", "1"])
+    assert exc_info.value.code == 2
+    assert "unrecognized arguments: --workers" in capsys.readouterr().err
+    for workers in (0, -3, 2, 4, np.int64(2), 1.0, 2.0, "1", "2", None, True, False):
+        with pytest.raises(InputError, match="max_workers must be 1, since the sweep runs "
+                                             "in the calling thread"):
+            run_sweep(_config(), max_workers=workers)
+    assert (rows_to_csv(run_sweep(_config(), max_workers=np.int64(1)))
+            == rows_to_csv(run_sweep(_config(), max_workers=1))
+            == rows_to_csv(run_sweep(_config())))
+    # a separation or acceleration outside the domain raises the gate's
+    # DomainError before the classifiers' InputError, which a sweep without
+    # a gated method raises
+    for grids in ({"R_grid": GridSpec(value=-1.0)}, {"a_grid": GridSpec(value=-0.5)}):
+        with pytest.raises(DomainError, match="must be finite"):
+            run_sweep(_config(**grids))
+        with pytest.raises(InputError, match="must be finite"):
+            run_sweep(_config(methods=("asymptotic",), **grids))
     # a negative frequency is the occupation's domain error in both unit
     # modes; in si mode it was once refused as a unit anchor
     for units in ("natural", "si"):
@@ -517,8 +530,9 @@ def test_cli_sweep_and_fit(atom_file, config_file, tmp_path):
     assert proc.returncode == 0
     text1 = out.read_text()
     assert text1.splitlines()[0].startswith("R,a,regime,V_contour")
-    proc = _cli("sweep", "--config", config_file, "--out", str(out), "--workers", "4")
-    assert out.read_text() == text1  # byte-identical across concurrency
+    proc = _cli("sweep", "--config", config_file, "--out", str(out))
+    assert proc.returncode == 0
+    assert out.read_text() == text1  # byte-identical across processes
 
     proc = _cli("fit", "--input", str(out), "--x", "R", "--y", "V_contour",
                 "--window", "0.4,6.0")
