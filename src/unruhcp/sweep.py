@@ -4,9 +4,9 @@ Rows are produced in lexicographic (a, R) order, in the calling thread
 (run_sweep starts no thread: each evaluator takes the whole grid in one
 call), straight from the evaluators' acceptance gate (potential._gate), whose
 restored tuples give their values, parts and warnings; PotentialResult
-objects are built only for the API calls that return them.  Numbers are serialized with shortest
-round-trip precision, and a fixed configuration yields byte-identical CSV
-and report output.
+objects are built only for the API calls that return them.  Numbers are
+serialized with shortest round-trip precision, and a fixed configuration
+yields byte-identical CSV and report output.
 
 Each report section that needs contour values declares its (R, a) product
 grid, and compare_report evaluates the union of those points in one gated
