@@ -14,8 +14,8 @@ from importlib import import_module as _import_module
 _EXPORTS = {
     "atoms": ("AtomSpec", "Transition", "alpha_static", "load_atom", "two_level"),
     "asymptotics": (
-        "A2FitResult", "far_low_acc", "far_low_acc_parts", "fit_a2_near_coefficient",
-        "high_aR", "near_zone_inertial", "near_zone_value", "potential_high_acc",
+        "far_low_acc", "far_low_acc_parts", "high_aR", "near_zone_inertial",
+        "near_zone_value", "potential_high_acc",
     ),
     "errors": (
         "DomainError", "InconsistentRegimeError", "InputError", "NumericalFailure",

@@ -1,5 +1,4 @@
-"""Closed-form regime laws and the numeric extraction of the near-zone
-acceleration coefficient.
+"""Closed-form regime laws.
 
 The four laws, in the notation V(R) with alpha0 = alpha(0):
 
@@ -17,8 +16,8 @@ reproduces the large-aR coefficient (1/4 + pi^2/12) exactly but finds two
 deviations, quantified by the comparison report: the far-zone a^2
 coefficient measures 11/(4 pi c^3), eleven times the printed value, and for
 aR/c^2 >> 1 an additional a^3/R^4 origin term dominates the printed law.
-The near-zone a^2 term has no printed closed form; its coefficient is
-extracted numerically by fit_a2_near_coefficient.
+The near-zone a^2 term has no printed closed form; the comparison report
+fits its coefficient (sweep.compare_report's near_zone_a2).
 
 Each law is evaluated in doubles (_rounded).  When every argument is 0 or
 lies in [2^-60, 2^60], and hbar and omega0 in [2^-114, 2^114], no step of a
@@ -33,13 +32,11 @@ from __future__ import annotations
 
 import math
 import warnings as _warnings
-from dataclasses import dataclass
 
 from .atoms import AtomSpec, _c6, _reduce_atom, oscillator_sum
-from .errors import DomainError, InconsistentRegimeError, check_domain
+from .errors import DomainError, check_domain
 from .units import UnitSystem, units_for
 
-EXPONENT_TOL = 0.05
 # Python floats are safe for a law when every argument is 0 or has a
 # magnitude in [FLOAT_MIN, FLOAT_MAX], and hbar and omega0 (si hbar is about
 # 2^-113) lie in [RESTORE_MIN, RESTORE_MAX]: a law has degree at most 13 in
@@ -225,75 +222,3 @@ def closed_form_slope(law: str, R: float, a: float, atom: AtomSpec,
 
         return _rounded(slope, u.reduce_length(float(R)), units=u)
     raise DomainError(f"unknown law {law!r}")
-
-
-@dataclass(frozen=True)
-class A2FitResult:
-    """Outcome of the near-zone acceleration-squared coefficient extraction."""
-
-    K: float              # V correction = -K a^2 / R^6
-    exponent_a: float
-    exponent_R: float
-    log_residual_rms: float
-    n_points: int
-
-
-def _a2_near_grid(u: UnitSystem):
-    """The separations and accelerations of fit_a2_near_coefficient's grid, in
-    the units of u: R in [1e-3, 1e-2] c/omega0 and a in {0} and [1e-5, 1e-3]
-    omega0 c, 4 log-spaced values each."""
-    import numpy as np
-
-    a_grid = np.logspace(-5, -3, 4) * u.restore_acceleration(1.0)
-    return np.logspace(-3, -2, 4) * u.restore_length(1.0), [0.0, *a_grid]
-
-
-def _a2_near_fit(R_grid, a_values, entries) -> A2FitResult:
-    """fit_a2_near_coefficient's fit on the contour entries of its grid
-    (R_grid, a_values), one row per acceleration as _gate_grid returns them;
-    an error entry is raised."""
-    import numpy as np
-
-    from .potential import _result
-
-    inertial, *accel = entries
-    rows = []
-    for i, R in enumerate(R_grid):
-        v0 = _result(inertial[i])[0]
-        for a, row in zip(a_values[1:], accel):
-            dv = _result(row[i])[0] - v0
-            if not dv < 0.0:
-                raise InconsistentRegimeError(
-                    f"near-zone correction is not attractive at R={R}, a={a}: {dv}")
-            rows.append((float(a), float(R), dv))
-
-    A = np.array([[1.0, math.log(a), math.log(R)] for a, R, _ in rows])
-    y = np.array([math.log(-dv) for _, _, dv in rows])
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    resid = float(np.sqrt(np.mean((A @ coef - y) ** 2)))
-    exp_a, exp_R = float(coef[1]), float(coef[2])
-    if abs(exp_a - 2.0) > EXPONENT_TOL or abs(exp_R + 6.0) > EXPONENT_TOL:
-        raise InconsistentRegimeError(
-            f"fitted exponents ({exp_a:.4f}, {exp_R:.4f}) deviate from (2, -6) "
-            f"beyond +-{EXPONENT_TOL}")
-    k_vals = [-dv * R**6 / a**2 for a, R, dv in rows]
-    k_geo = float(np.exp(np.mean(np.log(k_vals))))
-    return A2FitResult(K=k_geo, exponent_a=exp_a, exponent_R=exp_R,
-                       log_residual_rms=resid, n_points=len(rows))
-
-
-def fit_a2_near_coefficient(atom: AtomSpec, units: str = "natural") -> A2FitResult:
-    """Extract the near-zone coefficient K of the a^2/R^6 correction.
-
-    Runs the contour evaluator, in one gated call, on a 4 x 4 log grid
-    a in [1e-5, 1e-3] omega0 c and R in [1e-3, 1e-2] c/omega0, subtracts the inertial value, and fits
-    |dV| = K a^2 R^-6.  An entry that is an error is raised as the point call
-    raises it.  The fitted exponents must match (2, -6) within
-    0.05 or InconsistentRegimeError is raised.
-    """
-    from .potential import _gate_grid
-
-    R_grid, a_values = _a2_near_grid(units_for(atom, units))
-    rows = _gate_grid("contour", [float(R) for R in R_grid], [float(a) for a in a_values],
-                      atom, units)
-    return _a2_near_fit(R_grid, a_values, rows)

@@ -20,7 +20,6 @@ class ValidityReport:
     """Outcome of the timescale-window check c/a >> tau >> 1/omega0."""
 
     ratio: float              # omega0 * c / a (inf at a = 0)
-    window: tuple[float, float]  # (1/omega0, c/a)
     status: str               # "valid" | "marginal" | "excited"
 
     @property
@@ -37,17 +36,16 @@ def validity_check(a: float, atom: AtomSpec, c: float = 1.0) -> ValidityReport:
     high-acceleration evaluator must be used instead.
     """
     check_domain("acceleration", a, strict=False, error=InputError)
-    omega0 = atom.omega0
     if a == 0.0:
-        return ValidityReport(ratio=math.inf, window=(1.0 / omega0, math.inf), status="valid")
-    ratio = omega0 * c / a
+        return ValidityReport(ratio=math.inf, status="valid")
+    ratio = atom.omega0 * c / a
     if ratio >= HIGH:
         status = "valid"
     elif ratio > LOW:
         status = "marginal"
     else:
         status = "excited"
-    return ValidityReport(ratio=ratio, window=(1.0 / omega0, c / a), status=status)
+    return ValidityReport(ratio=ratio, status=status)
 
 
 def _classify(ratio: float, labels=("low", "crossover", "high"), inclusive: bool = False) -> str:

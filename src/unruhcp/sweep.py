@@ -11,10 +11,11 @@ yields byte-identical CSV and report output.
 Each report section that needs contour values declares its (R, a) product
 grid, and compare_report evaluates the union of those points in one gated
 contour call (_contour_pass); the dual-method section takes its oracle values
-from one potential_oracle_grid call.  Both return bit for bit what
-point-by-point calls return, and a section raises an entry that is an error
-where it reads it, as the point call raises it.  The occupation section
-checks its sampled (omega, a) points in one array pass.
+from one gated oracle call on its grid.  Both give bit for bit the entries
+of point-by-point calls, and a section raises an entry that is an error
+where it reads it, as the point call raises it.  The near-zone a^2 section
+is the package's one fit of that coefficient.  The occupation section checks
+its sampled (omega, a) points in one array pass.
 """
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ import numpy as np
 from . import asymptotics
 from .atoms import AtomSpec, Transition, _reduce_atom, load_atom, two_level
 from .errors import (
+    InconsistentRegimeError,
     InputError,
     RegimeError,
     UnruhCPError,
@@ -37,7 +39,7 @@ from .errors import (
 )
 from .kinematics import _acceleration, _aR, _zone, validity_check
 from .occupation import _occupation_parts, mode_occupation, occupation_highacc
-from .potential import _gate, _gate_grid, _result, potential_oracle_grid
+from .potential import _gate, _gate_grid, _result
 from .units import UnitSystem, units_for
 
 CSV_COLUMNS = ("R", "a", "regime", "V_contour", "V_oracle", "V_asymptotic",
@@ -498,18 +500,47 @@ def _section_far_a2(atom, units, contour):
     }
 
 
+EXPONENT_TOL = 0.05   # how far the near-zone fit's exponents may lie from (2, -6)
+
+
+def _near_a2_grid(u):
+    # R in [1e-3, 1e-2] c/omega0 and a in {0} and [1e-5, 1e-3] omega0 c,
+    # 4 log-spaced values each
+    return ((np.logspace(-3, -2, 4) * u.restore_length(1.0)).tolist(),
+            [0.0, *(np.logspace(-5, -3, 4) * u.restore_acceleration(1.0)).tolist()])
+
+
 def _section_near_a2(atom, units, contour):
-    # fit_a2_near_coefficient's grid and fit, on entries of the report's pass
+    # fits |dV| = K a^2 R^-6 to the correction at a > 0; a correction that is
+    # not attractive, exponents off (2, -6) by more than EXPONENT_TOL or an
+    # error entry fail the section with the message
+    Rs, As = _near_a2_grid(units_for(atom, units))
     try:
-        R_grid, a_values = asymptotics._a2_near_grid(units_for(atom, units))
-        fit = asymptotics._a2_near_fit(R_grid, a_values, contour(R_grid, a_values))
+        inertial, *accel = contour(Rs, As)
+        rows = []
+        for i, R in enumerate(Rs):
+            v0 = _result(inertial[i])[0]
+            for a, row in zip(As[1:], accel):
+                dv = _result(row[i])[0] - v0
+                if not dv < 0.0:
+                    raise InconsistentRegimeError(
+                        f"near-zone correction is not attractive at R={R}, a={a}: {dv}")
+                rows.append((a, R, dv))
+        A = np.array([[1.0, math.log(a), math.log(R)] for a, R, _ in rows])
+        y = np.array([math.log(-dv) for _, _, dv in rows])
+        coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+        exp_a, exp_R = float(coef[1]), float(coef[2])
+        if abs(exp_a - 2.0) > EXPONENT_TOL or abs(exp_R + 6.0) > EXPONENT_TOL:
+            raise InconsistentRegimeError(
+                f"fitted exponents ({exp_a:.4f}, {exp_R:.4f}) deviate from (2, -6) "
+                f"beyond +-{EXPONENT_TOL}")
     except UnruhCPError as exc:
         return {"pass": False, "error": str(exc)}
     return {
-        "K": fit.K,
-        "exponent_a": fit.exponent_a,
-        "exponent_R": fit.exponent_R,
-        "log_residual_rms": fit.log_residual_rms,
+        "K": float(np.exp(np.mean(np.log([-dv * R**6 / a**2 for a, R, dv in rows])))),
+        "exponent_a": exp_a,
+        "exponent_R": exp_R,
+        "log_residual_rms": float(np.sqrt(np.mean((A @ coef - y) ** 2))),
         "pass": True,
     }
 
@@ -603,22 +634,23 @@ def _section_occupation():
 
 
 def _dual_method_grid(u):
-    return (np.logspace(-1, 2, 5) * u.restore_length(1.0),
-            np.logspace(-3, -1, 5) * u.restore_acceleration(1.0))
+    # Python floats, so that an oracle failure's message shows their reprs
+    return ((np.logspace(-1, 2, 5) * u.restore_length(1.0)).tolist(),
+            (np.logspace(-3, -1, 5) * u.restore_acceleration(1.0)).tolist())
 
 
 def _section_dual_method(atom, units, contour):
     Rs, As = _dual_method_grid(units_for(atom, units))
-    oracle = potential_oracle_grid(Rs, As, atom, units=units)
+    oracle = _gate_grid("oracle", Rs, As, atom, units)
     worst = 0.0
     failures = []
     for a, c_row, o_row in zip(As, contour(Rs, As), oracle):
         for R, entry, o in zip(Rs, c_row, o_row):
             v = _result(entry)[0]
             if isinstance(o, UnruhCPError):
-                failures.append({"R": float(R), "a": float(a), "error": str(o)})
+                failures.append({"R": R, "a": a, "error": str(o)})
                 continue
-            worst = max(worst, abs(o.value - v) / abs(v))
+            worst = max(worst, abs(o[0] - v) / abs(v))
     return {
         "grid": {"R_omega0_over_c": [0.1, "...", 100.0], "a_over_omega0c": [1e-3, "...", 0.1]},
         "max_rel_diff": worst,
@@ -657,7 +689,7 @@ def compare_report(config: SweepConfig) -> dict:
     u = units_for(atom, units)
     grids = [_inertial_far_grid(u), _inertial_near_grid(u)]
     if has_acceleration:
-        grids += [_far_a2_grid(u), asymptotics._a2_near_grid(u), _high_aR_grid(u)]
+        grids += [_far_a2_grid(u), _near_a2_grid(u), _high_aR_grid(u)]
         if "oracle" in config.methods:
             grids.append(_dual_method_grid(u))
     contour = _contour_pass(grids, atom, units)

@@ -96,10 +96,13 @@ def test_criterion_4_near_zone_a2_fit(report):
     assert "error" not in sec, sec.get("error")
     ok = (abs(sec["exponent_a"] - 2.0) <= 0.05 and abs(sec["exponent_R"] + 6.0) <= 0.05
           and sec["K"] > 0.0)
-    _line(4, "near-zone a^2 fit", ok,
-          f"exp_a={sec['exponent_a']:.4f}, exp_R={sec['exponent_R']:.4f}, K={sec['K']:.4f}")
+    # two-level closed-form cross-check: K = (3/pi) * (3 pi/4) alpha0^2 = 9/4
+    k_ok = sec["K"] == pytest.approx(2.25, rel=1e-3)
+    _line(4, "near-zone a^2 fit", ok and k_ok,
+          f"exp_a={sec['exponent_a']:.4f}, exp_R={sec['exponent_R']:.4f}, K={sec['K']:.4f}"
+          " (want 9/4)")
     assert sec["pass"] == ok
-    assert ok
+    assert ok and k_ok
 
 
 @pytest.mark.xfail(strict=True, reason=(

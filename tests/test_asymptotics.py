@@ -11,26 +11,22 @@ from hypothesis import strategies as st
 from unruhcp import (
     AtomSpec,
     DomainError,
-    NumericalFailure,
     Transition,
     far_low_acc,
     far_low_acc_parts,
-    fit_a2_near_coefficient,
     high_aR,
     near_zone_inertial,
     near_zone_value,
     potential_high_acc,
     two_level,
 )
-from unruhcp import asymptotics, potential, sweep
+from unruhcp import asymptotics
 from unruhcp.asymptotics import (
     FLOAT_MAX,
     FLOAT_MIN,
-    _a2_near_grid,
     _high_acc_bracket,
     closed_form_slope,
 )
-from unruhcp.sweep import GridSpec, SweepConfig, compare_report
 from unruhcp.units import units_for
 
 
@@ -325,39 +321,3 @@ def test_closed_form_slopes(atom):
     # high-acceleration law tends to -2 in the far zone
     assert closed_form_slope("high-acc", 100.0, 50.0, atom) == pytest.approx(-2.0, abs=3e-4)
     assert closed_form_slope("high-acc", 1e-2, 50.0, atom) == pytest.approx(-6.0, abs=1e-3)
-
-
-def test_fit_a2_near_coefficient_smoke(atom):
-    fit = fit_a2_near_coefficient(atom)
-    assert fit.exponent_a == pytest.approx(2.0, abs=0.05)
-    assert fit.exponent_R == pytest.approx(-6.0, abs=0.05)
-    assert fit.K > 0
-    # two-level closed-form cross-check: K = (3/pi) * (3 pi/4) alpha0^2 = 9/4
-    assert fit.K == pytest.approx(2.25, rel=1e-3)
-
-
-def test_fit_a2_near_coefficient_raises_grid_failure(atom, monkeypatch):
-    # a failed entry of the fit's grid is raised as the point call raised it,
-    # and the report, whose one contour pass holds that point, turns it into
-    # a failed near_zone_a2 check with the message
-    failure = NumericalFailure("contour quadrature missed its tolerance (injected)")
-    R_grid, a_values = _a2_near_grid(units_for(atom))
-    gate = potential._gate
-
-    def failing_gate(method, Rs, As, ri, aj, *args):
-        entries = gate(method, Rs, As, ri, aj, *args)
-        for p, (i, j) in enumerate(zip(ri, aj)):
-            if (Rs[i], As[j]) == (R_grid[2], a_values[1]):
-                entries[p] = failure
-        return entries
-
-    # fit_a2_near_coefficient reaches the gate through potential when it
-    # runs; the report's pass calls the gate sweep imported
-    monkeypatch.setattr(potential, "_gate", failing_gate)
-    monkeypatch.setattr(sweep, "_gate", failing_gate)
-    with pytest.raises(NumericalFailure) as info:
-        fit_a2_near_coefficient(atom)
-    assert info.value is failure
-    config = SweepConfig(atom=atom, R_grid=GridSpec(value=1.0), a_grid=GridSpec(value=1e-3))
-    section = compare_report(config)["near_zone_a2"]
-    assert section == {"pass": False, "error": str(failure)}

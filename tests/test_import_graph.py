@@ -2,7 +2,9 @@
 none of the heavy scientific packages (a cold start once spent most of its
 time importing scipy.integrate, which nothing called).  The closed-form
 subcommands need not even numpy: importing the package or the CLI, and
-running occupation or asymptotic, loads none."""
+running occupation or asymptotic, loads none, and the closed-form module
+imports no evaluator."""
+import ast
 import json
 import os
 import subprocess
@@ -116,17 +118,33 @@ def test_main_pins_openblas_threads_unless_set(monkeypatch):
     assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
 
 
+def test_asymptotics_imports_no_evaluator():
+    # the closed forms call no evaluator: asymptotics imports neither
+    # potential nor sweep, at module level or inside a function
+    tree = ast.parse((Path(SRC) / "unruhcp" / "asymptotics.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ("unruhcp" if node.level else "", node.module)))
+            imported += [base, *(f"{base}.{alias.name}" for alias in node.names)]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert [m for m in imported if m.split(".")[:2] in (["unruhcp", "potential"],
+                                                        ["unruhcp", "sweep"])] == []
+
+
 def test_public_surface():
     # nothing but their own tests called integrand, alpha_real, alpha_imag,
-    # imag_axis_weight or potential_inertial; the package no longer exports
-    # them.  __all__ lists API names only, not the submodules
+    # imag_axis_weight, potential_inertial, fit_a2_near_coefficient or
+    # A2FitResult; the package no longer exports them.  __all__ lists API
+    # names only, not the submodules
     assert sorted(unruhcp.__all__) == [
-        "A2FitResult", "AtomSpec", "DomainError", "GridSpec", "InconsistentRegimeError",
+        "AtomSpec", "DomainError", "GridSpec", "InconsistentRegimeError",
         "InputError", "NumericalFailure", "OccupationValue", "OracleUnreliableError",
         "PotentialResult", "Regime", "RegimeError", "SlopeFit", "SweepConfig", "SweepRow",
         "Transition", "UnitSystem", "UnruhCPError", "ValidityReport", "alpha_static",
         "classify_regime", "compare_report", "default_config", "far_low_acc",
-        "far_low_acc_parts", "fit_a2_near_coefficient", "fit_slope", "high_aR", "load_atom",
+        "far_low_acc_parts", "fit_slope", "high_aR", "load_atom",
         "mode_occupation", "near_zone_inertial", "near_zone_value", "occupation_highacc",
         "osc_imag_part", "potential_grid", "potential_high_acc", "potential_numeric",
         "potential_oracle", "potential_oracle_grid", "rows_to_csv", "run_sweep",

@@ -16,6 +16,7 @@ from unruhcp import (
     DomainError,
     GridSpec,
     InputError,
+    NumericalFailure,
     SweepConfig,
     compare_report,
     default_config,
@@ -23,8 +24,9 @@ from unruhcp import (
     rows_to_csv,
     run_sweep,
     two_level,
+    units_for,
 )
-from unruhcp import cli, load_atom
+from unruhcp import cli, load_atom, sweep
 from unruhcp.constants import HBAR_CGS
 from unruhcp.sweep import CSV_COLUMNS, read_rows_csv
 
@@ -331,6 +333,56 @@ def test_report_byte_identical():
         d1 = json.dumps(report, indent=2)
         d2 = json.dumps(compare_report(cfg), indent=2)
         assert d1 == d2
+
+
+def test_near_a2_section_reports_a_grid_failure(atom, monkeypatch):
+    # the report, whose one contour pass holds every point of the near-zone
+    # fit's grid, turns a failed entry into a failed near_zone_a2 check with
+    # the message
+    failure = NumericalFailure("contour quadrature missed its tolerance (injected)")
+    Rs, As = sweep._near_a2_grid(units_for(atom))
+    gate = sweep._gate
+
+    def failing_gate(method, R_list, A_list, ri, aj, *args):
+        entries = gate(method, R_list, A_list, ri, aj, *args)
+        for p, (i, j) in enumerate(zip(ri, aj)):
+            if (R_list[i], A_list[j]) == (Rs[2], As[1]):
+                entries[p] = failure
+        return entries
+
+    monkeypatch.setattr(sweep, "_gate", failing_gate)
+    config = SweepConfig(atom=atom, R_grid=GridSpec(value=1.0), a_grid=GridSpec(value=1e-3))
+    assert compare_report(config)["near_zone_a2"] == {"pass": False, "error": str(failure)}
+
+
+def _near_a2_section(atom, value):
+    """The near_zone_a2 section on a contour reader whose entry at (R, a)
+    has the value value(R, a)."""
+    def contour(Rs, As):
+        return [[(value(R, a),) for R in Rs] for a in As]
+
+    return sweep._section_near_a2(atom, "natural", contour)
+
+
+def test_near_a2_section_fits_the_a2_law(atom):
+    # the reader of the two failing cases below, on the law itself
+    sec = _near_a2_section(atom, lambda R, a: -2.25 * a * a / R**6)
+    assert sec["pass"] is True
+    assert sec["K"] == pytest.approx(2.25, rel=1e-12)
+    assert (sec["exponent_a"], sec["exponent_R"]) == pytest.approx((2.0, -6.0), abs=1e-12)
+
+
+def test_near_a2_section_fails_on_a_correction_that_is_not_attractive(atom):
+    Rs, As = sweep._near_a2_grid(units_for(atom))
+    sec = _near_a2_section(atom, lambda R, a: -1.0 / R**6)    # dV = 0
+    assert sec == {"pass": False, "error": "near-zone correction is not attractive at "
+                                           f"R={Rs[0]}, a={As[1]}: 0.0"}
+
+
+def test_near_a2_section_fails_on_exponents_off_the_law(atom):
+    sec = _near_a2_section(atom, lambda R, a: -a**3 / R**6)
+    assert sec == {"pass": False, "error": "fitted exponents (3.0000, -6.0000) deviate "
+                                           f"from (2, -6) beyond +-{sweep.EXPONENT_TOL}"}
 
 
 # ---------------------------------------------------------------------------

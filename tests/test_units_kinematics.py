@@ -52,7 +52,6 @@ def test_unit_system_validation():
 def test_validity_inertial(atom):
     rep = validity_check(0.0, atom)
     assert rep.status == "valid"
-    assert rep.window[1] == math.inf
 
 
 def test_validity_examples(atom):
