@@ -355,6 +355,17 @@ def test_near_a2_section_reports_a_grid_failure(atom, monkeypatch):
     assert compare_report(config)["near_zone_a2"] == {"pass": False, "error": str(failure)}
 
 
+def test_near_a2_section_smoke(atom):
+    # the section on a contour pass over its own grid alone
+    grid = sweep._near_a2_grid(units_for(atom))
+    sec = sweep._section_near_a2(atom, "natural", sweep._contour_pass([grid], atom, "natural"))
+    assert sec["pass"] is True
+    assert sec["exponent_a"] == pytest.approx(2.0, abs=0.05)
+    assert sec["exponent_R"] == pytest.approx(-6.0, abs=0.05)
+    # two-level closed-form cross-check: K = (3/pi) * (3 pi/4) alpha0^2 = 9/4
+    assert sec["K"] == pytest.approx(2.25, rel=1e-3)
+
+
 def _near_a2_section(atom, value):
     """The near_zone_a2 section on a contour reader whose entry at (R, a)
     has the value value(R, a)."""
