@@ -19,14 +19,13 @@ aR/c^2 >> 1 an additional a^3/R^4 origin term dominates the printed law.
 The near-zone a^2 term has no printed closed form; the comparison report
 fits its coefficient (sweep.compare_report's near_zone_a2).
 
-Each law is evaluated in doubles (_rounded).  When every argument is 0 or
-lies in [2^-60, 2^60], and hbar and omega0 in [2^-114, 2^114], no step of a
-law can under- or overflow and it runs on Python floats, without numpy; the
-closed-form CLI subcommands start without importing numpy.  Otherwise it
-runs on numpy doubles that raise on under- and overflow, and where a step
-does, as at R = 1e-60 or 1e50 c/omega0, it is evaluated again exactly and
-rounded once: a value that underflows is -0.0, and one beyond the largest
-double is a DomainError.
+Each law is evaluated by _rounded on one of two paths.  When every argument
+is 0 or lies in [2^-60, 2^60], and hbar and omega0 in [2^-114, 2^114], no
+step of a law can under- or overflow and it runs on Python floats.
+Otherwise, as at R = 1e-60 or 1e50 c/omega0 or at a laboratory acceleration
+in si mode, it is evaluated exactly, in rationals, and rounded once: a value
+that underflows is -0.0, and one beyond the largest double is a
+DomainError.  The module imports no numpy at any argument.
 """
 from __future__ import annotations
 
@@ -53,14 +52,12 @@ def _rounded(law, *args, units: UnitSystem):
 
     When every argument is 0 or lies in [FLOAT_MIN, FLOAT_MAX], and
     units.hbar and units.omega0 in [RESTORE_MIN, RESTORE_MAX], no step can
-    under- or overflow: the law runs on Python floats and gives the bits of
-    the numpy path, unless it divides by a zero argument.  Otherwise it runs
-    on np.float64 under np.errstate(all="raise"), numpy being imported only
-    then, and where a step under- or overflows, or a value is not finite,
-    the law is evaluated again exactly, in rationals, and rounded once: a
-    value that underflows is a zero of its sign, and one beyond the largest
-    double is a DomainError.  law is built from +, -, *, / and integer powers
-    of its arguments, so a float constant it needs is one of args; it
+    under- or overflow: the law runs on Python floats, unless it divides by
+    a zero argument.  Otherwise the law is evaluated exactly, in rationals,
+    and rounded once: a value that underflows is a zero of its sign, and one
+    beyond the largest double (or a zero divisor) is a DomainError, as is an
+    argument that is not finite.  law is built from +, -, *, / and integer
+    powers of its arguments, so a float constant it needs is one of args; it
     returns a value or a tuple of values.
     """
     def rounded(out):
@@ -70,23 +67,16 @@ def _rounded(law, *args, units: UnitSystem):
             and all(RESTORE_MIN <= x <= RESTORE_MAX for x in (units.hbar, units.omega0))):
         try:
             return rounded(law(units.restore_energy, *args))
-        except ZeroDivisionError:   # a zero divisor: the paths below raise DomainError
+        except ZeroDivisionError:   # a zero divisor: the exact path raises DomainError
             pass
-    import numpy as np
-
-    try:
-        with np.errstate(all="raise"):
-            out = rounded(law(units.restore_energy, *map(np.float64, args)))
-        if all(map(math.isfinite, out if isinstance(out, tuple) else (out,))):
-            return out
-    except FloatingPointError:
-        pass
-    from fractions import Fraction   # only at the domain edge: 3 ms off the CLI's start
+    if not all(map(math.isfinite, args)):   # a reduction overflowed: R omega0 / c, say
+        raise DomainError("a reduced argument of the closed form lies beyond the range of a double")
+    from fractions import Fraction   # only outside the float range: 3 ms off the CLI's start
 
     scale = Fraction(units.hbar) * Fraction(units.omega0)   # restore_energy, exactly
     try:
         return rounded(law(lambda v: v * scale, *map(Fraction, args)))
-    except (OverflowError, ValueError, ZeroDivisionError) as exc:
+    except (OverflowError, ZeroDivisionError) as exc:
         raise DomainError("the closed-form value lies beyond the range of a double") from exc
 
 

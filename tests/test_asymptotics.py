@@ -24,6 +24,8 @@ from unruhcp import asymptotics
 from unruhcp.asymptotics import (
     FLOAT_MAX,
     FLOAT_MIN,
+    RESTORE_MAX,
+    RESTORE_MIN,
     _high_acc_bracket,
     closed_form_slope,
 )
@@ -215,23 +217,24 @@ def test_closed_form_domain_errors(atom, highacc_atoms):
         value = law(R, a, atom)
         assert value == 0.0 and math.copysign(1.0, value) == -1.0
     assert closed_form_slope("far-low", 1e50, 0.0, atom) == -7.0
+    # a reduced argument beyond the largest double (R omega0 / c at 1e300 m
+    # in si mode) has no exact value: a DomainError that says so, for the
+    # value and the slope alike
+    si = two_level(4e15, 1e-24)
+    for law in (lambda: near_zone_value(1e300, si, "si"),
+                lambda: closed_form_slope("far-low", 1e300, 9.8, si, "si")):
+        with pytest.raises(DomainError, match="reduced argument"):
+            law()
 
 
 def _tuple_or_float(out):
     return tuple(map(float, out)) if isinstance(out, tuple) else float(out)
 
 
-def _numpy_rounded(law, args, units):
-    """The reference: _rounded as it was before its float path, with
-    np.float64 steps under np.errstate(all="raise") and, where one under- or
-    overflows, the exact value rounded once; DomainError stands for the error."""
-    try:
-        with np.errstate(all="raise"):
-            out = _tuple_or_float(law(units.restore_energy, *map(np.float64, args)))
-        if all(map(math.isfinite, out if isinstance(out, tuple) else (out,))):
-            return out
-    except FloatingPointError:
-        pass
+def _exact_rounded(law, args, units):
+    """The reference outside the float range: the law's exact rational value
+    rounded once; DomainError stands for a value beyond the largest double,
+    a zero divisor or an argument that is not finite."""
     scale = Fraction(units.hbar) * Fraction(units.omega0)
     try:
         return _tuple_or_float(law(lambda v: v * scale, *map(Fraction, args)))
@@ -245,10 +248,11 @@ def _bits(out):
     return tuple(v.hex() for v in out) if isinstance(out, tuple) else out.hex()
 
 
-def test_rounded_float_path_bits_of_the_numpy_path(monkeypatch):
+def test_rounded_float_path_bits_and_exact_path_rounded_once(monkeypatch):
     # every law of _rounded on a seeded sample of inputs: inside the float
-    # range the numpy path raises nothing and the float path has its bits;
-    # elsewhere the value or the DomainError is the reference's
+    # range np.float64 steps raise nothing and the float path has their
+    # bits; elsewhere the value is the exact one rounded once, or the
+    # DomainError where that overflows or divides by zero
     calls = []
     rounded = asymptotics._rounded
 
@@ -292,13 +296,13 @@ def test_rounded_float_path_bits_of_the_numpy_path(monkeypatch):
             if not calls:   # refused by the law's domain check (a = 0)
                 continue
             [(law, args, u)] = calls
-            inside = all(x == 0.0 or FLOAT_MIN <= abs(x) <= FLOAT_MAX
-                         for x in (*args, u.hbar, u.omega0))
+            inside = (all(x == 0.0 or FLOAT_MIN <= abs(x) <= FLOAT_MAX for x in args)
+                      and all(RESTORE_MIN <= x <= RESTORE_MAX for x in (u.hbar, u.omega0)))
             if inside:
                 with np.errstate(all="raise"):
                     want = _tuple_or_float(law(u.restore_energy, *map(np.float64, args)))
             else:
-                want = _numpy_rounded(law, args, u)
+                want = _exact_rounded(law, args, u)
             assert _bits(out) == _bits(want), (name, args, u)
             seen.setdefault(name, [0, 0])[not inside] += 1
     assert len(seen) == 7

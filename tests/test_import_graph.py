@@ -2,8 +2,8 @@
 none of the heavy scientific packages (a cold start once spent most of its
 time importing scipy.integrate, which nothing called).  The closed-form
 subcommands need not even numpy: importing the package or the CLI, and
-running occupation or asymptotic, loads none, and the closed-form module
-imports no evaluator."""
+running occupation or asymptotic at any argument, loads none, and the
+closed-form module imports neither an evaluator nor numpy."""
 import ast
 import json
 import os
@@ -76,6 +76,11 @@ calls = {
                  "--atom", atom, "--atom-b", atom_b],
     # si-mode hbar, about 2^-113, once sent every si call to numpy
     "near si": ["asymptotic", "--law", "near", "--R", "1e-9", "--units", "si", "--atom", atom_si],
+    # a laboratory acceleration, about 1e-23 omega0 c, lies outside the float
+    # range and once loaded numpy
+    **{f"{law} si lab": ["asymptotic", "--law", law, "--R", "1e-6", "--accel", "9.8",
+                         "--units", "si", "--atom", atom_si]
+       for law in ("far-low", "high-ar")},
 }
 for name, argv in calls.items():
     with contextlib.redirect_stdout(io.StringIO()):
@@ -105,6 +110,8 @@ def test_closed_form_cli_loads_no_numpy(tmp_path):
         "high-ar": [0, False],
         "high-acc": [0, False],
         "near si": [0, False],
+        "far-low si lab": [0, False],
+        "high-ar si lab": [0, False],
     }
 
 
@@ -119,8 +126,9 @@ def test_main_pins_openblas_threads_unless_set(monkeypatch):
 
 
 def test_asymptotics_imports_no_evaluator():
-    # the closed forms call no evaluator: asymptotics imports neither
-    # potential nor sweep, at module level or inside a function
+    # the closed forms call no evaluator and need no numpy: asymptotics
+    # imports none of potential, sweep and numpy, at module level or inside
+    # a function
     tree = ast.parse((Path(SRC) / "unruhcp" / "asymptotics.py").read_text())
     imported = []
     for node in ast.walk(tree):
@@ -130,7 +138,8 @@ def test_asymptotics_imports_no_evaluator():
         elif isinstance(node, ast.Import):
             imported += [alias.name for alias in node.names]
     assert [m for m in imported if m.split(".")[:2] in (["unruhcp", "potential"],
-                                                        ["unruhcp", "sweep"])] == []
+                                                        ["unruhcp", "sweep"])
+            or m.split(".")[0] == "numpy"] == []
 
 
 def test_public_surface():
